@@ -207,7 +207,7 @@ def _feature_extractor(args):
     return lambda img: features.drenet_forward(img, weights)
 
 
-def _regularize(args, stream, height: int, width: int):
+def _regularize(args, stream):
     if args.regularizer == "passthrough":
         return regularizer.passthrough_regularizer(stream)
     if args.weights and args.features != "drenet":
@@ -218,7 +218,20 @@ def _regularize(args, stream, height: int, width: int):
     return regularizer.regularize_stream(stream, weights)
 
 
+def _jobs() -> int:
+    """Worker threads for ``depth``, from ``MVSWEEP_JOBS`` (default 1)."""
+    raw = os.environ.get("MVSWEEP_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise MvsweepError(f"MVSWEEP_JOBS must be a positive integer, got {raw!r}")
+    return jobs
+
+
 def cmd_depth(args) -> int:
+    jobs = _jobs()
     layout = formats.ProjectLayout(Path(args.input))
     out_layout = formats.ProjectLayout(Path(args.out)) if args.out else layout
     out_layout.make_dirs()
@@ -227,8 +240,7 @@ def cmd_depth(args) -> int:
     feats = [extract(image) for _, _, image in views]
 
     def run_view(ref: int) -> None:
-        cam, depth_range, image = views[ref]
-        height, width = image.shape[:2]
+        cam, depth_range, _ = views[ref]
         d_max = depth_range.d_max
         if d_max is None:
             count = depth_range.count or DEFAULT_DEPTHS
@@ -239,13 +251,12 @@ def cmd_depth(args) -> int:
         stream = costvol.cost_volume_stream(
             feats[ref], [feats[j] for j in src_ids], cam,
             [views[j][0] for j in src_ids], space)
-        scores = _regularize(args, stream, height, width)
+        scores = _regularize(args, stream)
         depth, confidence = estimator.online_softmax_wta(scores, space)
         formats.write_pfm(out_layout.depth(ref), depth.data, depth.mask)
         formats.write_pfm(out_layout.confidence(ref), confidence)
         log.info("view %d: depth map done", ref)
 
-    jobs = int(os.environ.get("MVSWEEP_JOBS", "1"))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(run_view, range(len(views))))

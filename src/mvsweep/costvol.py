@@ -7,6 +7,14 @@ per-pixel, per-channel cost is the population variance over the set
 to the reference alone (zero variance) and are identifiable through the
 slice's view count.
 
+Each slice costs, per source view, one closed-form warp
+(:func:`~mvsweep.geometry.warp_grid`), one bilinear gather of four taps
+per pixel from the flattened feature map, done in fixed blocks of
+:data:`SAMPLE_BLOCK` pixels so the tap buffer stays small, and one update
+of the running sums of ``s - ref`` and ``(s - ref)^2``.  The variance is
+computed in one pass from those sums; shifting every sample by the
+reference value leaves it unchanged and keeps the sums well conditioned.
+
 Slices are produced lazily by :func:`cost_volume_stream` so downstream
 consumers never hold the full depth dimension in memory.
 """
@@ -28,6 +36,10 @@ __all__ = [
     "build_cost_slice",
     "cost_volume_stream",
 ]
+
+# Queries gathered per block in bilinear_sample: bounds its
+# (block, 4, channels) tap buffer independently of the image size.
+SAMPLE_BLOCK = 512
 
 
 @dataclass(eq=False)
@@ -52,26 +64,42 @@ def bilinear_sample(values: np.ndarray, coords: np.ndarray):
     """Sample ``(height, width, channels)`` values at continuous coords.
 
     ``coords`` is ``(..., 2)`` as (x, y).  Returns ``(sampled, valid)``
-    where queries outside ``[0, width-1] x [0, height-1]`` are zero and
-    flagged invalid.
+    where queries outside ``[0, width-1] x [0, height-1]`` (NaN included)
+    are zero and flagged invalid.
+
+    The four corner weights are computed once per query with the valid
+    mask folded in, and the taps are gathered from the flattened
+    ``(height * width, channels)`` map in blocks of :data:`SAMPLE_BLOCK`
+    queries.
     """
-    height, width = values.shape[:2]
-    xs = coords[..., 0]
-    ys = coords[..., 1]
+    height, width, channels = values.shape
+    xs = coords[..., 0].ravel()
+    ys = coords[..., 1].ravel()
     valid = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
-    xc = np.clip(np.where(valid, xs, 0.0), 0.0, width - 1.0)
-    yc = np.clip(np.where(valid, ys, 0.0), 0.0, height - 1.0)
-    x0 = np.minimum(np.floor(xc), width - 2).astype(np.intp) if width > 1 else np.zeros_like(xc, dtype=np.intp)
-    y0 = np.minimum(np.floor(yc), height - 2).astype(np.intp) if height > 1 else np.zeros_like(yc, dtype=np.intp)
-    fx = (xc - x0)[..., None]
-    fy = (yc - y0)[..., None]
+    xc = np.where(valid, xs, 0.0)
+    yc = np.where(valid, ys, 0.0)
+    # On the far edge x0 = width - 1 and fx = 0, so the clamped x1 gets
+    # no weight.
+    x0 = np.floor(xc).astype(np.intp)
+    y0 = np.floor(yc).astype(np.intp)
+    fx = xc - x0
+    fy = yc - y0
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
-    bottom = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
-    sampled = top * (1.0 - fy) + bottom * fy
-    sampled = np.where(valid[..., None], sampled, 0.0)
-    return sampled, valid
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
+    weights *= valid[:, None]
+    taps = np.stack([y0 * width + x0, y0 * width + x1,
+                     y1 * width + x0, y1 * width + x1], axis=1)
+    flat = values.reshape(height * width, channels)
+    sampled = np.empty((xs.size, channels))
+    for lo in range(0, xs.size, SAMPLE_BLOCK):
+        hi = lo + SAMPLE_BLOCK
+        np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
+                  out=sampled[lo:hi])
+    shape = coords.shape[:-1]
+    return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
 def build_cost_slice(
@@ -94,23 +122,31 @@ def build_cost_slice(
         if feat.shape != ref_feat.shape:
             raise SizeMismatchError(
                 f"source features {feat.shape} do not match reference {ref_feat.shape}")
-    acc = ref_feat.astype(np.float64).copy()
+    ref = np.asarray(ref_feat, dtype=np.float64)
+    # Variance is shift-invariant, so accumulate s - ref: the reference
+    # contributes exactly zero to S1 = sum(s - ref) and S2 = sum((s - ref)^2),
+    # and since S1^2 <= (n - 1) * S2, S2 - S1^2 / n keeps a margin of S2 / n
+    # over rounding and cannot go negative.
+    s1 = np.zeros((height, width, channels))
+    s2 = np.zeros((height, width, channels))
     count = np.ones((height, width), dtype=np.int64)
-    warped: list[tuple[np.ndarray, np.ndarray]] = []
     for feat, cam in zip(src_feats, src_cams):
-        coords, in_front = warp_grid(ref_cam, cam, depth, width, height)
-        sampled, in_bounds = bilinear_sample(feat, coords)
-        ok = in_front & in_bounds
-        sampled = np.where(ok[..., None], sampled, 0.0)
-        warped.append((sampled, ok))
-        acc += sampled
+        # Landings behind the source are NaN, so the sampler's mask also
+        # covers the warp's.
+        coords, _ = warp_grid(ref_cam, cam, depth, width, height)
+        sampled, ok = bilinear_sample(feat, coords)
+        # Samples are zero wherever they are invalid; subtract only where valid.
+        np.subtract(sampled, ref, out=sampled, where=ok[..., None])
+        s1 += sampled
+        sampled *= sampled
+        s2 += sampled
         count += ok
-    mean = acc / count[..., None]
-    var = np.square(ref_feat - mean)
-    for sampled, ok in warped:
-        var += np.where(ok[..., None], np.square(sampled - mean), 0.0)
-    var /= count[..., None]
-    return CostSlice(index=index, depth=float(depth), cost=var, valid_views=count)
+    n = count[..., None].astype(np.float64)
+    s1 *= s1
+    s1 /= n
+    s2 -= s1
+    s2 /= n
+    return CostSlice(index=index, depth=float(depth), cost=s2, valid_views=count)
 
 
 def cost_volume_stream(

@@ -276,15 +276,28 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     ``(coords (height, width, 2), valid (height, width))`` where a pixel
     is valid when it lands in front of the source camera and inside the
     source image bounds (images are assumed to share ``width x height``).
+    Pixels that land behind the source camera hold NaN coordinates.
+
+    Composing :func:`back_project_grid` with :func:`project_points` gives
+    the closed form ``w = d * A @ (x, y, 1) + b`` for the homogeneous
+    source pixel, with ``A = M_src @ M_ref^-1`` and
+    ``b = p_src - A @ p_ref``.  It is separable: a ``(height, 3)`` row
+    term plus a ``(width, 3)`` column term, so no per-pixel 3x3 product
+    is formed.
     """
     if depth <= 0:
         raise BehindCameraError(f"cannot sweep non-positive depth {depth}")
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    points = back_project_grid(ref, xs, ys, np.full_like(xs, depth))
-    coords, depths = project_points(src, points)
+    a = src.proj_m @ ref.proj_m_inv
+    b = src.proj_t - a @ ref.proj_t
+    rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
+    rows += depth * a[:, 2] + b
+    cols = np.arange(width, dtype=np.float64)[:, None] * (depth * a[:, 0])
+    depths = rows[:, None, 2] + cols[None, :, 2]
+    coords = rows[:, None, :2] + cols[None, :, :2]
+    coords /= np.where(depths > 0, depths, np.nan)[..., None]
+    # NaN fails every comparison, so points behind the source are invalid.
     valid = (
-        (depths > 0)
-        & (coords[..., 0] >= 0.0)
+        (coords[..., 0] >= 0.0)
         & (coords[..., 0] <= width - 1.0)
         & (coords[..., 1] >= 0.0)
         & (coords[..., 1] <= height - 1.0)

@@ -136,6 +136,20 @@ class TestDepth:
         for i in range(5):
             assert serial.depth(i).read_bytes() == parallel.depth(i).read_bytes()
 
+    @pytest.mark.parametrize("value", ["x", "0", "-1", ""])
+    def test_bad_job_count_is_user_error(self, synth_proj, tmp_path, monkeypatch,
+                                         capsys, value):
+        monkeypatch.setenv("MVSWEEP_JOBS", value)
+        out = tmp_path / "jobs"
+        code = cli.main([
+            "depth", "--in", str(synth_proj), "--out", str(out),
+            "--num-depths", "2",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: MVSWEEP_JOBS must be a positive integer, got '{value}'" in err
+        assert not out.exists()
+
     def test_estimates_track_ground_truth(self, synth_proj, depth_proj):
         # Textured plane, photometric features: the bulk of pixels land
         # within one bin of the truth even at this tiny resolution.

@@ -5,8 +5,12 @@ pure shift u' = u - f*b/d, so expected warped features and variances can
 be written down directly with numpy on shifted arrays.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvsweep import costvol, geometry, memtrack
 from mvsweep.errors import SizeMismatchError
@@ -17,8 +21,61 @@ def _cam(center_x: float = 0.0, f: float = 20.0) -> geometry.Camera:
     return geometry.Camera(k, np.eye(3), np.array([-center_x, 0.0, 0.0]))
 
 
+def _rotated_cam(rx: float, ry: float, translation) -> geometry.Camera:
+    """Camera of :func:`_cam`'s intrinsics, rotated about x then y."""
+    cx, sx, cy, sy = np.cos(rx), np.sin(rx), np.cos(ry), np.sin(ry)
+    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    rot_y = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    return geometry.Camera(_cam().intrinsic, rot_y @ rot_x, np.asarray(translation))
+
+
+def _scalar_sample(values: np.ndarray, x: float, y: float):
+    """One bilinear query, written out: the reference for the sampler."""
+    height, width, channels = values.shape
+    if not (0.0 <= x <= width - 1.0 and 0.0 <= y <= height - 1.0):
+        return np.zeros(channels), False
+    x0 = min(math.floor(x), max(width - 2, 0))
+    y0 = min(math.floor(y), max(height - 2, 0))
+    x1 = min(x0 + 1, width - 1)
+    y1 = min(y0 + 1, height - 1)
+    fx, fy = x - x0, y - y0
+    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
+    bottom = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
+    return top * (1.0 - fy) + bottom * fy, True
+
+
 class TestBilinearSample:
     """Interpolation weights and validity of the sampler."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 6), width=st.integers(1, 700),
+           channels=st.integers(1, 4), queries=st.integers(1, 1400),
+           seed=st.integers(0, 2**32 - 1))
+    @example(height=1, width=600, channels=2, queries=1300, seed=0)
+    @example(height=5, width=1, channels=1, queries=700, seed=1)
+    @example(height=1, width=1, channels=3, queries=20, seed=2)
+    def test_matches_scalar_reference(self, height, width, channels, queries, seed):
+        # More queries than one gather block (costvol.SAMPLE_BLOCK), so
+        # block edges are crossed; one-pixel-wide and -tall maps included.
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(height, width, channels))
+        xs = rng.uniform(-1.5, width + 0.5, queries)
+        ys = rng.uniform(-1.5, height + 0.5, queries)
+        # Exact borders, integer centres and non-finite values.
+        specials = np.array([0.0, -0.0, -1e-12, np.nan, np.inf, -np.inf])
+        for axis, extent in ((xs, width), (ys, height)):
+            pick = rng.uniform(size=queries) < 0.3
+            choices = np.concatenate([specials, [extent - 1.0, extent - 1.0 + 1e-12]])
+            axis[pick] = rng.choice(choices, pick.sum())
+            snap = rng.uniform(size=queries) < 0.2
+            axis[snap] = rng.integers(0, extent, snap.sum())
+        coords = np.stack([xs, ys], axis=-1)
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        assert sampled.shape == (queries, channels)
+        for i in range(queries):
+            want, ok = _scalar_sample(values, xs[i], ys[i])
+            assert valid[i] == ok
+            np.testing.assert_allclose(sampled[i], want, rtol=0, atol=1e-12)
 
     def test_exact_at_integer_coords(self):
         rng = np.random.default_rng(0)
@@ -131,6 +188,30 @@ class TestBuildCostSlice:
                 np.testing.assert_allclose(
                     sl.cost[y, u], stack.var(axis=0), atol=1e-12
                 )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_np_var_with_rotated_views(self, offset):
+        # Rotated, translated sources cover different parts of the
+        # reference, so pixels see 1, 2 or 3 views.  The cost must be
+        # np.var over the reference and the valid warped samples.  A
+        # large common offset must not cost precision or go negative.
+        depth, height, width = 10.0, 12, 16
+        ref_cam = _cam(0.0)
+        cams = [_rotated_cam(0.0, 0.08, [-1.2, 0.1, 0.0]),
+                _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3])]
+        rng = np.random.default_rng(5)
+        feats = [offset + rng.normal(size=(height, width, 3)) for _ in range(3)]
+        sl = costvol.build_cost_slice(feats[0], feats[1:], ref_cam, cams, depth)
+        warped = [
+            costvol.bilinear_sample(feat, geometry.warp_grid(ref_cam, cam, depth, width, height)[0])
+            for feat, cam in zip(feats[1:], cams)
+        ]
+        assert set(np.unique(sl.valid_views)) == {1, 2, 3}
+        for y, x in np.ndindex(height, width):
+            stack = [feats[0][y, x]] + [s[y, x] for s, ok in warped if ok[y, x]]
+            assert sl.valid_views[y, x] == len(stack)
+            np.testing.assert_allclose(sl.cost[y, x], np.var(stack, axis=0), atol=1e-12)
+        assert (sl.cost >= 0.0).all()
 
     def test_size_mismatch_raises(self):
         cam = _cam(0.0)

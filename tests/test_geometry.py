@@ -26,6 +26,16 @@ def _translated_cam(center, f: float = 100.0) -> geometry.Camera:
     return geometry.Camera(_k(f), np.eye(3), -np.asarray(center, dtype=np.float64))
 
 
+def _rotation(axis: int, angle: float) -> np.ndarray:
+    """Right-handed rotation by ``angle`` radians about coordinate ``axis``."""
+    i, j = [(1, 2), (2, 0), (0, 1)][axis]
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.eye(3)
+    r[i, i] = r[j, j] = c
+    r[i, j], r[j, i] = -s, s
+    return r
+
+
 class TestCameraValidation:
     """Constructor rejects malformed intrinsics and non-rigid rotations."""
 
@@ -353,6 +363,35 @@ class TestWarpGrid:
         ref = _identity_cam()
         with pytest.raises(BehindCameraError):
             geometry.warp_grid(ref, ref, 0.0, 8, 8)
+
+    @pytest.mark.parametrize("angle, shift", [(0.15, -1.0), (0.6, -5.0), (1.4, -9.8)])
+    @pytest.mark.parametrize("depth", [4.0, 10.0, 25.0])
+    def test_matches_projection_chain(self, angle, shift, depth):
+        # Rotated, translated pairs.  At 1.4 rad the source looks almost
+        # sideways, so part of the swept plane lies behind it.
+        ref = geometry.Camera(_k(), _rotation(0, 0.1) @ _rotation(1, -0.2),
+                              np.array([0.5, -0.3, 1.0]))
+        src = geometry.Camera(_k(), _rotation(1, angle) @ _rotation(0, 0.05),
+                              np.array([shift, 0.4, 0.2]))
+        coords, valid = geometry.warp_grid(ref, src, depth, width=64, height=48)
+        ys, xs = np.mgrid[0:48, 0:64].astype(float)
+        points = geometry.back_project_grid(ref, xs, ys, depth)
+        want, depths = geometry.project_points(src, points)
+        # NaN entries must coincide; near-singular landings run to ~1e6
+        # px, where only relative agreement is meaningful.
+        np.testing.assert_allclose(coords, want, rtol=1e-12, atol=1e-9)
+        in_bounds = ((want[..., 0] >= 0.0) & (want[..., 0] <= 63.0)
+                     & (want[..., 1] >= 0.0) & (want[..., 1] <= 47.0))
+        np.testing.assert_array_equal(valid, (depths > 0) & in_bounds)
+
+    def test_behind_source_is_nan_and_invalid(self):
+        ref = geometry.Camera(_k(), np.eye(3), np.zeros(3))
+        src = geometry.Camera(_k(), _rotation(1, 1.4), np.array([-9.8, 0.0, 0.0]))
+        coords, valid = geometry.warp_grid(ref, src, 10.0, width=64, height=48)
+        behind = np.isnan(coords[..., 0])
+        assert behind.any() and valid.any()
+        assert np.isnan(coords[behind]).all()
+        assert not valid[behind].any()
 
 
 class TestDepthMap:
