@@ -195,27 +195,26 @@ def _load_project(layout: formats.ProjectLayout, n_views: int | None):
     return views, pairs
 
 
-def _feature_extractor(args):
+def _feature_extractor(args, tensors):
     if args.features == "photometric":
         return features.photometric_features
-    if args.weights:
-        weights = features.DrenetWeights.from_tensors(
-            formats.load_tensors(args.weights))
+    if tensors is not None:
+        weights = features.DrenetWeights.from_tensors(tensors)
     else:
         log.warning("no --weights given; using seeded untrained weights")
         weights = features.random_drenet_weights(args.seed)
     return lambda img: features.drenet_forward(img, weights)
 
 
-def _regularize(args, stream):
+def _regularizer(args, tensors):
     if args.regularizer == "passthrough":
-        return regularizer.passthrough_regularizer(stream)
-    if args.weights and args.features != "drenet":
-        weights = regularizer.HuLstmWeights.from_tensors(
-            formats.load_tensors(args.weights))
+        return regularizer.passthrough_regularizer
+    # One container may hold both networks: their tensor names differ.
+    if tensors is not None:
+        weights = regularizer.HuLstmWeights.from_tensors(tensors)
     else:
         weights = regularizer.random_hulstm_weights(args.seed)
-    return regularizer.regularize_stream(stream, weights)
+    return lambda stream: regularizer.regularize_stream(stream, weights)
 
 
 def _jobs() -> int:
@@ -234,9 +233,11 @@ def cmd_depth(args) -> int:
     jobs = _jobs()
     layout = formats.ProjectLayout(Path(args.input))
     out_layout = formats.ProjectLayout(Path(args.out)) if args.out else layout
-    out_layout.make_dirs()
+    tensors = formats.load_tensors(args.weights) if args.weights else None
+    extract = _feature_extractor(args, tensors)
+    regularize = _regularizer(args, tensors)
     views, pairs = _load_project(layout, args.views)
-    extract = _feature_extractor(args)
+    out_layout.make_dirs()
     feats = [extract(image) for _, _, image in views]
 
     def run_view(ref: int) -> None:
@@ -251,7 +252,7 @@ def cmd_depth(args) -> int:
         stream = costvol.cost_volume_stream(
             feats[ref], [feats[j] for j in src_ids], cam,
             [views[j][0] for j in src_ids], space)
-        scores = _regularize(args, stream)
+        scores = regularize(stream)
         depth, confidence = estimator.online_softmax_wta(scores, space)
         formats.write_pfm(out_layout.depth(ref), depth.data, depth.mask)
         formats.write_pfm(out_layout.confidence(ref), confidence)

@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import memtrack
 from .errors import SizeMismatchError
 from .geometry import Camera, HypothesisSpace, sample_hypotheses, warp_grid
 
@@ -55,9 +54,6 @@ class CostSlice:
     depth: float
     cost: np.ndarray
     valid_views: np.ndarray
-
-    def __post_init__(self) -> None:
-        memtrack.stream_buffers.register(self)
 
 
 def bilinear_sample(values: np.ndarray, coords: np.ndarray):

@@ -161,7 +161,8 @@ class DrenetWeights:
     branch_c1: ConvLayerWeights
     fuse: ConvLayerWeights
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Reject weights whose shapes do not fit the fixed graph."""
         in_ch = self.stem0.in_channels
         for name, expect_in, out_ch, dilation in _DRENET_LAYERS:
             expect = in_ch if name == "stem0" else expect_in
@@ -192,9 +193,7 @@ class DrenetWeights:
                 )
             except KeyError as exc:
                 raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
-        weights = cls(**layers)
-        weights.validate()
-        return weights
+        return cls(**layers)
 
 
 def _random_layer(rng: np.random.Generator, in_ch: int, out_ch: int,
@@ -235,7 +234,6 @@ def drenet_forward(image: np.ndarray, weights: DrenetWeights) -> np.ndarray:
     channel count the stem expects.  Output is ``(height, width, 32)``
     at the input resolution.
     """
-    weights.validate()
     if image.ndim == 2:
         image = image[:, :, None]
     want = weights.stem0.in_channels

@@ -150,17 +150,15 @@ def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
 
 
 def _consistency_grid(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
-                      lam: float):
-    """Per-source matching scores and reprojection data for all pixels.
+                      lam: float) -> np.ndarray:
+    """Per-source matching scores ``(n_src, H, W)`` of all pixels.
 
-    Returns ``(scores (n_src, H, W), d2 (n_src, H, W))`` where invalid
-    round trips score 0 and carry NaN reprojected depth.
+    Invalid reference pixels and failed round trips score 0.
     """
     height, width = ref.depth.data.shape
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     depths = ref.depth.data
     scores = np.zeros((len(srcs), height, width), dtype=np.float64)
-    d2_all = np.full((len(srcs), height, width), np.nan)
     for j, src in enumerate(srcs):
         p2, d2, valid = reproject_map(
             ref.camera, src.camera, xs, ys, depths, src.depth)
@@ -168,8 +166,7 @@ def _consistency_grid(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
             xi_p, xi_d = reprojection_errors_map(xs, ys, p2, depths, d2)
             c = consistency_from_errors(xi_p, xi_d, lam)
         scores[j] = np.where(valid & ref.depth.mask, np.nan_to_num(c), 0.0)
-        d2_all[j] = np.where(valid, d2, np.nan)
-    return scores, d2_all
+    return scores
 
 
 def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -179,8 +176,7 @@ def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     The reference itself never appears in the sum; invalid pixels and
     failed round trips contribute 0.
     """
-    scores, _ = _consistency_grid(ref, srcs, lam)
-    return scores.sum(axis=0)
+    return _consistency_grid(ref, srcs, lam).sum(axis=0)
 
 
 def dynamic_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],

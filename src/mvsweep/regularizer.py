@@ -27,7 +27,6 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.special import expit
 
-from . import memtrack
 from .costvol import CostSlice
 from .errors import SizeMismatchError, WeightGraphMismatchError
 from .features import conv3x3
@@ -52,9 +51,6 @@ class ScoreSlice:
 
     index: int
     score: np.ndarray
-
-    def __post_init__(self) -> None:
-        memtrack.stream_buffers.register(self)
 
 
 @dataclass(eq=False)
@@ -178,7 +174,8 @@ class HuLstmWeights:
     head_kernel: np.ndarray
     head_bias: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Reject weights whose shapes do not fit the fixed graph."""
         if len(self.cells) != len(_HU_CELLS):
             raise WeightGraphMismatchError(f"expected {len(_HU_CELLS)} cells, got {len(self.cells)}")
         in_ch = self.cells[0].in_channels
@@ -223,7 +220,7 @@ class HuLstmWeights:
                 })
                 for name, _ in _HU_CELLS
             )
-            weights = cls(
+            return cls(
                 cells=cells,
                 up_mid_kernel=tensors["up_mid.kernel"],
                 up_mid_bias=tensors["up_mid.bias"],
@@ -234,8 +231,6 @@ class HuLstmWeights:
             )
         except KeyError as exc:
             raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
-        weights.validate()
-        return weights
 
 
 @dataclass(eq=False)
@@ -244,9 +239,6 @@ class LstmState:
 
     hidden: tuple[np.ndarray, ...]
     cell: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        memtrack.stream_buffers.register(self)
 
 
 def _f32_round(rng: np.random.Generator, shape, bound: float) -> np.ndarray:

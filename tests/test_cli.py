@@ -204,6 +204,50 @@ class TestDepth:
         ])
         assert code == 0
 
+    def test_hulstm_weights_come_from_container(self, tmp_path):
+        from mvsweep import features, regularizer
+
+        root = tmp_path / "both"
+        assert cli.main([
+            "synth", "--out", str(root), "--views", "2", "--size", "16x12",
+        ]) == 0
+        weights_path = tmp_path / "net.bin"
+        formats.save_tensors(weights_path, {
+            **features.random_drenet_weights(seed=7).to_tensors(),
+            **regularizer.random_hulstm_weights(seed=7).to_tensors(),
+        })
+        network = ["depth", "--in", str(root), "--num-depths", "5",
+                   "--features", "drenet", "--regularizer", "hulstm"]
+        loaded, seeded = tmp_path / "loaded", tmp_path / "seeded"
+        assert cli.main([*network, "--out", str(loaded),
+                         "--weights", str(weights_path)]) == 0
+        assert cli.main([*network, "--out", str(seeded), "--seed", "7"]) == 0
+        for view in range(2):
+            for name in ("depth", "confidence"):
+                got = getattr(formats.ProjectLayout(loaded), name)(view)
+                want = getattr(formats.ProjectLayout(seeded), name)(view)
+                assert got.read_bytes() == want.read_bytes()
+
+    def test_hulstm_weights_missing_from_container(self, tmp_path, capsys):
+        from mvsweep import features
+
+        root = tmp_path / "drenet_only"
+        assert cli.main([
+            "synth", "--out", str(root), "--views", "2", "--size", "16x12",
+        ]) == 0
+        weights_path = tmp_path / "net.bin"
+        formats.save_tensors(
+            weights_path, features.random_drenet_weights(seed=7).to_tensors())
+        out = tmp_path / "out"
+        code = cli.main([
+            "depth", "--in", str(root), "--num-depths", "5",
+            "--features", "drenet", "--regularizer", "hulstm",
+            "--weights", str(weights_path), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: missing tensor ")
+        assert not out.exists()
+
 
 class TestFuse:
     """Filtering plus fusion into a cloud file."""

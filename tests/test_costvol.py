@@ -6,13 +6,14 @@ be written down directly with numpy on shifted arrays.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep import costvol, geometry, memtrack
+from mvsweep import costvol, geometry
 from mvsweep.errors import SizeMismatchError
 
 
@@ -230,6 +231,20 @@ class TestBuildCostSlice:
         assert sl.valid_views.min() == 1
 
 
+def _peak_bytes(run) -> int:
+    """Peak traced bytes allocated by ``run()`` above what was live before."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class TestCostVolumeStream:
     """Lazy slice production over a hypothesis space."""
 
@@ -245,45 +260,17 @@ class TestCostVolumeStream:
 
     def test_is_lazy(self):
         cam = _cam(0.0)
-        feat = np.zeros((6, 6, 1))
-        space = geometry.HypothesisSpace(2.0, 4.0, 64)
+        feat = np.zeros((32, 32, 32))
+        space = geometry.HypothesisSpace(2.0, 4.0, 256)
         stream = costvol.cost_volume_stream(feat, [feat], cam, [cam], space)
-        memtrack.stream_buffers.reset_peak()
-        first = next(stream)
+        yielded = []
+        first_peak = _peak_bytes(lambda: yielded.append(next(stream)))
+        first = yielded.pop()
         assert first.index == 0
-        # Only the materialized slice is tracked, not all 64.
-        assert memtrack.stream_buffers.live <= 2
-
-
-class TestAllocationTracker:
-    """Weakref-based live/peak accounting used by the streaming claim."""
-
-    def test_counts_lifecycle(self):
-        import gc
-
-        tracker = memtrack.AllocationTracker()
-        base = tracker.live
-        slices = [
-            costvol.CostSlice(i, 1.0, np.zeros((2, 2, 1)), np.ones((2, 2), dtype=np.int64))
-            for i in range(3)
-        ]
-        for sl in slices:
-            tracker.register(sl)
-        assert tracker.live == base + 3
-        assert tracker.peak >= base + 3
-        del slices, sl
-        gc.collect()
-        assert tracker.live == base
-
-    def test_reset_peak_rebases_to_live(self):
-        class _Token:
-            pass
-
-        tracker = memtrack.AllocationTracker()
-        first = _Token()
-        second = _Token()
-        tracker.register(first)
-        tracker.register(second)
-        del second
-        tracker.reset_peak()
-        assert tracker.peak == tracker.live == 1
+        slice_bytes = first.cost.nbytes + first.valid_views.nbytes
+        # One slice, its running sums and a sampler block are alive while
+        # it is built; the 256 slices of an eager stream would be 20x that.
+        assert first_peak <= 12 * slice_bytes
+        # Draining the stream must not keep the slices already yielded.
+        rest_peak = _peak_bytes(lambda: sum(1 for _ in stream))
+        assert rest_peak <= 12 * slice_bytes

@@ -7,6 +7,8 @@ quadruple-loop reference, then cover the weight container plumbing and
 the fixed photometric descriptor's channel layout.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,12 @@ class TestDrenetWeights:
         tensors["grow.kernel"] = np.zeros((32, 32, 3, 3))
         with pytest.raises(WeightGraphMismatchError):
             features.DrenetWeights.from_tensors(tensors)
+
+    def test_construction_validates(self):
+        # Weights are checked once, when built, not on every forward pass.
+        weights = features.random_drenet_weights(seed=3)
+        with pytest.raises(WeightGraphMismatchError):
+            dataclasses.replace(weights, grow=weights.stem1)
 
 
 class TestDrenetForward:

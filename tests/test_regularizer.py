@@ -6,6 +6,8 @@ plus the algebraic identities that hold regardless of weights (bounded
 outputs, zero-forget amnesia, saturation limits).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,11 @@ class TestHuLstmWeights:
         tensors[key] = np.zeros((32, 32, 3, 3))  # needs 64 + 32 input channels
         with pytest.raises(WeightGraphMismatchError):
             regularizer.HuLstmWeights.from_tensors(tensors)
+
+    def test_construction_validates(self):
+        weights = regularizer.random_hulstm_weights(seed=5)
+        with pytest.raises(WeightGraphMismatchError):
+            dataclasses.replace(weights, cells=weights.cells[:4])
 
 
 def _slice_stream(rng, count, shape=(6, 8, 4)):
