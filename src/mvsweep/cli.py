@@ -187,12 +187,17 @@ def _load_project(layout: formats.ProjectLayout, n_views: int | None):
         cam, depth_range = formats.read_cam(layout.cam(i))
         image = formats.read_image(layout.image(i))
         views.append((cam, depth_range, image))
+    return views, _source_views(layout, count)
+
+
+def _source_views(layout: formats.ProjectLayout, count: int) -> dict[int, list[int]]:
+    """Sources of the first ``count`` views from ``pair.txt`` (default:
+    every other view), without the indices at or past ``count``."""
     try:
         pairs = layout.read_pairs()
     except FileNotFoundError:
         pairs = {i: [j for j in range(count) if j != i] for i in range(count)}
-    pairs = {i: [j for j in pairs.get(i, []) if j < count] for i in range(count)}
-    return views, pairs
+    return {i: [j for j in pairs.get(i, []) if j < count] for i in range(count)}
 
 
 def _feature_extractor(args, tensors):
@@ -293,16 +298,12 @@ def cmd_fuse(args) -> int:
         lam=args.lam, tau=args.tau, phi=args.phi,
         tau1=args.tau1, tau2=args.tau2, min_views=args.min_views)
     estimates = _load_estimates(layout)
-    try:
-        pairs = layout.read_pairs()
-    except FileNotFoundError:
-        pairs = {i: [j for j in range(len(estimates)) if j != i]
-                 for i in range(len(estimates))}
+    pairs = _source_views(layout, len(estimates))
     # Confidence gating first, so weak pixels neither survive nor vouch.
     gated = [fusion.probability_filter(v, params.phi) for v in estimates]
     filtered = []
     for i, view in enumerate(gated):
-        srcs = [gated[j] for j in pairs.get(i, []) if j < len(gated)]
+        srcs = [gated[j] for j in pairs[i]]
         if args.filter == "dynamic":
             filtered.append(fusion.dynamic_filter(view, srcs, params))
         else:
@@ -314,6 +315,10 @@ def cmd_fuse(args) -> int:
     total = sum(v.depth.data.size for v in filtered)
     log.info("%s filter kept %d/%d pixels; %d points -> %s",
              args.filter, kept, total, len(cloud), out)
+    if len(cloud) == 0:
+        confident = sum(v.depth.valid_count for v in gated)
+        print(f"warning: fused cloud is empty (φ gate kept {confident}/{total} "
+              f"pixels, consistency gate kept {kept})", file=sys.stderr)
     print(f"points={len(cloud)}")
     return 0
 

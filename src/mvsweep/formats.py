@@ -350,14 +350,19 @@ def read_ply(path) -> PointCloud:
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            if parts[1] != "vertex":
-                raise ParseError(f"unsupported element {parts[1]!r}", path, lineno)
-            count = int(parts[2])
-        elif parts[0] == "property":
-            props.append((parts[1], parts[2]))
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+            elif parts[0] == "element":
+                if parts[1] != "vertex":
+                    raise ParseError(f"unsupported element {parts[1]!r}", path, lineno)
+                count = int(parts[2])
+                if count < 0:
+                    raise ParseError(f"negative vertex count {count}", path, lineno)
+            elif parts[0] == "property":
+                props.append((parts[1], parts[2]))
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"malformed header line {line!r}", path, lineno) from exc
     if fmt not in ("ascii", "binary_little_endian"):
         raise ParseError(f"unsupported format {fmt!r}", path)
     if count is None:
@@ -367,18 +372,24 @@ def read_ply(path) -> PointCloud:
         raise ParseError("first three properties must be x, y, z", path)
     has_rgb = names[3:6] == ["red", "green", "blue"]
     if fmt == "ascii":
-        rows = body.decode("ascii").split()
+        try:
+            values = np.array(body.decode("ascii").split(), dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"bad vertex data: {exc}", path) from exc
         stride = len(props)
-        if len(rows) != count * stride:
+        if len(values) != count * stride:
             raise ParseError(
-                f"expected {count * stride} values, found {len(rows)}", path)
-        table = np.array(rows, dtype=np.float64).reshape(count, stride) if count else np.zeros((0, stride))
+                f"expected {count * stride} values, found {len(values)}", path)
+        table = values.reshape(count, stride)
         xyz = table[:, :3]
         rgb = table[:, 3:6].astype(np.uint8) if has_rgb else None
         return PointCloud(xyz, rgb)
     dtype = [("xyz", "<f4", 3)]
     if has_rgb:
         dtype.append(("rgb", "u1", 3))
+    expected = count * np.dtype(dtype).itemsize
+    if len(body) < expected:
+        raise ParseError(f"expected {expected} data bytes, found {len(body)}", path)
     record = np.frombuffer(body, dtype=dtype, count=count)
     rgb = record["rgb"].copy() if has_rgb else None
     return PointCloud(record["xyz"].astype(np.float64), rgb)
@@ -422,19 +433,27 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         manifest = json.loads(raw[:newline].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad manifest: {exc}", path, 1) from exc
-    if manifest.get("magic") != "mvsweep-tensors":
+    if not isinstance(manifest, dict) or manifest.get("magic") != "mvsweep-tensors":
         raise ParseError("not a tensor container", path, 1)
     if manifest.get("dtype") != "<f4":
         raise ParseError(f"unsupported dtype {manifest.get('dtype')!r}", path, 1)
     body = raw[newline + 1:]
+    try:
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                   for e in manifest["tensors"]]
+    except KeyError as exc:
+        raise ParseError(f"bad manifest: missing {exc}", path, 1) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad manifest: {exc}", path, 1) from exc
     out: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, offset in entries:
+        if offset < 0 or min(shape, default=0) < 0:
+            raise ParseError(f"tensor {name!r} has a negative offset or shape", path, 1)
         size = int(np.prod(shape)) * 4 if shape else 4
-        chunk = body[entry["offset"]:entry["offset"] + size]
+        chunk = body[offset:offset + size]
         if len(chunk) != size:
-            raise ParseError(f"tensor {entry['name']!r} is truncated", path)
-        out[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            raise ParseError(f"tensor {name!r} is truncated", path)
+        out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
     return out
 
 
@@ -509,8 +528,13 @@ class ProjectLayout:
             raise ParseError(str(exc), self.pair, 1) from exc
         pairs: dict[int, list[int]] = {}
         for lineno, line in enumerate(lines[1:count + 1], start=2):
-            parts = [int(p) for p in line.split()]
+            try:
+                parts = [int(p) for p in line.split()]
+            except ValueError as exc:
+                raise ParseError(str(exc), self.pair, lineno) from exc
             if not parts:
                 raise ParseError("empty pair line", self.pair, lineno)
+            if min(parts) < 0:
+                raise ParseError("negative view index", self.pair, lineno)
             pairs[parts[0]] = parts[1:]
         return pairs

@@ -18,7 +18,7 @@ consumed so overlapping views do not duplicate the same surface sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .geometry import (
     back_project_grid,
     reproject,
     reproject_chain_map,
-    reproject_map,
     reprojection_errors,
     reprojection_errors_map,
 )
@@ -122,12 +121,7 @@ def consistency_from_errors(xi_p, xi_d, lam: float = 200.0):
 def probability_filter(view: ViewEstimate, phi: float = 0.4) -> ViewEstimate:
     """Mask out pixels whose estimator confidence is below ``phi``."""
     kept = view.depth.mask & (view.confidence >= phi)
-    return ViewEstimate(
-        camera=view.camera,
-        depth=DepthMap(view.depth.data, kept),
-        confidence=view.confidence,
-        image=view.image,
-    )
+    return replace(view, depth=DepthMap(view.depth.data, kept))
 
 
 def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
@@ -149,24 +143,24 @@ def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
     return float(consistency_from_errors(xi_p, xi_d, lam))
 
 
-def _consistency_grid(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
-                      lam: float) -> np.ndarray:
-    """Per-source matching scores ``(n_src, H, W)`` of all pixels.
+def _round_trips(ref: ViewEstimate, src: ViewEstimate, xs: np.ndarray,
+                 ys: np.ndarray, lam: float):
+    """Round trip of the reference pixels ``(xs, ys)`` through ``src``.
 
-    Invalid reference pixels and failed round trips score 0.
+    ``xs``/``ys`` are integer pixel indices.  Returns ``(q, d2, xi_p,
+    xi_d, c, valid)``: the landing pixel in the source, the depth after
+    the trip back, both errors, the matching score and the validity of
+    the trip.  Failed trips have NaN ``d2`` and errors and score 0.
     """
-    height, width = ref.depth.data.shape
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    depths = ref.depth.data
-    scores = np.zeros((len(srcs), height, width), dtype=np.float64)
-    for j, src in enumerate(srcs):
-        p2, d2, valid = reproject_map(
-            ref.camera, src.camera, xs, ys, depths, src.depth)
-        with np.errstate(invalid="ignore"):
-            xi_p, xi_d = reprojection_errors_map(xs, ys, p2, depths, d2)
-            c = consistency_from_errors(xi_p, xi_d, lam)
-        scores[j] = np.where(valid & ref.depth.mask, np.nan_to_num(c), 0.0)
-    return scores
+    fx = xs.astype(np.float64)
+    fy = ys.astype(np.float64)
+    depths = ref.depth.data[ys, xs]
+    q, p2, d2, valid = reproject_chain_map(
+        ref.camera, src.camera, fx, fy, depths, src.depth)
+    with np.errstate(invalid="ignore"):
+        xi_p, xi_d = reprojection_errors_map(fx, fy, p2, depths, d2)
+        c = np.nan_to_num(consistency_from_errors(xi_p, xi_d, lam))
+    return q, d2, xi_p, xi_d, c, valid
 
 
 def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -176,7 +170,14 @@ def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     The reference itself never appears in the sum; invalid pixels and
     failed round trips contribute 0.
     """
-    return _consistency_grid(ref, srcs, lam).sum(axis=0)
+    ys, xs = np.nonzero(ref.depth.mask)
+    total = np.zeros(len(xs), dtype=np.float64)
+    for src in srcs:
+        _, _, _, _, c, _ = _round_trips(ref, src, xs, ys, lam)
+        total += c
+    out = np.zeros(ref.depth.data.shape, dtype=np.float64)
+    out[ys, xs] = total
+    return out
 
 
 def dynamic_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -192,12 +193,7 @@ def dynamic_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     filtered = probability_filter(ref, params.phi)
     total = dynamic_consistency_map(filtered, srcs, params.lam)
     kept = filtered.depth.mask & (total >= params.tau)
-    return ViewEstimate(
-        camera=ref.camera,
-        depth=DepthMap(ref.depth.data, kept),
-        confidence=ref.confidence,
-        image=ref.image,
-    )
+    return replace(ref, depth=DepthMap(ref.depth.data, kept))
 
 
 def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -208,24 +204,14 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     ``xi_p < tau1`` and ``xi_d < tau2`` (strict); a pixel is kept when
     at least ``min_views`` sources support it.
     """
-    height, width = ref.depth.data.shape
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    depths = ref.depth.data
-    support = np.zeros((height, width), dtype=np.int64)
+    ys, xs = np.nonzero(ref.depth.mask)
+    support = np.zeros(len(xs), dtype=np.int64)
     for src in srcs:
-        p2, d2, valid = reproject_map(
-            ref.camera, src.camera, xs, ys, depths, src.depth)
-        with np.errstate(invalid="ignore"):
-            xi_p, xi_d = reprojection_errors_map(xs, ys, p2, depths, d2)
-            good = valid & (xi_p < params.tau1) & (xi_d < params.tau2)
-        support += np.where(ref.depth.mask, good, False)
-    kept = ref.depth.mask & (support >= params.min_views)
-    return ViewEstimate(
-        camera=ref.camera,
-        depth=DepthMap(ref.depth.data, kept),
-        confidence=ref.confidence,
-        image=ref.image,
-    )
+        _, _, xi_p, xi_d, _, valid = _round_trips(ref, src, xs, ys, params.lam)
+        support += valid & (xi_p < params.tau1) & (xi_d < params.tau2)
+    kept = np.zeros(ref.depth.data.shape, dtype=bool)
+    kept[ys, xs] = support >= params.min_views
+    return replace(ref, depth=DepthMap(ref.depth.data, kept))
 
 
 def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
@@ -251,30 +237,23 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
         if not active.any():
             continue
         ys, xs = np.nonzero(active)
-        fx = xs.astype(np.float64)
-        fy = ys.astype(np.float64)
-        depths = ref.depth.data[ys, xs]
         weight = np.ones(len(xs), dtype=np.float64)
-        depth_acc = depths.copy()
+        depth_acc = ref.depth.data[ys, xs]
         for j, src in enumerate(views):
             if j == i:
                 continue
-            q, p2, d2, valid = reproject_chain_map(
-                ref.camera, src.camera, fx, fy, depths, src.depth)
-            with np.errstate(invalid="ignore"):
-                xi_p, xi_d = reprojection_errors_map(fx, fy, p2, depths, d2)
-                c = np.nan_to_num(consistency_from_errors(xi_p, xi_d, lam))
+            q, d2, _, _, c, valid = _round_trips(ref, src, xs, ys, lam)
             matched = valid & (c > MATCH_SCORE_FLOOR)
-            weight += np.where(matched, c, 0.0)
-            depth_acc += np.where(matched, c * np.nan_to_num(d2), 0.0)
             if matched.any():
+                weight[matched] += c[matched]
+                depth_acc[matched] += c[matched] * d2[matched]
                 # The matched source pixel is the same nearest pixel the
                 # depth lookup used; mark it so view j never re-emits it.
                 qx = np.floor(q[matched, 0] + 0.5).astype(np.intp)
                 qy = np.floor(q[matched, 1] + 0.5).astype(np.intp)
                 consumed[j][qy, qx] = True
         fused_depth = depth_acc / weight
-        points.append(back_project_grid(ref.camera, fx, fy, fused_depth))
+        points.append(back_project_grid(ref.camera, xs, ys, fused_depth))
         if want_rgb:
             img = ref.image
             if img.ndim == 2:

@@ -12,7 +12,7 @@ Conventions used throughout the package:
   its inverse.
 
 Functions that look up stored depth (:func:`reproject`,
-:func:`reproject_map`) accept any sampler object exposing
+:func:`reproject_chain_map`) accept any sampler object exposing
 ``depth_at(x, y) -> float`` and ``depth_grid(xs, ys) -> ndarray`` that
 return NaN for out-of-bounds or invalid queries.
 :class:`mvsweep.depthmap.DepthMap` implements the nearest-pixel lookup
@@ -39,7 +39,6 @@ __all__ = [
     "project_points",
     "reproject",
     "reproject_chain_map",
-    "reproject_map",
     "reprojection_errors",
     "reprojection_errors_map",
     "sample_hypotheses",
@@ -169,12 +168,12 @@ def reproject(ref: Camera, src: Camera, pixel, depth: float, src_depth):
 
 
 def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
-    """Vectorized reprojection exposing the intermediate landing pixel.
+    """Vectorized :func:`reproject` exposing the intermediate landing pixel.
 
     Returns ``(q (..., 2), pixels' (..., 2), depths' (...), valid (...))``
     where ``q`` is where each reference pixel lands in the source view
-    (NaN when behind the source camera) and the remaining outputs match
-    :func:`reproject_map`.
+    (NaN when behind the source camera); ``pixels'`` and ``depths'`` are
+    NaN where ``valid`` is False.
     """
     points = back_project_grid(ref, xs, ys, depths)
     q, d_fwd = project_points(src, points)
@@ -190,16 +189,6 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     p2 = np.where(valid[..., None], p2, np.nan)
     d2 = np.where(valid, d2, np.nan)
     return q, p2, d2, valid
-
-
-def reproject_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
-    """Vectorized :func:`reproject` over arrays of reference pixels.
-
-    Returns ``(pixels' (..., 2), depths' (...), valid (...))``; entries
-    with ``valid`` False are NaN.
-    """
-    _, p2, d2, valid = reproject_chain_map(ref, src, xs, ys, depths, src_depth)
-    return p2, d2, valid
 
 
 def reprojection_errors(pixel, pixel2, depth: float, depth2: float) -> tuple[float, float]:

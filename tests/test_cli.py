@@ -7,6 +7,7 @@ to check determinism and the thread-pool parity.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -282,6 +283,39 @@ class TestFuse:
         code = cli.main(["fuse", "--in", str(synth_proj)])
         assert code == 0
         assert (synth_proj / "cloud.ply").exists()
+
+    def test_empty_cloud_warns(self, synth_proj, tmp_path, capsys):
+        def warnings():
+            return [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+
+        out = tmp_path / "cloud.ply"
+        capsys.readouterr()
+        assert cli.main(["fuse", "--in", str(synth_proj), "--out", str(out)]) == 0
+        assert warnings() == []
+        # No pixel can reach a summed score of 100 over 4 sources.
+        code = cli.main(["fuse", "--in", str(synth_proj), "--out", str(out),
+                         "--tau", "100"])
+        assert code == 0
+        layout = formats.ProjectLayout(synth_proj)
+        depths = [formats.read_pfm(layout.depth(i)) for i in range(5)]
+        confident = sum(int(np.isfinite(d).sum()) for d in depths)
+        assert warnings() == [
+            f"warning: fused cloud is empty (φ gate kept {confident}/{5 * 32 * 24} "
+            "pixels, consistency gate kept 0)"]
+        assert len(formats.read_ply(out)) == 0
+
+    @pytest.mark.parametrize("command", ["depth", "fuse"])
+    def test_malformed_pair_file_is_user_error(self, synth_proj, tmp_path, capsys,
+                                               command):
+        proj = tmp_path / "scene"
+        shutil.copytree(synth_proj, proj)
+        (proj / "pair.txt").write_text("5\n0 1 x\n")
+        code = cli.main([command, "--in", str(proj), "--num-depths", "4"]
+                        if command == "depth" else [command, "--in", str(proj)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "pair.txt" in err and "(line 2)" in err
 
 
 class TestEval:

@@ -6,6 +6,8 @@ for the text formats.  Malformed inputs must raise ParseError with the
 offending path rather than leak numpy/IO errors.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,37 @@ class TestPly:
         with pytest.raises(ParseError):
             formats.read_ply(path)
 
+    @pytest.mark.parametrize("header, line", [
+        (b"format\nelement vertex 1\n", 2),
+        (b"format ascii 1.0\nelement vertex zz\n", 3),
+        (b"format ascii 1.0\nelement vertex -1\n", 3),
+        (b"format ascii 1.0\nelement\n", 3),
+        (b"format ascii 1.0\nelement vertex 1\nproperty float\n", 4),
+    ])
+    def test_malformed_header_line(self, tmp_path, header, line):
+        path = tmp_path / "c.ply"
+        path.write_bytes(b"ply\n" + header + b"end_header\n")
+        with pytest.raises(ParseError) as info:
+            formats.read_ply(path)
+        assert info.value.line == line
+
+    def test_short_binary_payload(self, tmp_path):
+        path = tmp_path / "c.ply"
+        formats.write_ply(path, _rgb_cloud(), mode="binary")
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ParseError, match="data bytes"):
+            formats.read_ply(path)
+
+    def test_non_numeric_ascii_values(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 1\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"end_header\n0 zero 0\n"
+        )
+        with pytest.raises(ParseError, match="vertex data"):
+            formats.read_ply(path)
+
 
 class TestTensorContainer:
     """Named float32 tensor files with a JSON manifest line."""
@@ -421,6 +454,31 @@ class TestTensorContainer:
         with pytest.raises(ParseError, match="truncated"):
             formats.load_tensors(path)
 
+    @pytest.mark.parametrize("tensors, message", [
+        (None, "missing 'tensors'"),
+        ([{"name": "x", "offset": 0}], "missing 'shape'"),
+        ([{"name": "x", "shape": [2]}], "missing 'offset'"),
+        ([{"shape": [2], "offset": 0}], "missing 'name'"),
+        (3, "bad manifest"),
+        (["x"], "bad manifest"),
+        ([{"name": "x", "shape": [2], "offset": "zero"}], "bad manifest"),
+        ([{"name": "x", "shape": [-1, -2], "offset": 0}], "negative"),
+    ])
+    def test_malformed_manifest(self, tmp_path, tensors, message):
+        manifest = {"magic": "mvsweep-tensors", "version": 1, "dtype": "<f4"}
+        if tensors is not None:
+            manifest["tensors"] = tensors
+        path = tmp_path / "w.bin"
+        path.write_bytes(json.dumps(manifest).encode("ascii") + b"\n" + bytes(64))
+        with pytest.raises(ParseError, match=message):
+            formats.load_tensors(path)
+
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(ParseError, match="not a tensor container"):
+            formats.load_tensors(path)
+
 
 class TestProjectLayout:
     """Working-directory naming and the pair list."""
@@ -470,3 +528,15 @@ class TestProjectLayout:
         layout.pair.write_text("zebra\n")
         with pytest.raises(ParseError):
             layout.read_pairs()
+
+    @pytest.mark.parametrize("text, line", [
+        ("2\n0 1\n1 0 x\n", 3),
+        ("2\n0 1.5\n1 0\n", 2),
+        ("2\n0 1\n1 -1\n", 3),
+    ])
+    def test_malformed_pair_line(self, tmp_path, text, line):
+        layout = formats.ProjectLayout(tmp_path)
+        layout.pair.write_text(text)
+        with pytest.raises(ParseError) as info:
+            layout.read_pairs()
+        assert info.value.line == line

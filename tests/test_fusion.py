@@ -9,7 +9,7 @@ right at focal 64 shifts a depth-512 pixel by exactly 64*8/512 = 1 px.
 import numpy as np
 import pytest
 
-from mvsweep import fusion, geometry
+from mvsweep import fusion, geometry, synth
 from mvsweep.depthmap import DepthMap
 
 F = 64.0
@@ -268,3 +268,64 @@ class TestFusePointCloud:
         mask = np.zeros((H, W), dtype=bool)
         cloud = fusion.fuse_point_cloud([_view(0.0, mask=mask)])
         assert len(cloud) == 0
+
+
+class TestSparsePathOracle:
+    """Both filters against per-pixel scalar round trips on real geometry.
+
+    Three ring cameras look at a sphere, so every pair is rotated.  The
+    stored depths carry noise and outliers, and the reference mask also
+    drops a random 30% of the pixels the sphere covers, so the filters'
+    masked pixel list and its scatter back into the image are exercised
+    on scores that are neither 0 nor 1.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rig = synth.CameraRigSpec(n_views=3, radius=150.0, width=40, height=30,
+                                  focal=90.0)
+        cams = synth.make_camera_ring(rig)
+        rendered = synth.render_scene(
+            synth.SceneSpec(surface=synth.Sphere(radius=100.0)), cams, 40, 30)
+        views = []
+        for i, (cam, (_, depth)) in enumerate(zip(cams, rendered)):
+            noisy = synth.perturb_depths(depth, sigma=0.3, outlier_frac=0.15, seed=i)
+            views.append(fusion.ViewEstimate(cam, noisy, np.ones(noisy.data.shape)))
+        keep = np.random.default_rng(5).random((30, 40)) < 0.7
+        ref = views[0]
+        ref = fusion.ViewEstimate(
+            ref.camera, DepthMap(ref.depth.data, ref.depth.mask & keep), ref.confidence)
+        return ref, views[1:]
+
+    def test_dynamic_map_is_sum_of_pairwise_scores(self, scene):
+        ref, srcs = scene
+        total = fusion.dynamic_consistency_map(ref, srcs, lam=200.0)
+        mask = ref.depth.mask
+        assert 0 < mask.sum() < mask.size
+        assert np.all(total[~mask] == 0.0)
+        ys, xs = np.nonzero(mask)
+        want = np.array([
+            sum(fusion.pairwise_consistency(ref, src, (x, y), lam=200.0) for src in srcs)
+            for x, y in zip(xs, ys)])
+        np.testing.assert_allclose(total[ys, xs], want, rtol=1e-9, atol=1e-12)
+        # Non-trivial scores: some partial, some above one, some failed.
+        assert np.any((want > 0.0) & (want < 1.0)) and np.any(want > 1.0)
+        assert np.any(want == 0.0)
+
+    @pytest.mark.parametrize("min_views", [1, 2])
+    def test_fixed_filter_support_matches_scalar(self, scene, min_views):
+        ref, srcs = scene
+        params = fusion.FusionParams(tau1=1.0, tau2=0.01, min_views=min_views)
+        kept = fusion.fixed_threshold_filter(ref, srcs, params).depth.mask
+        want = np.zeros_like(kept)
+        for y, x in zip(*np.nonzero(ref.depth.mask)):
+            depth = ref.depth.data[y, x]
+            support = 0
+            for src in srcs:
+                out = geometry.reproject(ref.camera, src.camera, (x, y), depth, src.depth)
+                if out is not None:
+                    xi_p, xi_d = geometry.reprojection_errors((x, y), out[0], depth, out[1])
+                    support += xi_p < params.tau1 and xi_d < params.tau2
+            want[y, x] = support >= min_views
+        np.testing.assert_array_equal(kept, want)
+        assert 0 < kept.sum() < ref.depth.mask.sum()

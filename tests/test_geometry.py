@@ -214,7 +214,8 @@ class TestReproject:
         src_depth = DepthMap(rng.uniform(400.0, 600.0, size=(48, 64)))
         xs, ys = np.meshgrid(np.arange(10.0, 20.0), np.arange(5.0, 15.0))
         depths = rng.uniform(450.0, 550.0, size=xs.shape)
-        p2, d2, valid = geometry.reproject_map(ref, src, xs, ys, depths, src_depth)
+        _, p2, d2, valid = geometry.reproject_chain_map(
+            ref, src, xs, ys, depths, src_depth)
         for i in range(xs.shape[0]):
             for j in range(xs.shape[1]):
                 single = geometry.reproject(
