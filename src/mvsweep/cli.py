@@ -246,6 +246,15 @@ def cmd_depth(args) -> int:
     feats = [extract(image) for _, _, image in views]
 
     def run_view(ref: int) -> None:
+        src_ids = pairs[ref]
+        if not src_ids:
+            log.warning("view %d has no source views; its depth map is fully masked",
+                        ref)
+            shape = feats[ref].shape[:2]
+            formats.write_pfm(out_layout.depth(ref), np.zeros(shape),
+                              np.zeros(shape, dtype=bool))
+            formats.write_pfm(out_layout.confidence(ref), np.zeros(shape))
+            return
         cam, depth_range, _ = views[ref]
         d_max = depth_range.d_max
         if d_max is None:
@@ -253,7 +262,6 @@ def cmd_depth(args) -> int:
             d_max = depth_range.d_min + depth_range.d_interval * (count - 1)
         space = geometry.HypothesisSpace(
             depth_range.d_min, d_max, args.num_depths, args.depth_mode)
-        src_ids = pairs[ref]
         stream = costvol.cost_volume_stream(
             feats[ref], [feats[j] for j in src_ids], cam,
             [views[j][0] for j in src_ids], space)
@@ -385,19 +393,35 @@ def _battery() -> list[tuple[str, bool]]:
         x = rng.normal(size=(5, 6, 3))
         kernel = rng.normal(size=(2, 3, 3, 3))
         bias = rng.normal(size=2)
-        got = features.conv3x3(x, kernel, bias, dilation=1)
-        want = np.zeros((5, 6, 2))
-        for y in range(5):
-            for xx in range(6):
-                for o in range(2):
-                    acc = bias[o]
-                    for ky in range(3):
-                        for kx in range(3):
-                            yy, xc = y + ky - 1, xx + kx - 1
-                            if 0 <= yy < 5 and 0 <= xc < 6:
-                                acc += kernel[o, :, ky, kx] @ x[yy, xc]
-                    want[y, xx, o] = acc
-        assert np.max(np.abs(got - want)) < 1e-9
+        for dilation in (1, 2, 3):
+            got = features.conv3x3(x, kernel, bias, dilation=dilation)
+            want = np.zeros((5, 6, 2))
+            for y in range(5):
+                for xx in range(6):
+                    for o in range(2):
+                        acc = bias[o]
+                        for ky in range(3):
+                            for kx in range(3):
+                                yy = y + (ky - 1) * dilation
+                                xc = xx + (kx - 1) * dilation
+                                if 0 <= yy < 5 and 0 <= xc < 6:
+                                    acc += kernel[o, :, ky, kx] @ x[yy, xc]
+                        want[y, xx, o] = acc
+            assert np.max(np.abs(got - want)) < 1e-9
+
+    def check_upsample_phases():
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, 5, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3))
+        bias = rng.normal(size=2)
+        stuffed = np.zeros((8, 10, 3))
+        stuffed[::2, ::2] = x
+        full = features.conv3x3(stuffed, kernel, bias)
+        for out_hw in ((8, 10), (7, 9)):
+            got = regularizer._upsample_conv(x, kernel, bias, out_hw)
+            want = full[:out_hw[0], :out_hw[1]]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-9
 
     def check_streaming_softmax():
         rng = np.random.default_rng(3)
@@ -439,6 +463,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("hypothesis_sampling", check_hypothesis_sampling)
     run("reprojection_chain", check_reprojection_chain)
     run("conv_oracle", check_conv_oracle)
+    run("upsample_phases", check_upsample_phases)
     run("streaming_softmax", check_streaming_softmax)
     run("consistency_values", check_consistency_values)
     run("formats_round_trip", check_formats_round_trip)

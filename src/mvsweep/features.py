@@ -45,6 +45,18 @@ def conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
     ``out[y, x, o] = bias[o] + sum_{ky,kx,c} kernel[o, c, ky, kx] *
     x[y + (ky-1)*dilation, x + (kx-1)*dilation, c]`` with out-of-image
     taps reading zero.
+
+    Every tap is read in place.  The input is zero-padded into one
+    ``(H + 2d + 1, W + 2d, C)`` buffer whose padded row length is
+    ``W + 2d``.  Flattened to ``((H + 2d + 1)(W + 2d), C)``, tap
+    ``(ky, kx)`` over all output rows is the contiguous run of
+    ``H * (W + 2d)`` pixels that starts at ``ky*d*(W + 2d) + kx*d``, so
+    it multiplies the tap's kernel with no copy.  Each run also yields
+    ``2d`` junk columns per row, which wrap into the next row's padding
+    and are dropped at the end; the extra padded row keeps the last
+    run inside the buffer.  Taps accumulate in ``ky, kx`` order into
+    one buffer, the bias is added in place, and the result is that
+    buffer without its junk columns (a view, not contiguous).
     """
     height, width, in_ch = x.shape
     out_ch = kernel.shape[0]
@@ -52,14 +64,22 @@ def conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
         raise ChannelMismatchError(
             f"kernel {kernel.shape} does not accept {in_ch}-channel input")
     d = dilation
-    padded = np.pad(x, ((d, d), (d, d), (0, 0)))
-    out = np.zeros((height, width, out_ch), dtype=np.float64)
-    flat = out.reshape(-1, out_ch)
+    row = width + 2 * d
+    padded = np.zeros((height + 2 * d + 1, row, in_ch), dtype=np.float64)
+    padded[d:d + height, d:d + width] = x
+    flat = padded.reshape(-1, in_ch)
+    span = height * row
+    acc = np.empty((span, out_ch), dtype=np.float64)
+    term = np.empty_like(acc)
     for ky in range(3):
         for kx in range(3):
-            tap = kernel[:, :, ky, kx]
-            window = padded[ky * d:ky * d + height, kx * d:kx * d + width, :]
-            flat += window.reshape(-1, in_ch) @ tap.T
+            start = ky * d * row + kx * d
+            first = ky == 0 and kx == 0
+            np.matmul(flat[start:start + span], kernel[:, :, ky, kx].T,
+                      out=acc if first else term)
+            if not first:
+                acc += term
+    out = acc.reshape(height, row, out_ch)[:, :width]
     if bias is not None:
         out += bias
     return out

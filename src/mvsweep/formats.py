@@ -332,6 +332,28 @@ def write_ply(path, cloud: PointCloud, mode: str = "binary") -> None:
     Path(path).write_bytes(head + record.tobytes())
 
 
+# The only binary vertex record read_ply decodes: the whole property
+# list is the first three entries or all six.
+_PLY_BINARY_LAYOUT = (("float", "x"), ("float", "y"), ("float", "z"),
+                      ("uchar", "red"), ("uchar", "green"), ("uchar", "blue"))
+
+
+def _check_binary_layout(props: list[tuple[str, str, int]], path: Path) -> None:
+    """Reject a binary vertex whose record size read_ply would get wrong."""
+    layout = [(kind, name) for kind, name, _ in props]
+    if layout in (list(_PLY_BINARY_LAYOUT[:3]), list(_PLY_BINARY_LAYOUT)):
+        return
+    # The first property that departs from the layout, or the last one
+    # of an incomplete colour triple.
+    bad = next((i for i, prop in enumerate(layout)
+                if i >= len(_PLY_BINARY_LAYOUT) or prop != _PLY_BINARY_LAYOUT[i]),
+               len(layout) - 1)
+    kind, name, lineno = props[bad]
+    raise ParseError(
+        f"unsupported binary vertex property {kind} {name}: expected float x y z, "
+        "optionally followed by uchar red green blue", path, lineno)
+
+
 def read_ply(path) -> PointCloud:
     """Read the subset of PLY written by :func:`write_ply`."""
     path = Path(path)
@@ -345,7 +367,7 @@ def read_ply(path) -> PointCloud:
         raise ParseError("not a PLY file", path, 1)
     fmt = None
     count = None
-    props: list[tuple[str, str]] = []
+    props: list[tuple[str, str, int]] = []  # (type, name, header line)
     for lineno, line in enumerate(header_lines[1:], start=2):
         parts = line.split()
         if not parts or parts[0] == "comment":
@@ -360,17 +382,19 @@ def read_ply(path) -> PointCloud:
                 if count < 0:
                     raise ParseError(f"negative vertex count {count}", path, lineno)
             elif parts[0] == "property":
-                props.append((parts[1], parts[2]))
+                props.append((parts[1], parts[2], lineno))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed header line {line!r}", path, lineno) from exc
     if fmt not in ("ascii", "binary_little_endian"):
         raise ParseError(f"unsupported format {fmt!r}", path)
     if count is None:
         raise ParseError("missing vertex element", path)
-    names = [name for _, name in props]
+    names = [name for _, name, _ in props]
     if names[:3] != ["x", "y", "z"]:
         raise ParseError("first three properties must be x, y, z", path)
     has_rgb = names[3:6] == ["red", "green", "blue"]
+    if fmt == "binary_little_endian":
+        _check_binary_layout(props, path)
     if fmt == "ascii":
         try:
             values = np.array(body.decode("ascii").split(), dtype=np.float64)

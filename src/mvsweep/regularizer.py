@@ -9,10 +9,13 @@ is ever materialized.
 
 Downsampling between cells is 2x2 max pooling with ceil semantics (odd
 edges are replicated before pooling); upsampling is a stride-2 3x3
-transposed convolution realized as zero interleaving plus an ordinary
-convolution, cropped top-left to the skip connection's size.  Skip
-connections concatenate the upsampled tensor with the same-resolution
-downward cell output, upsampled part first.
+transposed convolution, cropped top-left to the skip connection's size.
+It is computed as four sub-pixel phase convolutions on the low-resolution
+input, one per output row and column parity, which sum exactly the taps
+of a 3x3 convolution over the zero-interleaved map that read input
+values, in the same order; the skipped taps would only add exact zeros.
+Skip connections concatenate the upsampled tensor with the
+same-resolution downward cell output, upsampled part first.
 
 A weight-free :func:`passthrough_regularizer` (negated mean cost) keeps
 the rest of the pipeline usable without any training.
@@ -25,7 +28,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .costvol import CostSlice
 from .errors import SizeMismatchError, WeightGraphMismatchError
@@ -115,17 +117,22 @@ def conv_lstm_cell(x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None,
         c_prev = np.zeros((height, width, hidden_ch), dtype=np.float64)
     else:
         h_prev, c_prev = state
-        if h_prev.shape != (height, width, hidden_ch):
-            raise SizeMismatchError(
-                f"state {h_prev.shape} does not match input {(height, width, hidden_ch)}")
+        want = (height, width, hidden_ch)
+        for name, tensor in (("hidden", h_prev), ("cell", c_prev)):
+            if tensor.shape != want:
+                raise SizeMismatchError(
+                    f"{name} state {tensor.shape} does not match input {want}")
     z = np.concatenate([x, h_prev], axis=2)
     kernel, bias = weights._stacked
     gates = conv3x3(z, kernel, bias)
-    gi, gf, go, gc = np.split(gates, 4, axis=2)
-    gate_in = expit(gi)
-    gate_forget = expit(gf)
-    gate_out = expit(go)
-    candidate = np.tanh(gc)
+    # One tanh pass over all four gates: the input, forget and output
+    # gates take sigmoid(v) = tanh(v / 2) / 2 + 1/2, the candidate tanh(v).
+    scale = np.repeat([0.5, 1.0], [3 * hidden_ch, hidden_ch])
+    gates *= scale
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += np.repeat([0.5, 0.0], [3 * hidden_ch, hidden_ch])
+    gate_in, gate_forget, gate_out, candidate = np.split(gates, 4, axis=2)
     c_new = gate_forget * c_prev + gate_in * candidate
     h_new = gate_out * np.tanh(c_new)
     return h_new, (h_new, c_new)
@@ -142,12 +149,35 @@ def max_pool2(x: np.ndarray) -> np.ndarray:
 
 def _upsample_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    out_hw: tuple[int, int]) -> np.ndarray:
-    """Stride-2 transposed 3x3 convolution cropped to ``out_hw``."""
-    height, width, channels = x.shape
-    stuffed = np.zeros((2 * height, 2 * width, channels), dtype=np.float64)
-    stuffed[::2, ::2] = x
-    out = conv3x3(stuffed, kernel, bias)
-    return out[:out_hw[0], :out_hw[1]]
+    """Stride-2 transposed 3x3 convolution cropped to ``out_hw``.
+
+    Equal to a 3x3 convolution of ``x`` zero-stuffed to ``2H x 2W``
+    (``x[i, j]`` at ``(2i, 2j)``), computed as four phase convolutions
+    on ``x`` itself.  Output row ``2i`` takes tap row 1 on ``x[i]``;
+    row ``2i + 1`` takes tap row 0 on ``x[i]`` and tap row 2 on
+    ``x[i + 1]``, zero past the edge; columns likewise.  Each tap reads
+    a contiguous run of ``x`` zero-padded by one column and two rows
+    (the second keeps the last run inside the buffer; see
+    :func:`~mvsweep.features.conv3x3`), and the taps accumulate in
+    ``ky, kx`` order, so the sums are the stuffed convolution's with
+    its all-zero terms left out.
+    """
+    height, width, in_ch = x.shape
+    out_ch = kernel.shape[0]
+    row = width + 1
+    padded = np.zeros((height + 2, row, in_ch), dtype=np.float64)
+    padded[:height, :width] = x
+    flat = padded.reshape(-1, in_ch)
+    span = height * row
+    # (i, output row parity, j, output column parity, channel)
+    out = np.zeros((height, 2, row, 2, out_ch), dtype=np.float64)
+    for ky in range(3):
+        for kx in range(3):
+            start = (ky // 2) * row + kx // 2
+            tap = flat[start:start + span] @ kernel[:, :, ky, kx].T
+            out[:, 1 - ky % 2, :, 1 - kx % 2] += tap.reshape(height, row, out_ch)
+    out = out.reshape(2 * height, 2 * row, out_ch)
+    return out[:out_hw[0], :out_hw[1]] + bias
 
 
 # (cell name, input channels); hidden channels are uniform.  Cells 3 and

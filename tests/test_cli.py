@@ -174,6 +174,22 @@ class TestDepth:
         assert layout.depth(1).exists()
         assert not layout.depth(2).exists()
 
+    def test_view_without_sources_claims_nothing(self, synth_proj, tmp_path, caplog):
+        # With one view, pair.txt lists no source within --views.
+        out = tmp_path / "alone"
+        code = cli.main([
+            "depth", "--in", str(synth_proj), "--out", str(out),
+            "--views", "1", "--num-depths", "4",
+        ])
+        assert code == 0
+        layout = formats.ProjectLayout(out)
+        depth = formats.read_pfm(layout.depth(0))
+        conf = formats.read_pfm(layout.confidence(0))
+        assert depth.shape == conf.shape == (24, 32)
+        assert np.isnan(depth).all()
+        assert np.all(conf == 0.0)
+        assert "view 0 has no source views" in caplog.text
+
     def test_untrained_network_path_runs(self, tmp_path):
         # drenet features + recurrent regularizer with seeded weights:
         # a plumbing check at minimal size, not a quality check.

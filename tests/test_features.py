@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvsweep import features
 from mvsweep.errors import ChannelMismatchError, WeightGraphMismatchError
@@ -32,6 +34,24 @@ def _conv_reference(x, kernel, bias=None, dilation=1):
                         if 0 <= yy < height and 0 <= xx < width:
                             acc += float(kernel[o, :, ky, kx] @ x[yy, xx, :])
                 out[y, xc, o] = acc
+    return out
+
+
+def _conv_by_windows(x, kernel, bias=None, dilation=1):
+    """The earlier conv3x3: pad, then multiply a reshaped copy of each
+    tap's window, accumulating taps in ky, kx order."""
+    height, width, in_ch = x.shape
+    out_ch = kernel.shape[0]
+    d = dilation
+    padded = np.pad(x, ((d, d), (d, d), (0, 0)))
+    out = np.zeros((height, width, out_ch), dtype=np.float64)
+    flat = out.reshape(-1, out_ch)
+    for ky in range(3):
+        for kx in range(3):
+            window = padded[ky * d:ky * d + height, kx * d:kx * d + width, :]
+            flat += window.reshape(-1, in_ch) @ kernel[:, :, ky, kx].T
+    if bias is not None:
+        out += bias
     return out
 
 
@@ -86,6 +106,63 @@ class TestConv3x3:
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
             features.conv3x3(np.zeros((4, 4, 2)), np.zeros((1, 3, 3, 3)))
+
+
+class TestConv3x3WindowOracle:
+    """The in-place tap runs against the earlier window-copy loop.
+
+    Both sum the same products in the same tap order.  Each tap's dot
+    products come from BLAS, which may order a dot product's terms by
+    the matrix height (small-matrix and matrix-vector kernels), and the
+    run layout multiplies taller matrices (``H * (W + 2d)`` rows against
+    ``H * W``).  So on small maps the two may differ in the last bits,
+    within float64 rounding of the sum; on the layer shapes the networks
+    run, both layouts take the same kernel and agree bit for bit, which
+    is what keeps the pipeline's output files unchanged.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(height=st.integers(1, 9), width=st.integers(1, 9),
+           in_ch=st.integers(1, 5), out_ch=st.integers(1, 5),
+           dilation=st.integers(1, 4), with_bias=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(height=1, width=1, in_ch=1, out_ch=1, dilation=4, with_bias=False, seed=0)
+    @example(height=1, width=7, in_ch=3, out_ch=1, dilation=2, with_bias=True, seed=1)
+    @example(height=7, width=1, in_ch=1, out_ch=4, dilation=3, with_bias=True, seed=2)
+    @example(height=2, width=3, in_ch=2, out_ch=2, dilation=4, with_bias=False, seed=3)
+    def test_within_rounding_of_window_loop(self, height, width, in_ch, out_ch,
+                                            dilation, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(height, width, in_ch))
+        kernel = rng.normal(size=(out_ch, in_ch, 3, 3))
+        bias = rng.normal(size=out_ch) if with_bias else None
+        got = features.conv3x3(x, kernel, bias, dilation)
+        want = _conv_by_windows(x, kernel, bias, dilation)
+        assert got.shape == want.shape
+        # Each output sums 9 * in_ch products and the bias; either order
+        # is within n * eps * sum(|terms|) of the exact value.
+        terms = _conv_by_windows(np.abs(x), np.abs(kernel),
+                                 None if bias is None else np.abs(bias), dilation)
+        n = 9 * in_ch + 1
+        assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * terms)
+
+    @pytest.mark.parametrize("height, width, in_ch, out_ch, dilation", [
+        # DRENet at 64x48
+        (48, 64, 3, 16, 1), (48, 64, 16, 16, 1), (48, 64, 16, 32, 2),
+        (48, 64, 32, 32, 1), (48, 64, 32, 32, 3), (48, 64, 32, 32, 4),
+        (48, 64, 96, 32, 1),
+        # HU-LSTM gate convolutions at full, half and quarter size, and the head
+        (48, 64, 64, 128, 1), (48, 64, 96, 128, 1), (24, 32, 64, 128, 1),
+        (24, 32, 96, 128, 1), (12, 16, 64, 128, 1), (48, 64, 32, 1, 1),
+    ])
+    def test_bit_identical_on_network_layers(self, height, width, in_ch, out_ch,
+                                             dilation):
+        rng = np.random.default_rng(height * width + in_ch + out_ch + dilation)
+        x = rng.normal(size=(height, width, in_ch))
+        kernel = rng.normal(size=(out_ch, in_ch, 3, 3))
+        bias = rng.normal(size=out_ch)
+        got = features.conv3x3(x, kernel, bias, dilation)
+        assert np.array_equal(got, _conv_by_windows(x, kernel, bias, dilation))
 
 
 class TestGroupNormRelu:

@@ -384,6 +384,50 @@ class TestPly:
         with pytest.raises(ParseError, match="data bytes"):
             formats.read_ply(path)
 
+    def test_binary_vertex_with_normals_is_rejected(self, tmp_path):
+        # The record is x y z nx ny nz; sizing it from x y z alone would
+        # read the first point's normal as the second point.
+        path = tmp_path / "c.ply"
+        body = np.array([[1, 2, 3, 0, 0, 1], [4, 5, 6, 0, 1, 0]], dtype="<f4")
+        path.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property float nx\nproperty float ny\nproperty float nz\n"
+            b"end_header\n" + body.tobytes()
+        )
+        with pytest.raises(ParseError, match="float nx") as info:
+            formats.read_ply(path)
+        assert info.value.line == 7
+
+    @pytest.mark.parametrize("props, offending", [
+        (b"property double x\nproperty double y\nproperty double z\n", b"double x"),
+        (b"property float x\nproperty float y\nproperty float z\n"
+         b"property uchar red\nproperty uchar green\n", b"uchar green"),
+        (b"property float x\nproperty float y\nproperty float z\n"
+         b"property float red\nproperty float green\nproperty float blue\n",
+         b"float red"),
+        (b"property float x\nproperty float y\nproperty float z\n"
+         b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+         b"property uchar alpha\n", b"uchar alpha"),
+    ], ids=["double-xyz", "partial-rgb", "float-rgb", "extra-alpha"])
+    def test_unreadable_binary_layout(self, tmp_path, props, offending):
+        path = tmp_path / "c.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+                         + props + b"end_header\n")
+        with pytest.raises(ParseError, match=offending.decode()):
+            formats.read_ply(path)
+
+    def test_ascii_extra_properties_still_read(self, tmp_path):
+        # Ascii rows are split on whitespace, so extra columns are skipped.
+        path = tmp_path / "c.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 2\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property float nx\nproperty float ny\nproperty float nz\n"
+            b"end_header\n1 2 3 0 0 1\n4 5 6 0 1 0\n"
+        )
+        np.testing.assert_array_equal(formats.read_ply(path).xyz, [[1, 2, 3], [4, 5, 6]])
+
     def test_non_numeric_ascii_values(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_bytes(

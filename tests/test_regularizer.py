@@ -10,6 +10,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from mvsweep import costvol, regularizer
 from mvsweep.errors import SizeMismatchError, WeightGraphMismatchError
@@ -101,6 +104,31 @@ class TestConvLstmCell:
         with pytest.raises(SizeMismatchError):
             regularizer.conv_lstm_cell(np.zeros((3, 3, 1)), bad, w)
 
+    def test_cell_state_shape_mismatch_raises(self):
+        # A one-channel cell state would broadcast across both hidden
+        # channels into a wrong state instead of failing.
+        rng = np.random.default_rng(4)
+        w = _random_cell(rng, in_ch=1, hidden_ch=2)
+        bad = (np.zeros((3, 3, 2)), np.zeros((3, 3, 1)))
+        with pytest.raises(SizeMismatchError, match="cell state"):
+            regularizer.conv_lstm_cell(np.zeros((3, 3, 1)), bad, w)
+
+    def test_sigmoid_gates_match_expit(self):
+        # A centre-tap delta kernel makes the input gate's pre-activation
+        # the input itself; with a saturated candidate (tanh(50) == 1.0)
+        # and a zero cell state, the new cell state is sigmoid(input).
+        v = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                            np.linspace(-40.0, 40.0, 16001)])
+        w = _random_cell(np.random.default_rng(0), in_ch=1, hidden_ch=1, scale=0.0)
+        w.w_input[0, 0, 1, 1] = 1.0
+        w.b_candidate[:] = 50.0
+        x = v.reshape(2, -1, 1)
+        _, (_, c_new) = regularizer.conv_lstm_cell(x, None, w)
+        gate = c_new.ravel()
+        assert np.max(np.abs(gate - expit(v))) <= 1e-15
+        assert gate.min() >= 0.0 and gate.max() <= 1.0
+        assert gate[0] == 0.0 and gate[16000] == 1.0
+
 
 class TestMaxPool2:
     """Ceil-size 2x2 pooling with edge replication."""
@@ -120,6 +148,53 @@ class TestMaxPool2:
     def test_shape_rule(self):
         assert regularizer.max_pool2(np.zeros((5, 7, 2))).shape == (3, 4, 2)
         assert regularizer.max_pool2(np.zeros((4, 4, 1))).shape == (2, 2, 1)
+
+
+def _stuffed_conv(x, kernel, bias, out_hw):
+    """The transposed convolution as a 3x3 conv of the zero-stuffed map."""
+    height, width, channels = x.shape
+    stuffed = np.zeros((2 * height, 2 * width, channels))
+    stuffed[::2, ::2] = x
+    return conv3x3(stuffed, kernel, bias)[:out_hw[0], :out_hw[1]]
+
+
+class TestUpsampleConv:
+    """Phase convolutions against the zero-stuffed convolution."""
+
+    @pytest.mark.parametrize("in_hw, out_hw", [
+        ((12, 16), (24, 32)), ((24, 32), (48, 64)),   # 64x48 input: even sizes
+        ((12, 16), (23, 31)), ((10, 13), (19, 25)),   # odd crops
+        ((19, 25), (38, 50)),
+    ])
+    def test_bit_identical_on_network_shapes(self, in_hw, out_hw):
+        w = regularizer.random_hulstm_weights(seed=4)
+        rng = np.random.default_rng(in_hw[0] + out_hw[1])
+        x = rng.normal(size=in_hw + (regularizer.HIDDEN_CH,))
+        bias = rng.normal(size=regularizer.HIDDEN_CH)
+        got = regularizer._upsample_conv(x, w.up_full_kernel, bias, out_hw)
+        assert np.array_equal(got, _stuffed_conv(x, w.up_full_kernel, bias, out_hw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(1, 7), width=st.integers(1, 7),
+           in_ch=st.integers(1, 4), out_ch=st.integers(1, 4),
+           crop=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_within_rounding_of_stuffed_conv(self, height, width, in_ch, out_ch,
+                                             crop, seed):
+        # Small maps may take height-dependent BLAS kernels (see
+        # test_features.TestConv3x3WindowOracle), so here the bound is
+        # float64 rounding of the taps that read real input.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(height, width, in_ch))
+        kernel = rng.normal(size=(out_ch, in_ch, 3, 3))
+        bias = rng.normal(size=out_ch)
+        out_hw = (2 * height - crop[0], 2 * width - crop[1])
+        got = regularizer._upsample_conv(x, kernel, bias, out_hw)
+        want = _stuffed_conv(x, kernel, bias, out_hw)
+        assert got.shape == want.shape == out_hw + (out_ch,)
+        terms = _stuffed_conv(np.abs(x), np.abs(kernel), np.abs(bias), out_hw)
+        n = 4 * in_ch + 1
+        assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * terms)
 
 
 class TestHuLstmWeights:
