@@ -56,7 +56,7 @@ def main() -> None:
     print()
     print("== Full hourglass over a hypothesis stream ==")
     weights = regularizer.random_hulstm_weights(seed=0, in_channels=CHANNELS)
-    sweep(1, weights)  # caches the stacked gate kernels outside the measurement
+    sweep(1, weights)  # warms up allocator and BLAS buffers outside the measurement
     peaks = {}
     for depth_count in (16, 256):
         peak, mean_score = sweep(depth_count, weights)

@@ -26,7 +26,7 @@ import numpy as np
 from . import costvol, estimator, features, formats, fusion, geometry, metrics
 from . import regularizer, synth
 from .depthmap import DepthMap
-from .errors import MvsweepError, ParseError
+from .errors import InvalidArgumentError, MvsweepError, ParseError
 
 log = logging.getLogger("mvsweep")
 
@@ -132,6 +132,10 @@ def cmd_synth(args) -> int:
         width, height = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise MvsweepError(f"--size must look like 64x48, got {args.size!r}")
+    if width < 1 or height < 1:
+        raise InvalidArgumentError(f"--size must be positive, got {args.size!r}")
+    if args.views < 1:
+        raise InvalidArgumentError(f"--views must be positive, got {args.views}")
     if args.scene == "plane":
         surface = synth.Plane()
     else:
@@ -434,7 +438,13 @@ def _battery() -> list[tuple[str, bool]]:
         argmax = scores.argmax(axis=0)
         depths = geometry.sample_hypotheses(space)
         assert np.array_equal(depth.data, depths[argmax])
-        assert np.all(conf <= 1.0 + 1e-12)
+        # Confidence is the probability mass of the winner and the
+        # neighbors on either side that exist.
+        taps = argmax + np.arange(-1, 2)[:, None, None]
+        inside = (taps >= 0) & (taps < 16)
+        picked = np.take_along_axis(prob, np.clip(taps, 0, 15), axis=0)
+        assert np.allclose(conf, np.where(inside, picked, 0.0).sum(axis=0),
+                           rtol=1e-9, atol=0.0)
 
     def check_consistency_values():
         assert abs(fusion.consistency_from_errors(1.0, 0.01, 200.0)

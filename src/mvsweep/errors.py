@@ -5,6 +5,10 @@ class MvsweepError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(MvsweepError, ValueError):
+    """A parameter is outside its documented range."""
+
+
 class BehindCameraError(MvsweepError):
     """A point was projected whose camera-frame depth is not positive."""
 

@@ -66,12 +66,11 @@ def online_softmax_wta(slices: Iterable, space: HypothesisSpace,
             takes_after = argmax == seen - 1
             after_best = np.where(takes_after, score, after_best)
             improved = score > running_max
-            with np.errstate(over="ignore"):
-                sum_exp = np.where(
-                    improved,
-                    sum_exp * np.exp(running_max - score) + 1.0,
-                    sum_exp + np.exp(np.minimum(score - running_max, 0.0)),
-                )
+            # exp(-|score - max|) rescales the running sum where the score
+            # improves and is the added term where it does not; it never
+            # overflows.
+            e = np.exp(-np.abs(score - running_max))
+            sum_exp = np.where(improved, sum_exp * e + 1.0, sum_exp + e)
             before_best = np.where(improved, prev_score, before_best)
             after_best = np.where(improved, np.nan, after_best)
             argmax = np.where(improved, seen, argmax)
@@ -131,7 +130,6 @@ def cross_entropy_loss(prob: np.ndarray, gt: DepthMap, space: HypothesisSpace) -
     idx, valid = one_hot_index_map(gt, space)
     if not valid.any():
         raise EmptyValidSetError("no valid pixel carries a depth target")
-    height, width = gt.data.shape
     ys, xs = np.nonzero(valid)
     picked = prob[idx[ys, xs], ys, xs]
     return float(-np.log(np.maximum(picked, LOG_CLAMP)).sum())

@@ -17,7 +17,6 @@ float64; kernels are ``(out_ch, in_ch, 3, 3)`` cross-correlation taps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -107,8 +106,8 @@ class ConvLayerWeights:
     """One 3x3 convolution, optionally followed by group norm + ReLU.
 
     ``gn_scale is None`` marks a bare convolution (used for network
-    heads); otherwise the layer applies :func:`group_norm_relu` with
-    ``groups`` groups after the convolution.
+    heads); otherwise the layer applies :func:`group_norm_relu` with one
+    group per ``GROUP_SIZE`` output channels after the convolution.
     """
 
     kernel: np.ndarray
@@ -116,7 +115,6 @@ class ConvLayerWeights:
     dilation: int = 1
     gn_scale: np.ndarray | None = None
     gn_shift: np.ndarray | None = None
-    groups: int = 1
 
     @property
     def out_channels(self) -> int:
@@ -126,7 +124,7 @@ class ConvLayerWeights:
     def in_channels(self) -> int:
         return self.kernel.shape[1]
 
-    def check(self, name: str, in_ch: int, out_ch: int, dilation: int) -> None:
+    def check(self, name: str, in_ch: int, out_ch: int, dilation: int = 1) -> None:
         if self.kernel.shape != (out_ch, in_ch, 3, 3):
             raise WeightGraphMismatchError(
                 f"{name}: kernel {self.kernel.shape}, expected {(out_ch, in_ch, 3, 3)}")
@@ -135,23 +133,36 @@ class ConvLayerWeights:
         if self.dilation != dilation:
             raise WeightGraphMismatchError(
                 f"{name}: dilation {self.dilation}, expected {dilation}")
-        if self.gn_scale is not None:
-            if self.gn_scale.shape != (out_ch,) or self.gn_shift.shape != (out_ch,):
-                raise WeightGraphMismatchError(f"{name}: group-norm parameter shapes")
-            if out_ch % self.groups != 0:
-                raise WeightGraphMismatchError(
-                    f"{name}: {self.groups} groups do not divide {out_ch} channels")
+        if self.gn_scale is not None and not (
+                self.gn_scale.shape == self.gn_shift.shape == (out_ch,)):
+            raise WeightGraphMismatchError(f"{name}: group-norm parameter shapes")
 
 
 def conv2d(x: np.ndarray, layer: ConvLayerWeights) -> np.ndarray:
     """Apply one :class:`ConvLayerWeights` (conv, then optional GN+ReLU)."""
     out = conv3x3(x, layer.kernel, layer.bias, layer.dilation)
     if layer.gn_scale is not None:
-        out = group_norm_relu(out, layer.gn_scale, layer.gn_shift, layer.groups)
+        groups = max(layer.out_channels // GROUP_SIZE, 1)
+        out = group_norm_relu(out, layer.gn_scale, layer.gn_shift, groups)
     return out
 
 
-# Layer graph: (name, in_ch, out_ch, dilation, input source).  Sources:
+def _random_conv(rng: np.random.Generator, in_ch: int, out_ch: int,
+                 dilation: int = 1, gn: bool = False) -> ConvLayerWeights:
+    """Seeded untrained conv: a kernel uniform in ``±1/sqrt(9 in_ch)``,
+    zero bias and, with ``gn``, an identity group norm.
+
+    The kernel is rounded through float32 so container round trips are
+    lossless.
+    """
+    bound = 1.0 / np.sqrt(in_ch * 9)
+    kernel = rng.uniform(-bound, bound, (out_ch, in_ch, 3, 3))
+    kernel = kernel.astype(np.float32).astype(np.float64)
+    norm = (np.ones(out_ch), np.zeros(out_ch)) if gn else (None, None)
+    return ConvLayerWeights(kernel, np.zeros(out_ch), dilation, *norm)
+
+
+# Layer graph: (name, in_ch, out_ch, dilation).  Data flow:
 # the stem chains, then three branches read the shared 32-channel trunk
 # at dilations 1/3/4, and the head fuses their concatenation.
 _DRENET_LAYERS = (
@@ -165,6 +176,8 @@ _DRENET_LAYERS = (
     ("branch_c1", 32, 32, 1),
     ("fuse", 96, 32, 1),
 )
+# Container tensors of each layer, named ``<layer>.<part>``.
+_DRENET_PARTS = ("kernel", "bias", "gn_scale", "gn_shift")
 
 
 @dataclass(eq=False)
@@ -189,50 +202,18 @@ class DrenetWeights:
             getattr(self, name).check(name, expect, out_ch, dilation)
 
     def to_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, *_ in _DRENET_LAYERS:
-            layer: ConvLayerWeights = getattr(self, name)
-            out[f"{name}.kernel"] = layer.kernel
-            out[f"{name}.bias"] = layer.bias
-            out[f"{name}.gn_scale"] = layer.gn_scale
-            out[f"{name}.gn_shift"] = layer.gn_shift
-        return out
+        return {f"{name}.{part}": getattr(getattr(self, name), part)
+                for name, *_ in _DRENET_LAYERS for part in _DRENET_PARTS}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "DrenetWeights":
-        layers = {}
-        for name, _, out_ch, dilation in _DRENET_LAYERS:
-            try:
-                layers[name] = ConvLayerWeights(
-                    kernel=tensors[f"{name}.kernel"],
-                    bias=tensors[f"{name}.bias"],
-                    dilation=dilation,
-                    gn_scale=tensors[f"{name}.gn_scale"],
-                    gn_shift=tensors[f"{name}.gn_shift"],
-                    groups=max(out_ch // GROUP_SIZE, 1),
-                )
-            except KeyError as exc:
-                raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
-        return cls(**layers)
-
-
-def _random_layer(rng: np.random.Generator, in_ch: int, out_ch: int,
-                  dilation: int, gn: bool = True) -> ConvLayerWeights:
-    bound = 1.0 / np.sqrt(in_ch * 9)
-    # Round through float32 so container round trips are lossless.
-    kernel = rng.uniform(-bound, bound, (out_ch, in_ch, 3, 3))
-    kernel = kernel.astype(np.float32).astype(np.float64)
-    bias = np.zeros(out_ch, dtype=np.float64)
-    if not gn:
-        return ConvLayerWeights(kernel=kernel, bias=bias, dilation=dilation)
-    return ConvLayerWeights(
-        kernel=kernel,
-        bias=bias,
-        dilation=dilation,
-        gn_scale=np.ones(out_ch, dtype=np.float64),
-        gn_shift=np.zeros(out_ch, dtype=np.float64),
-        groups=max(out_ch // GROUP_SIZE, 1),
-    )
+        try:
+            return cls(**{
+                name: ConvLayerWeights(dilation=dilation, **{
+                    part: tensors[f"{name}.{part}"] for part in _DRENET_PARTS})
+                for name, _, _, dilation in _DRENET_LAYERS})
+        except KeyError as exc:
+            raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
 
 
 def random_drenet_weights(seed: int = 0, in_channels: int = 3) -> DrenetWeights:
@@ -242,7 +223,7 @@ def random_drenet_weights(seed: int = 0, in_channels: int = 3) -> DrenetWeights:
     for name, in_ch, out_ch, dilation in _DRENET_LAYERS:
         if name == "stem0":
             in_ch = in_channels
-        layers[name] = _random_layer(rng, in_ch, out_ch, dilation)
+        layers[name] = _random_conv(rng, in_ch, out_ch, dilation, gn=True)
     return DrenetWeights(**layers)
 
 

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .depthmap import DepthMap
+from .errors import InvalidArgumentError
 from .geometry import (
     Camera,
     back_project_grid,
@@ -85,9 +86,9 @@ class FusionParams:
 
     def __post_init__(self) -> None:
         if self.lam < 0 or self.tau < 0 or not (0.0 <= self.phi <= 1.0):
-            raise ValueError("lam and tau must be non-negative, phi in [0, 1]")
+            raise InvalidArgumentError("lam and tau must be non-negative, phi in [0, 1]")
         if self.tau1 <= 0 or self.tau2 <= 0 or self.min_views < 1:
-            raise ValueError("tau1, tau2 must be positive and min_views >= 1")
+            raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 
 
 @dataclass(eq=False)

@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BehindCameraError
+from .errors import BehindCameraError, InvalidArgumentError
 
 __all__ = [
     "Camera",
@@ -59,13 +59,13 @@ class Camera:
         r = np.array(self.rotation, dtype=np.float64)
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         if k.shape != (3, 3) or r.shape != (3, 3):
-            raise ValueError("intrinsic and rotation must be 3x3 matrices")
+            raise InvalidArgumentError("intrinsic and rotation must be 3x3 matrices")
         if np.any(np.abs(k[np.tril_indices(3, -1)]) > 0) or np.any(np.diag(k) <= 0):
-            raise ValueError("intrinsic must be upper-triangular with positive diagonal")
+            raise InvalidArgumentError("intrinsic must be upper-triangular with positive diagonal")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
-            raise ValueError("rotation is not orthonormal")
+            raise InvalidArgumentError("rotation is not orthonormal")
         if np.linalg.det(r) < 0:
-            raise ValueError("rotation must be proper (determinant +1)")
+            raise InvalidArgumentError("rotation must be proper (determinant +1)")
         k.flags.writeable = False
         r.flags.writeable = False
         t.flags.writeable = False
@@ -225,11 +225,11 @@ class HypothesisSpace:
 
     def __post_init__(self) -> None:
         if not (0 < self.d_min < self.d_max):
-            raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
+            raise InvalidArgumentError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
         if self.count < 2:
-            raise ValueError(f"need at least 2 samples, got {self.count}")
+            raise InvalidArgumentError(f"need at least 2 samples, got {self.count}")
         if self.mode not in ("uniform", "inverse"):
-            raise ValueError(f"unknown spacing mode {self.mode!r}")
+            raise InvalidArgumentError(f"unknown spacing mode {self.mode!r}")
 
     def bin_coordinate(self, depths):
         """Continuous bin index of each depth in the sampled metric.

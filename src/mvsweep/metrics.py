@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloudError, EmptyReferenceError
+from .errors import EmptyCloudError, EmptyReferenceError, InvalidArgumentError
 from .fusion import PointCloud
 
 __all__ = [
@@ -68,7 +68,7 @@ def accuracy_completeness(recon: PointCloud, truth: PointCloud,
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("accuracy/completeness need non-empty clouds")
     if max_dist <= 0:
-        raise ValueError(f"max_dist must be positive, got {max_dist}")
+        raise InvalidArgumentError(f"max_dist must be positive, got {max_dist}")
     acc = float(np.minimum(nearest_distance(recon, truth), max_dist).mean())
     comp = float(np.minimum(nearest_distance(truth, recon), max_dist).mean())
     return acc, comp
@@ -86,7 +86,7 @@ def fscore(recon: PointCloud, truth: PointCloud, threshold: float,
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("f-score needs non-empty clouds")
     if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
+        raise InvalidArgumentError(f"threshold must be non-negative, got {threshold}")
     precision = float((nearest_distance(recon, truth) <= threshold).mean())
     recall = float((nearest_distance(truth, recon) <= threshold).mean())
     if precision + recall == 0.0:

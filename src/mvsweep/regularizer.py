@@ -23,15 +23,14 @@ the rest of the pipeline usable without any training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .costvol import CostSlice
 from .errors import SizeMismatchError, WeightGraphMismatchError
-from .features import conv3x3
+from .features import ConvLayerWeights, _random_conv, conv2d
 
 __all__ = [
     "HuLstmWeights",
@@ -55,13 +54,19 @@ class ScoreSlice:
     score: np.ndarray
 
 
-@dataclass(eq=False)
+_GATES = ("input", "forget", "output", "candidate")
+
+
+@dataclass(frozen=True, eq=False)
 class LstmCellWeights:
     """Gate convolutions of one ConvLSTM cell.
 
     Every gate convolves the channel concatenation ``[x, h]`` of the
     input and the previous hidden state, so each kernel has shape
-    ``(hidden_ch, in_ch + hidden_ch, 3, 3)``.
+    ``(hidden_ch, in_ch + hidden_ch, 3, 3)``.  The four gates are stacked
+    once, in field order, into :attr:`gates`, one convolution with
+    ``4 * hidden_ch`` outputs, and the per-gate fields are rebound to
+    views of it: a gate changed in place changes the stacked kernel.
     """
 
     w_input: np.ndarray
@@ -72,6 +77,21 @@ class LstmCellWeights:
     b_output: np.ndarray
     w_candidate: np.ndarray
     b_candidate: np.ndarray
+    gates: ConvLayerWeights = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        kernels = [getattr(self, f"w_{gate}") for gate in _GATES]
+        biases = [getattr(self, f"b_{gate}") for gate in _GATES]
+        shapes = {(kernel.shape, bias.shape) for kernel, bias in zip(kernels, biases)}
+        if len(shapes) != 1 or 0 in (kernels[0].ndim, biases[0].ndim):
+            raise WeightGraphMismatchError(
+                f"gate kernel and bias shapes {sorted(shapes)} do not stack")
+        gates = ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
+        object.__setattr__(self, "gates", gates)
+        for gate, kernel, bias in zip(_GATES, np.split(gates.kernel, 4),
+                                      np.split(gates.bias, 4)):
+            object.__setattr__(self, f"w_{gate}", kernel)
+            object.__setattr__(self, f"b_{gate}", bias)
 
     @property
     def hidden_channels(self) -> int:
@@ -80,25 +100,6 @@ class LstmCellWeights:
     @property
     def in_channels(self) -> int:
         return self.w_input.shape[1] - self.w_input.shape[0]
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        kernel = np.concatenate(
-            [self.w_input, self.w_forget, self.w_output, self.w_candidate])
-        bias = np.concatenate(
-            [self.b_input, self.b_forget, self.b_output, self.b_candidate])
-        return kernel, bias
-
-    def check(self, name: str, in_ch: int, hidden_ch: int) -> None:
-        expect = (hidden_ch, in_ch + hidden_ch, 3, 3)
-        for gate in ("input", "forget", "output", "candidate"):
-            w = getattr(self, f"w_{gate}")
-            b = getattr(self, f"b_{gate}")
-            if w.shape != expect:
-                raise WeightGraphMismatchError(
-                    f"{name}.{gate}: kernel {w.shape}, expected {expect}")
-            if b.shape != (hidden_ch,):
-                raise WeightGraphMismatchError(f"{name}.{gate}: bias {b.shape}")
 
 
 def conv_lstm_cell(x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None,
@@ -123,8 +124,7 @@ def conv_lstm_cell(x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None,
                 raise SizeMismatchError(
                     f"{name} state {tensor.shape} does not match input {want}")
     z = np.concatenate([x, h_prev], axis=2)
-    kernel, bias = weights._stacked
-    gates = conv3x3(z, kernel, bias)
+    gates = conv2d(z, weights.gates)
     # One tanh pass over all four gates: the input, forget and output
     # gates take sigmoid(v) = tanh(v / 2) / 2 + 1/2, the candidate tanh(v).
     scale = np.repeat([0.5, 1.0], [3 * hidden_ch, hidden_ch])
@@ -190,6 +190,12 @@ _HU_CELLS = (
     ("cell_full_up", 64),
 )
 HIDDEN_CH = 32
+# (conv name, in_ch, out_ch) of the two upsample convs and the score head.
+_HU_CONVS = (
+    ("up_mid", HIDDEN_CH, HIDDEN_CH),
+    ("up_full", HIDDEN_CH, HIDDEN_CH),
+    ("head", HIDDEN_CH, 1),
+)
 
 
 @dataclass(eq=False)
@@ -197,12 +203,9 @@ class HuLstmWeights:
     """Parameters of the U-shaped recurrent regularizer."""
 
     cells: tuple[LstmCellWeights, ...]
-    up_mid_kernel: np.ndarray
-    up_mid_bias: np.ndarray
-    up_full_kernel: np.ndarray
-    up_full_bias: np.ndarray
-    head_kernel: np.ndarray
-    head_bias: np.ndarray
+    up_mid: ConvLayerWeights
+    up_full: ConvLayerWeights
+    head: ConvLayerWeights
 
     def __post_init__(self) -> None:
         """Reject weights whose shapes do not fit the fixed graph."""
@@ -211,32 +214,24 @@ class HuLstmWeights:
         in_ch = self.cells[0].in_channels
         for cell, (name, expect_in) in zip(self.cells, _HU_CELLS):
             expect = in_ch if name == "cell_full_down" else expect_in
-            cell.check(name, expect, HIDDEN_CH)
-        for name, kernel, bias in (
-            ("up_mid", self.up_mid_kernel, self.up_mid_bias),
-            ("up_full", self.up_full_kernel, self.up_full_bias),
-        ):
-            if kernel.shape != (HIDDEN_CH, HIDDEN_CH, 3, 3):
-                raise WeightGraphMismatchError(f"{name}: kernel {kernel.shape}")
-            if bias.shape != (HIDDEN_CH,):
-                raise WeightGraphMismatchError(f"{name}: bias {bias.shape}")
-        if self.head_kernel.shape != (1, HIDDEN_CH, 3, 3):
-            raise WeightGraphMismatchError(f"head: kernel {self.head_kernel.shape}")
-        if self.head_bias.shape != (1,):
-            raise WeightGraphMismatchError(f"head: bias {self.head_bias.shape}")
+            cell.gates.check(name, expect + HIDDEN_CH, 4 * HIDDEN_CH)
+        for name, *channels in _HU_CONVS:
+            getattr(self, name).check(name, *channels)
+
+    @property
+    def up_full_kernel(self) -> np.ndarray:
+        """Kernel of the upsample conv into the full-resolution cell."""
+        return self.up_full.kernel
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for cell, (name, _) in zip(self.cells, _HU_CELLS):
-            for gate in ("input", "forget", "output", "candidate"):
+            for gate in _GATES:
                 out[f"{name}.w_{gate}"] = getattr(cell, f"w_{gate}")
                 out[f"{name}.b_{gate}"] = getattr(cell, f"b_{gate}")
-        out["up_mid.kernel"] = self.up_mid_kernel
-        out["up_mid.bias"] = self.up_mid_bias
-        out["up_full.kernel"] = self.up_full_kernel
-        out["up_full.bias"] = self.up_full_bias
-        out["head.kernel"] = self.head_kernel
-        out["head.bias"] = self.head_bias
+        for name, *_ in _HU_CONVS:
+            out[f"{name}.kernel"] = getattr(self, name).kernel
+            out[f"{name}.bias"] = getattr(self, name).bias
         return out
 
     @classmethod
@@ -245,22 +240,14 @@ class HuLstmWeights:
             cells = tuple(
                 LstmCellWeights(**{
                     f"{kind}_{gate}": tensors[f"{name}.{kind}_{gate}"]
-                    for gate in ("input", "forget", "output", "candidate")
-                    for kind in ("w", "b")
-                })
-                for name, _ in _HU_CELLS
-            )
-            return cls(
-                cells=cells,
-                up_mid_kernel=tensors["up_mid.kernel"],
-                up_mid_bias=tensors["up_mid.bias"],
-                up_full_kernel=tensors["up_full.kernel"],
-                up_full_bias=tensors["up_full.bias"],
-                head_kernel=tensors["head.kernel"],
-                head_bias=tensors["head.bias"],
-            )
+                    for gate in _GATES for kind in ("w", "b")})
+                for name, _ in _HU_CELLS)
+            convs = {name: ConvLayerWeights(tensors[f"{name}.kernel"],
+                                            tensors[f"{name}.bias"])
+                     for name, *_ in _HU_CONVS}
         except KeyError as exc:
             raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
+        return cls(cells=cells, **convs)
 
 
 @dataclass(eq=False)
@@ -271,10 +258,6 @@ class LstmState:
     cell: tuple[np.ndarray, ...]
 
 
-def _f32_round(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
-    return rng.uniform(-bound, bound, shape).astype(np.float32).astype(np.float64)
-
-
 def random_hulstm_weights(seed: int = 0, in_channels: int = 32) -> HuLstmWeights:
     """Seeded untrained weights; useful for shape and plumbing tests."""
     rng = np.random.default_rng(seed)
@@ -282,24 +265,15 @@ def random_hulstm_weights(seed: int = 0, in_channels: int = 32) -> HuLstmWeights
     for name, in_ch in _HU_CELLS:
         if name == "cell_full_down":
             in_ch = in_channels
-        total = in_ch + HIDDEN_CH
-        bound = 1.0 / np.sqrt(total * 9)
+        # One draw of the stacked kernel yields the four gate kernels in
+        # gate order, as four consecutive per-gate draws would.
+        gates = _random_conv(rng, in_ch + HIDDEN_CH, 4 * HIDDEN_CH)
         cells.append(LstmCellWeights(**{
-            f"{kind}_{gate}": (_f32_round(rng, (HIDDEN_CH, total, 3, 3), bound)
-                               if kind == "w" else np.zeros(HIDDEN_CH))
-            for gate in ("input", "forget", "output", "candidate")
-            for kind in ("w", "b")
-        }))
-    bound = 1.0 / np.sqrt(HIDDEN_CH * 9)
-    return HuLstmWeights(
-        cells=tuple(cells),
-        up_mid_kernel=_f32_round(rng, (HIDDEN_CH, HIDDEN_CH, 3, 3), bound),
-        up_mid_bias=np.zeros(HIDDEN_CH),
-        up_full_kernel=_f32_round(rng, (HIDDEN_CH, HIDDEN_CH, 3, 3), bound),
-        up_full_bias=np.zeros(HIDDEN_CH),
-        head_kernel=_f32_round(rng, (1, HIDDEN_CH, 3, 3), bound),
-        head_bias=np.zeros(1),
-    )
+            f"{kind}_{gate}": part
+            for kind, whole in (("w", gates.kernel), ("b", gates.bias))
+            for gate, part in zip(_GATES, np.split(whole, 4))}))
+    return HuLstmWeights(cells=tuple(cells), **{
+        name: _random_conv(rng, in_ch, out_ch) for name, in_ch, out_ch in _HU_CONVS})
 
 
 def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
@@ -316,11 +290,11 @@ def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
     h0, s0 = conv_lstm_cell(x, prev[0], weights.cells[0])
     h1, s1 = conv_lstm_cell(max_pool2(h0), prev[1], weights.cells[1])
     h2, s2 = conv_lstm_cell(max_pool2(h1), prev[2], weights.cells[2])
-    u2 = _upsample_conv(h2, weights.up_mid_kernel, weights.up_mid_bias, h1.shape[:2])
+    u2 = _upsample_conv(h2, weights.up_mid.kernel, weights.up_mid.bias, h1.shape[:2])
     h3, s3 = conv_lstm_cell(np.concatenate([u2, h1], axis=2), prev[3], weights.cells[3])
-    u3 = _upsample_conv(h3, weights.up_full_kernel, weights.up_full_bias, h0.shape[:2])
+    u3 = _upsample_conv(h3, weights.up_full.kernel, weights.up_full.bias, h0.shape[:2])
     h4, s4 = conv_lstm_cell(np.concatenate([u3, h0], axis=2), prev[4], weights.cells[4])
-    score = conv3x3(h4, weights.head_kernel, weights.head_bias)[:, :, 0]
+    score = conv2d(h4, weights.head)[:, :, 0]
 
     states = (s0, s1, s2, s3, s4)
     new_state = LstmState(

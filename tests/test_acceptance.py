@@ -300,7 +300,7 @@ def _stream_peak(depth_count: int, weights) -> tuple[int, int]:
 
 def test_criterion_5_memory_scaling():
     weights = regularizer.random_hulstm_weights(seed=0, in_channels=32)
-    _stream_peak(1, weights)  # caches the stacked gate kernels (~3.5 MB)
+    _stream_peak(1, weights)  # warm-up: first-call allocations stay out of the peaks
     small, _ = _stream_peak(16, weights)
     large, most_alive = _stream_peak(256, weights)
     failures = []

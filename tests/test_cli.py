@@ -385,6 +385,34 @@ class TestCheck:
         assert all(line.endswith(": ok") for line in lines)
 
 
+class TestOutOfRangeArguments:
+    """Values the parser accepts but the pipeline cannot use are user errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--size", "0x0"],
+        ["synth", "--views", "0"],
+        ["depth", "--num-depths", "1"],
+        ["fuse", "--phi", "2"],
+        ["fuse", "--filter", "fixed", "--min-views", "0"],
+        ["eval", "--threshold", "0"],
+        ["eval", "--threshold", "-1"],
+    ], ids=" ".join)
+    def test_reported_without_traceback(self, argv, synth_proj, tmp_path, capsys):
+        command, *rest = argv
+        paths = {
+            "synth": ["--out", str(tmp_path / "scene")],
+            "depth": ["--in", str(synth_proj), "--out", str(tmp_path / "est")],
+            "fuse": ["--in", str(synth_proj), "--out", str(tmp_path / "cloud.ply")],
+            "eval": ["--recon", str(synth_proj / "gt.ply"),
+                     "--gt", str(synth_proj / "gt.ply")],
+        }
+        code = cli.main([command, *paths[command], *rest])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestUsage:
     """Argument errors surface as exit code 2, not tracebacks."""
 

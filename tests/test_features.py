@@ -8,13 +8,14 @@ the fixed photometric descriptor's channel layout.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep import features
+from mvsweep import features, formats, regularizer
 from mvsweep.errors import ChannelMismatchError, WeightGraphMismatchError
 
 
@@ -257,6 +258,31 @@ class TestDrenetWeights:
         weights = features.random_drenet_weights(seed=3)
         with pytest.raises(WeightGraphMismatchError):
             dataclasses.replace(weights, grow=weights.stem1)
+
+
+# sha256 of the save_tensors bytes of each seeded network, keyed by
+# (network, seed, in_channels).  A change to the draw order, the float32
+# rounding or the container layout changes these digests.
+_SEEDED_CONTAINER_SHA256 = {
+    ("drenet", 0, 3): "eca61e89dc715e2490e44a0b59f89eb9906027d8464188049a55f18bdb3341a4",
+    ("drenet", 0, 32): "a178abd9b8286f302d80932e20637ad5871eb76ef8ce6ab4aa83a7635506b0b9",
+    ("drenet", 1, 3): "d91a39e94a26b08ff5d1295b99d4253da9dbed26cb85ec53c6ff13b608051e17",
+    ("drenet", 1, 32): "f5e21e86bac942f3e60bd532a24557064381c8c039a486e3ef6ea3655c747a65",
+    ("hulstm", 0, 3): "cad75757068846aa5790ee891a78209b59909c03945a19115e0ed16ed55dbf62",
+    ("hulstm", 0, 32): "e90699104e90ae83e5c193c4bd0adc21f351503a44325dbedab88c0b2569578d",
+    ("hulstm", 1, 3): "665b2c5472f78aec392a42fc91b0fbbb6b2f432326199833b9758926fae4f4e9",
+    ("hulstm", 1, 32): "007206a0b35a38188103c141b84c0bffbadbb69b4b1be00187375436fc6d8e79",
+}
+
+
+@pytest.mark.parametrize("network, seed, in_channels", sorted(_SEEDED_CONTAINER_SHA256))
+def test_seeded_weights_container_is_pinned(network, seed, in_channels, tmp_path):
+    make = {"drenet": features.random_drenet_weights,
+            "hulstm": regularizer.random_hulstm_weights}[network]
+    path = tmp_path / "weights.bin"
+    formats.save_tensors(path, make(seed, in_channels).to_tensors())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _SEEDED_CONTAINER_SHA256[network, seed, in_channels]
 
 
 class TestDrenetForward:

@@ -65,6 +65,31 @@ class TestConvLstmCell:
             np.testing.assert_allclose(c2, ref_c, atol=1e-12)
             assert h is h2
 
+    def test_gate_changed_after_a_call_is_used(self):
+        rng = np.random.default_rng(5)
+        w = _random_cell(rng, in_ch=3, hidden_ch=2)
+        x = rng.normal(size=(5, 5, 3))
+        state = (rng.normal(size=(5, 5, 2)), rng.normal(size=(5, 5, 2)))
+        regularizer.conv_lstm_cell(x, state, w)
+        w.w_input[...] = 0.0
+        w.b_forget[:] *= -1.0
+        h, (_, c) = regularizer.conv_lstm_cell(x, state, w)
+        ref_h, ref_c = _reference_cell(x, state, w)
+        np.testing.assert_allclose(h, ref_h, atol=1e-12)
+        np.testing.assert_allclose(c, ref_c, atol=1e-12)
+
+    def test_gates_cannot_be_rebound(self):
+        # Rebinding a gate would leave the stacked kernel behind; a
+        # changed cell is built with dataclasses.replace instead.
+        w = _random_cell(np.random.default_rng(6), in_ch=3, hidden_ch=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.w_input = np.zeros_like(w.w_input)
+
+    def test_gate_shapes_must_agree(self):
+        w = _random_cell(np.random.default_rng(7), in_ch=3, hidden_ch=2)
+        with pytest.raises(WeightGraphMismatchError):
+            dataclasses.replace(w, b_output=np.zeros(3))
+
     def test_none_state_is_zero_state(self):
         rng = np.random.default_rng(1)
         w = _random_cell(rng, in_ch=2, hidden_ch=2)
