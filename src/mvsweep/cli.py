@@ -136,6 +136,13 @@ def cmd_synth(args) -> int:
         raise InvalidArgumentError(f"--size must be positive, got {args.size!r}")
     if args.views < 1:
         raise InvalidArgumentError(f"--views must be positive, got {args.views}")
+    # Written as "not in range" so NaN is rejected too.
+    if not args.noise_sigma >= 0.0:
+        raise InvalidArgumentError(
+            f"--noise-sigma must be non-negative, got {args.noise_sigma}")
+    if not 0.0 <= args.outlier_frac <= 1.0:
+        raise InvalidArgumentError(
+            f"--outlier-frac must lie in [0, 1], got {args.outlier_frac}")
     if args.scene == "plane":
         surface = synth.Plane()
     else:
@@ -240,6 +247,8 @@ def _jobs() -> int:
 
 def cmd_depth(args) -> int:
     jobs = _jobs()
+    if args.views is not None and args.views < 1:
+        raise InvalidArgumentError(f"--views must be positive, got {args.views}")
     layout = formats.ProjectLayout(Path(args.input))
     out_layout = formats.ProjectLayout(Path(args.out)) if args.out else layout
     tensors = formats.load_tensors(args.weights) if args.weights else None
@@ -427,6 +436,22 @@ def _battery() -> list[tuple[str, bool]]:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-9
 
+    def check_bilinear_sample():
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(5, 7, 4))
+        values[0, 0] = np.inf  # the sampler must never read it for an invalid query
+        xs = np.concatenate([rng.uniform(0.0, 6.0, 40), [6.0, 0.0, -0.5, 7.5, np.nan]])
+        ys = np.concatenate([rng.uniform(1.0, 4.0, 40), [4.0, 2.5, 1.0, 1.0, 1.0]])
+        sampled, valid = costvol.bilinear_sample(values, np.stack([xs, ys], axis=-1))
+        assert valid.tolist() == [True] * 42 + [False] * 3
+        assert np.array_equal(sampled[~valid], np.zeros((3, 4)))
+        for x, y, got in zip(xs[valid], ys[valid], sampled[valid]):
+            x0, y0 = min(int(x), 5), min(int(y), 3)
+            fx, fy = x - x0, y - y0
+            want = ((1 - fy) * ((1 - fx) * values[y0, x0] + fx * values[y0, x0 + 1])
+                    + fy * ((1 - fx) * values[y0 + 1, x0] + fx * values[y0 + 1, x0 + 1]))
+            assert np.max(np.abs(got - want)) < 1e-12
+
     def check_streaming_softmax():
         rng = np.random.default_rng(3)
         scores = rng.normal(size=(16, 4, 5))
@@ -474,6 +499,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("reprojection_chain", check_reprojection_chain)
     run("conv_oracle", check_conv_oracle)
     run("upsample_phases", check_upsample_phases)
+    run("bilinear_sample", check_bilinear_sample)
     run("streaming_softmax", check_streaming_softmax)
     run("consistency_values", check_consistency_values)
     run("formats_round_trip", check_formats_round_trip)

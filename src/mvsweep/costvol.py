@@ -8,12 +8,12 @@ to the reference alone (zero variance) and are identifiable through the
 slice's view count.
 
 Each slice costs, per source view, one closed-form warp
-(:func:`~mvsweep.geometry.warp_grid`), one bilinear gather of four taps
-per pixel from the flattened feature map, done in fixed blocks of
-:data:`SAMPLE_BLOCK` pixels so the tap buffer stays small, and one update
-of the running sums of ``s - ref`` and ``(s - ref)^2``.  The variance is
-computed in one pass from those sums; shifting every sample by the
-reference value leaves it unchanged and keeps the sums well conditioned.
+(:func:`~mvsweep.geometry.warp_grid`), one bilinear sample written as a
+sparse product (a CSR matrix holding four corner weights per valid query
+times the flattened feature map), and one update of the running sums of
+``s - ref`` and ``(s - ref)^2``.  The variance is computed in one pass
+from those sums; shifting every sample by the reference value leaves it
+unchanged and keeps the sums well conditioned.
 
 Slices are produced lazily by :func:`cost_volume_stream` so downstream
 consumers never hold the full depth dimension in memory.
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import SizeMismatchError
 from .geometry import Camera, HypothesisSpace, sample_hypotheses, warp_grid
@@ -35,11 +36,6 @@ __all__ = [
     "build_cost_slice",
     "cost_volume_stream",
 ]
-
-# Queries gathered per block in bilinear_sample: bounds its
-# (block, 4, channels) tap buffer independently of the image size.
-SAMPLE_BLOCK = 512
-
 
 @dataclass(eq=False)
 class CostSlice:
@@ -61,39 +57,38 @@ def bilinear_sample(values: np.ndarray, coords: np.ndarray):
 
     ``coords`` is ``(..., 2)`` as (x, y).  Returns ``(sampled, valid)``
     where queries outside ``[0, width-1] x [0, height-1]`` (NaN included)
-    are zero and flagged invalid.
+    are exactly zero and flagged invalid.
 
-    The four corner weights are computed once per query with the valid
-    mask folded in, and the taps are gathered from the flattened
-    ``(height * width, channels)`` map in blocks of :data:`SAMPLE_BLOCK`
-    queries.
+    The four corner weights and taps are computed for the valid queries
+    only and written as a CSR matrix of shape ``(queries, height *
+    width)``, four entries per valid row and none per invalid one.  One
+    sparse product with the flattened ``(height * width, channels)`` map
+    then sums each output as ``0 + w00 v00 + w10 v10 + w01 v01 + w11 v11``.
     """
     height, width, channels = values.shape
     xs = coords[..., 0].ravel()
     ys = coords[..., 1].ravel()
     valid = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
-    xc = np.where(valid, xs, 0.0)
-    yc = np.where(valid, ys, 0.0)
+    rows = np.flatnonzero(valid)
+    x = xs[rows]
+    y = ys[rows]
     # On the far edge x0 = width - 1 and fx = 0, so the clamped x1 gets
     # no weight.
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
+    x0 = np.floor(x).astype(np.intp)
+    y0 = np.floor(y).astype(np.intp)
+    fx = x - x0
+    fy = y - y0
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
     gx = 1.0 - fx
     gy = 1.0 - fy
     weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
-    weights *= valid[:, None]
     taps = np.stack([y0 * width + x0, y0 * width + x1,
                      y1 * width + x0, y1 * width + x1], axis=1)
-    flat = values.reshape(height * width, channels)
-    sampled = np.empty((xs.size, channels))
-    for lo in range(0, xs.size, SAMPLE_BLOCK):
-        hi = lo + SAMPLE_BLOCK
-        np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
-                  out=sampled[lo:hi])
+    indptr = np.concatenate(([0], 4 * np.cumsum(valid)))
+    matrix = sparse.csr_array((weights.ravel(), taps.ravel(), indptr),
+                              shape=(xs.size, height * width))
+    sampled = matrix @ values.reshape(height * width, channels)
     shape = coords.shape[:-1]
     return sampled.reshape(*shape, channels), valid.reshape(shape)
 
@@ -131,12 +126,16 @@ def build_cost_slice(
         # covers the warp's.
         coords, _ = warp_grid(ref_cam, cam, depth, width, height)
         sampled, ok = bilinear_sample(feat, coords)
-        # Samples are zero wherever they are invalid; subtract only where valid.
-        np.subtract(sampled, ref, out=sampled, where=ok[..., None])
+        # Invalid samples contribute nothing: zero them after the shift.
+        sampled -= ref
+        sampled[~ok] = 0.0
         s1 += sampled
         sampled *= sampled
         s2 += sampled
         count += ok
+        # Freed before the next source's warp, so its buffers take over
+        # these chunks instead of faulting in fresh pages.
+        del coords, sampled, ok
     n = count[..., None].astype(np.float64)
     s1 *= s1
     s1 /= n

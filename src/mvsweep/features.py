@@ -196,6 +196,11 @@ class DrenetWeights:
 
     def __post_init__(self) -> None:
         """Reject weights whose shapes do not fit the fixed graph."""
+        # The stem's input width is free, so it is read from the kernel,
+        # whose rank must be checked before that read.
+        if self.stem0.kernel.ndim != 4:
+            raise WeightGraphMismatchError(
+                f"stem0: kernel {self.stem0.kernel.shape}, expected 4-d")
         in_ch = self.stem0.in_channels
         for name, expect_in, out_ch, dilation in _DRENET_LAYERS:
             expect = in_ch if name == "stem0" else expect_in

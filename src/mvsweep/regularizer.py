@@ -211,6 +211,11 @@ class HuLstmWeights:
         """Reject weights whose shapes do not fit the fixed graph."""
         if len(self.cells) != len(_HU_CELLS):
             raise WeightGraphMismatchError(f"expected {len(_HU_CELLS)} cells, got {len(self.cells)}")
+        # The input width is free, so it is read from the first cell's
+        # kernels, whose rank must be checked before that read.
+        if self.cells[0].w_input.ndim != 4:
+            raise WeightGraphMismatchError(
+                f"cell_full_down: w_input {self.cells[0].w_input.shape}, expected 4-d")
         in_ch = self.cells[0].in_channels
         for cell, (name, expect_in) in zip(self.cells, _HU_CELLS):
             expect = in_ch if name == "cell_full_down" else expect_in

@@ -85,6 +85,23 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--outlier-frac", "2"),
+        ("--outlier-frac", "-0.1"),
+        ("--outlier-frac", "nan"),
+        ("--noise-sigma", "-1"),
+        ("--noise-sigma", "nan"),
+    ])
+    def test_noise_flags_are_range_checked(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "noisy"
+        code = cli.main(["synth", "--out", str(out), "--views", "2",
+                         "--size", "16x12", flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {flag} ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_outlier_corruption_applied(self, tmp_path):
         root = tmp_path / "noisy"
         code = cli.main([
@@ -173,6 +190,18 @@ class TestDepth:
         layout = formats.ProjectLayout(out)
         assert layout.depth(1).exists()
         assert not layout.depth(2).exists()
+
+    @pytest.mark.parametrize("views", ["0", "-2"])
+    def test_nonpositive_view_count_is_user_error(self, synth_proj, tmp_path, capsys,
+                                                  views):
+        out = tmp_path / "none"
+        code = cli.main([
+            "depth", "--in", str(synth_proj), "--out", str(out),
+            "--views", views, "--num-depths", "4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --views ")
+        assert not out.exists()
 
     def test_view_without_sources_claims_nothing(self, synth_proj, tmp_path, caplog):
         # With one view, pair.txt lists no source within --views.
@@ -263,6 +292,35 @@ class TestDepth:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: missing tensor ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [
+        ["stem0.kernel"],
+        [f"cell_full_down.w_{gate}" for gate in ("input", "forget", "output", "candidate")],
+    ], ids=["drenet", "hulstm"])
+    def test_first_layer_kernel_of_wrong_rank(self, names, tmp_path, capsys):
+        from mvsweep import features, regularizer
+
+        root = tmp_path / "scene"
+        assert cli.main([
+            "synth", "--out", str(root), "--views", "2", "--size", "16x12",
+        ]) == 0
+        tensors = {**features.random_drenet_weights(seed=7).to_tensors(),
+                   **regularizer.random_hulstm_weights(seed=7).to_tensors()}
+        for name in names:
+            tensors[name] = np.zeros(16)
+        weights_path = tmp_path / "bad.bin"
+        formats.save_tensors(weights_path, tensors)
+        out = tmp_path / "out"
+        code = cli.main([
+            "depth", "--in", str(root), "--num-depths", "5",
+            "--features", "drenet", "--regularizer", "hulstm",
+            "--weights", str(weights_path), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {names[0].split('.')[0]}: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -45,6 +45,39 @@ def _scalar_sample(values: np.ndarray, x: float, y: float):
     return top * (1.0 - fy) + bottom * fy, True
 
 
+def _einsum_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The blocked 4-tap gather the sampler used to run, kept as an oracle.
+
+    Weights carry the valid mask, taps of invalid queries point at pixel
+    (0, 0), and each block of 512 queries is one ``einsum("pk,pkc->pc")``.
+    """
+    height, width, channels = values.shape
+    xs = coords[..., 0].ravel()
+    ys = coords[..., 1].ravel()
+    valid = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
+    xc = np.where(valid, xs, 0.0)
+    yc = np.where(valid, ys, 0.0)
+    x0 = np.floor(xc).astype(np.intp)
+    y0 = np.floor(yc).astype(np.intp)
+    fx = xc - x0
+    fy = yc - y0
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
+    weights *= valid[:, None]
+    taps = np.stack([y0 * width + x0, y0 * width + x1,
+                     y1 * width + x0, y1 * width + x1], axis=1)
+    flat = values.reshape(height * width, channels)
+    sampled = np.empty((xs.size, channels))
+    for lo in range(0, xs.size, 512):
+        hi = lo + 512
+        np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
+                  out=sampled[lo:hi])
+    return sampled.reshape(*coords.shape[:-1], channels)
+
+
 class TestBilinearSample:
     """Interpolation weights and validity of the sampler."""
 
@@ -56,8 +89,8 @@ class TestBilinearSample:
     @example(height=5, width=1, channels=1, queries=700, seed=1)
     @example(height=1, width=1, channels=3, queries=20, seed=2)
     def test_matches_scalar_reference(self, height, width, channels, queries, seed):
-        # More queries than one gather block (costvol.SAMPLE_BLOCK), so
-        # block edges are crossed; one-pixel-wide and -tall maps included.
+        # Up to 1400 queries over maps up to 700 pixels wide, with a mix
+        # of valid and invalid rows; one-pixel-wide and -tall maps included.
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(height, width, channels))
         xs = rng.uniform(-1.5, width + 0.5, queries)
@@ -77,6 +110,42 @@ class TestBilinearSample:
             want, ok = _scalar_sample(values, xs[i], ys[i])
             assert valid[i] == ok
             np.testing.assert_allclose(sampled[i], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [6.0, 10.0, 17.5, 40.0])
+    def test_bit_identical_to_einsum_gather(self, depth):
+        # Swept grids of rotated, translated sources (6-86% of queries
+        # valid), plus far-edge, corner and NaN queries.  Each output is
+        # 0 + w00*v00 + w10*v10 + w01*v01 + w11*v11 in that order either
+        # way, so finite maps must agree bit for bit.
+        height, width = 12, 16
+        ref_cam = _cam(0.0)
+        rng = np.random.default_rng(int(depth * 10))
+        values = rng.normal(size=(height, width, 32))
+        edges = np.array([[15.0, 11.0], [15.0, 3.5], [2.25, 11.0], [0.0, 0.0],
+                          [np.nan, 1.0], [-0.0, 5.5]])
+        for cam in (_rotated_cam(0.0, 0.08, [-1.2, 0.1, 0.0]),
+                    _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3]),
+                    _rotated_cam(0.3, -0.4, [4.0, 2.0, -3.0])):
+            grid, _ = geometry.warp_grid(ref_cam, cam, depth, width, height)
+            for coords in (grid, edges):
+                sampled, _ = costvol.bilinear_sample(values, coords)
+                assert sampled.dtype == np.float64
+                assert sampled.shape == (*coords.shape[:-1], 32)
+                assert np.array_equal(sampled, _einsum_sample(values, coords))
+
+    def test_invalid_queries_are_zero_on_non_finite_maps(self):
+        # Invalid queries read nothing, so inf and NaN in the map, here at
+        # the pixels around (0, 0), cannot reach them.
+        values = np.ones((4, 5, 3))
+        values[0, 0] = np.inf
+        values[0, 1] = np.nan
+        values[1, 0] = -np.inf
+        values[1, 1] = np.nan
+        coords = np.array([[-0.5, 0.0], [0.0, -1e-9], [np.nan, 1.0],
+                           [1.0, np.inf], [4.5, 2.0], [3.0, 3.5]])
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        assert not valid.any()
+        assert np.array_equal(sampled, np.zeros((6, 3)))
 
     def test_exact_at_integer_coords(self):
         rng = np.random.default_rng(0)

@@ -253,6 +253,14 @@ class TestDrenetWeights:
         with pytest.raises(WeightGraphMismatchError):
             features.DrenetWeights.from_tensors(tensors)
 
+    def test_stem_kernel_of_wrong_rank_raises(self):
+        # The stem's input width is read from its kernel, so the rank is
+        # checked before that read.
+        tensors = features.random_drenet_weights(seed=3).to_tensors()
+        tensors["stem0.kernel"] = np.zeros(16)
+        with pytest.raises(WeightGraphMismatchError, match="stem0"):
+            features.DrenetWeights.from_tensors(tensors)
+
     def test_construction_validates(self):
         # Weights are checked once, when built, not on every forward pass.
         weights = features.random_drenet_weights(seed=3)

@@ -245,6 +245,15 @@ class TestHuLstmWeights:
         with pytest.raises(WeightGraphMismatchError):
             regularizer.HuLstmWeights.from_tensors(tensors)
 
+    def test_first_cell_kernel_of_wrong_rank_raises(self):
+        # The input width is read from the first cell's gate kernels, so
+        # their rank is checked before that read.
+        tensors = regularizer.random_hulstm_weights(seed=5).to_tensors()
+        for gate in ("input", "forget", "output", "candidate"):
+            tensors[f"cell_full_down.w_{gate}"] = np.zeros(16)
+        with pytest.raises(WeightGraphMismatchError, match="cell_full_down"):
+            regularizer.HuLstmWeights.from_tensors(tensors)
+
     def test_construction_validates(self):
         weights = regularizer.random_hulstm_weights(seed=5)
         with pytest.raises(WeightGraphMismatchError):
