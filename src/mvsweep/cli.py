@@ -400,6 +400,21 @@ def _battery() -> list[tuple[str, bool]]:
         assert result is not None
         xi_p, xi_d = geometry.reprojection_errors(pixel, result[0], depth, result[1])
         assert xi_p < 1e-9 and xi_d < 1e-12
+        # The vectorized chain against the scalar one over the whole grid,
+        # at depths off the surface so that the trip back does not close.
+        ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
+        scale = np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
+        depths = own.depth_grid(xs, ys) * scale
+        _, p2, d2, valid = geometry.reproject_chain_map(
+            cams[0], cams[1], xs, ys, depths, sampler)
+        assert valid.any() and not valid.all()
+        for idx in np.ndindex(xs.shape):
+            single = geometry.reproject(cams[0], cams[1], (xs[idx], ys[idx]),
+                                        depths[idx], sampler)
+            assert valid[idx] == (single is not None)
+            if single is not None:
+                assert np.max(np.abs(p2[idx] - single[0])) < 1e-9
+                assert abs(d2[idx] - single[1]) < 1e-9 * single[1]
 
     def check_conv_oracle():
         rng = np.random.default_rng(2)

@@ -10,6 +10,12 @@ Conventions used throughout the package:
 * The projection is ``d * (x, y, 1) = M @ X + p_t`` with ``M = K @ R``
   and ``p_t = K @ t``; all chains below are compositions of this map and
   its inverse.
+* Lifting a pixel out of one view at depth ``d`` and projecting it into
+  another collapses to one closed-form pair transform,
+  ``w = d * A @ (x, y, 1) + b`` with ``A = M_src @ M_ref^-1`` and
+  ``b = p_src - A @ p_ref``.  The plane-sweep warp (:func:`warp_grid`)
+  and both legs of the consistency round trip
+  (:func:`reproject_chain_map`) share it.
 
 Functions that look up stored depth (:func:`reproject`,
 :func:`reproject_chain_map`) accept any sampler object exposing
@@ -167,6 +173,27 @@ def reproject(ref: Camera, src: Camera, pixel, depth: float, src_depth):
         return None
 
 
+def _pair_transform(ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of the pair transform taking ``ref`` pixels to ``src``."""
+    a = src.proj_m @ ref.proj_m_inv
+    return a, src.proj_t - a @ ref.proj_t
+
+
+def _pair_map(ref: Camera, src: Camera, xs, ys, depths):
+    """Source pixels ``(..., 2)`` and depths of ``(xs, ys)`` at ``depths``.
+
+    Same contract as ``project_points(src, back_project_grid(ref, ...))``:
+    pixels are NaN where the depth in ``src`` is not positive.
+    """
+    a, b = _pair_transform(ref, src)
+    wx, wy, wz = ((xs * a[i, 0] + ys * a[i, 1] + a[i, 2]) * depths + b[i]
+                  for i in range(3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels = np.stack([wx / wz, wy / wz], axis=-1)
+    pixels[~(wz > 0)] = np.nan
+    return pixels, wz
+
+
 def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     """Vectorized :func:`reproject` exposing the intermediate landing pixel.
 
@@ -174,17 +201,22 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     where ``q`` is where each reference pixel lands in the source view
     (NaN when behind the source camera); ``pixels'`` and ``depths'`` are
     NaN where ``valid`` is False.
+
+    Both legs are the closed-form pair transform that :func:`warp_grid`
+    sweeps with, ``w = d * A @ (x, y, 1) + b``: out with ``(ref, src)``
+    applied to ``(x, y, depth)``, back with the roles swapped applied to
+    ``(q, d_src)``.  Each component is formed on its own, so no
+    ``(..., 3)`` stack or per-pixel 3x3 product is built.
     """
-    points = back_project_grid(ref, xs, ys, depths)
-    q, d_fwd = project_points(src, points)
+    xs, ys, depths = (np.asarray(v, dtype=np.float64) for v in (xs, ys, depths))
+    q, d_fwd = _pair_map(ref, src, xs, ys, depths)
     valid = d_fwd > 0
     qx = np.where(valid, q[..., 0], -1.0)
     qy = np.where(valid, q[..., 1], -1.0)
     d_src = src_depth.depth_grid(qx, qy)
     valid &= np.isfinite(d_src) & (d_src > 0)
     d_safe = np.where(valid, d_src, 1.0)
-    back = back_project_grid(src, qx, qy, d_safe)
-    p2, d2 = project_points(ref, back)
+    p2, d2 = _pair_map(src, ref, qx, qy, d_safe)
     valid &= d2 > 0
     p2 = np.where(valid[..., None], p2, np.nan)
     d2 = np.where(valid, d2, np.nan)
@@ -267,17 +299,13 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     source image bounds (images are assumed to share ``width x height``).
     Pixels that land behind the source camera hold NaN coordinates.
 
-    Composing :func:`back_project_grid` with :func:`project_points` gives
-    the closed form ``w = d * A @ (x, y, 1) + b`` for the homogeneous
-    source pixel, with ``A = M_src @ M_ref^-1`` and
-    ``b = p_src - A @ p_ref``.  It is separable: a ``(height, 3)`` row
-    term plus a ``(width, 3)`` column term, so no per-pixel 3x3 product
-    is formed.
+    At one depth the pair transform ``w = d * A @ (x, y, 1) + b`` is
+    separable: a ``(height, 3)`` row term plus a ``(width, 3)`` column
+    term, so no per-pixel 3x3 product is formed.
     """
     if depth <= 0:
         raise BehindCameraError(f"cannot sweep non-positive depth {depth}")
-    a = src.proj_m @ ref.proj_m_inv
-    b = src.proj_t - a @ ref.proj_t
+    a, b = _pair_transform(ref, src)
     rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
     rows += depth * a[:, 2] + b
     cols = np.arange(width, dtype=np.float64)[:, None] * (depth * a[:, 0])

@@ -25,7 +25,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .depthmap import DepthMap
-from .errors import NoIntersectionError
+from .errors import InvalidArgumentError, NoIntersectionError
 from .geometry import Camera, back_project_grid
 from .fusion import ViewEstimate
 
@@ -304,8 +304,15 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
     Exactly ``floor(outlier_frac * valid_count)`` valid pixels are
     replaced by uniform draws from ``outlier_range`` (default: the map's
     own valid min/max).  Gaussian noise of standard deviation ``sigma``
-    is added to all valid pixels first.  The mask is unchanged.
+    is added to all valid pixels first.  The mask is unchanged.  Raises
+    :class:`InvalidArgumentError` for a negative ``sigma`` or an
+    ``outlier_frac`` outside [0, 1], NaN included.
     """
+    # Written as "not in range" so NaN is rejected too.
+    if not sigma >= 0.0:
+        raise InvalidArgumentError(f"sigma must be non-negative, got {sigma}")
+    if not 0.0 <= outlier_frac <= 1.0:
+        raise InvalidArgumentError(f"outlier_frac must lie in [0, 1], got {outlier_frac}")
     rng = np.random.default_rng(seed)
     data = depth.data.copy()
     mask = depth.mask.copy()

@@ -337,8 +337,9 @@ class TestCostVolumeStream:
         first = yielded.pop()
         assert first.index == 0
         slice_bytes = first.cost.nbytes + first.valid_views.nbytes
-        # One slice, its running sums and a sampler block are alive while
-        # it is built; the 256 slices of an eager stream would be 20x that.
+        # One slice, its running sums and one source's sampled product are
+        # alive while it is built; the 256 slices of an eager stream would
+        # be 20x that.
         assert first_peak <= 12 * slice_bytes
         # Draining the stream must not keep the slices already yielded.
         rest_peak = _peak_bytes(lambda: sum(1 for _ in stream))

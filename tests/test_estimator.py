@@ -9,6 +9,8 @@ cross-entropy gradient is probability minus one-hot.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvsweep import estimator, geometry
 from mvsweep.depthmap import DepthMap
@@ -101,6 +103,30 @@ class TestOnlineSoftmaxWta:
         volume = rng.normal(size=(12, 6, 7))
         _, conf = estimator.online_softmax_wta(_stream(volume), space)
         assert conf.min() > 0.0 and conf.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(2, 12), height=st.integers(1, 4), width=st.integers(1, 4),
+           ties=st.booleans(), offset=st.floats(-1e6, 1e6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(count=2, height=1, width=1, ties=True, offset=1e6, seed=0)
+    @example(count=12, height=3, width=4, ties=True, offset=-1e6, seed=1)
+    @example(count=9, height=4, width=4, ties=False, offset=1e6, seed=2)
+    def test_streaming_equals_batch(self, count, height, width, ties, offset, seed):
+        # Scores from three levels tie often; the offset moves a volume up
+        # to 1e6 away from zero.  Ties must go to the lower index, which
+        # is what np.argmax picks.
+        rng = np.random.default_rng(seed)
+        space = geometry.HypothesisSpace(1.0, 2.0, count)
+        shape = (count, height, width)
+        if ties:
+            volume = rng.integers(0, 3, size=shape) * 2.5
+        else:
+            volume = rng.normal(scale=10.0, size=shape)
+        volume += offset
+        depth, conf = estimator.online_softmax_wta(_stream(volume), space)
+        want_depth, _, want_conf = _two_pass(volume, space)
+        np.testing.assert_array_equal(depth.data, want_depth)
+        np.testing.assert_allclose(conf, want_conf, rtol=0.0, atol=1e-12)
 
     def test_short_stream_raises(self):
         space = geometry.HypothesisSpace(1.0, 2.0, 8)

@@ -163,6 +163,57 @@ class TestProjectBackProject:
                 np.testing.assert_allclose(grid[i, j], single, atol=1e-12)
 
 
+def _composed_chain_map(ref, src, xs, ys, depths, src_depth):
+    """Oracle for ``reproject_chain_map``: the composed projection chain.
+
+    Each leg lifts to world points with ``back_project_grid`` and projects
+    them with ``project_points``, the chain the closed form collapses.
+    """
+    points = geometry.back_project_grid(ref, xs, ys, depths)
+    q, d_fwd = geometry.project_points(src, points)
+    valid = d_fwd > 0
+    qx = np.where(valid, q[..., 0], -1.0)
+    qy = np.where(valid, q[..., 1], -1.0)
+    d_src = src_depth.depth_grid(qx, qy)
+    valid &= np.isfinite(d_src) & (d_src > 0)
+    d_safe = np.where(valid, d_src, 1.0)
+    back = geometry.back_project_grid(src, qx, qy, d_safe)
+    p2, d2 = geometry.project_points(ref, back)
+    valid &= d2 > 0
+    p2 = np.where(valid[..., None], p2, np.nan)
+    d2 = np.where(valid, d2, np.nan)
+    return q, p2, d2, valid
+
+
+def _warp_grid_formula(ref, src, depth, width, height):
+    """The separable closed form of ``warp_grid``, written out in full."""
+    a = src.proj_m @ ref.proj_m_inv
+    b = src.proj_t - a @ ref.proj_t
+    rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
+    rows += depth * a[:, 2] + b
+    cols = np.arange(width, dtype=np.float64)[:, None] * (depth * a[:, 0])
+    depths = rows[:, None, 2] + cols[None, :, 2]
+    coords = rows[:, None, :2] + cols[None, :, :2]
+    coords /= np.where(depths > 0, depths, np.nan)[..., None]
+    valid = (
+        (coords[..., 0] >= 0.0)
+        & (coords[..., 0] <= width - 1.0)
+        & (coords[..., 1] >= 0.0)
+        & (coords[..., 1] <= height - 1.0)
+    )
+    return coords, valid
+
+
+def _rotated_pair(angle: float, shift: float):
+    """Rotated, translated pair; at 1.4 rad the source looks almost sideways,
+    so part of what the reference sees lies behind it."""
+    ref = geometry.Camera(_k(), _rotation(0, 0.1) @ _rotation(1, -0.2),
+                          np.array([0.5, -0.3, 1.0]))
+    src = geometry.Camera(_k(), _rotation(1, angle) @ _rotation(0, 0.05),
+                          np.array([shift, 0.4, 0.2]))
+    return ref, src
+
+
 class TestReproject:
     """Ref -> src -> ref round trips against stored source depths."""
 
@@ -227,6 +278,35 @@ class TestReproject:
                     assert valid[i, j]
                     np.testing.assert_allclose(p2[i, j], single[0], atol=1e-9)
                     assert d2[i, j] == pytest.approx(single[1], rel=1e-12)
+
+    @pytest.mark.parametrize("angle, shift", [(0.15, -1.0), (0.6, -5.0), (1.4, -9.8)])
+    def test_closed_form_matches_composed_chain(self, angle, shift):
+        ref, src = _rotated_pair(angle, shift)
+        rng = np.random.default_rng(int(angle * 100))
+        data = rng.uniform(3.0, 30.0, size=(48, 64))
+        mask = rng.random((48, 64)) > 0.2
+        src_depth = DepthMap(data, mask)
+        ys, xs = np.mgrid[0:48, 0:64].astype(float)
+        depths = rng.uniform(4.0, 25.0, size=xs.shape)
+        got = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
+        want = _composed_chain_map(ref, src, xs, ys, depths, src_depth)
+        q, p2, d2, valid = got
+        np.testing.assert_array_equal(valid, want[3])
+        for g, w in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+        # Pixels carry roundoff of the image scale, so a landing near
+        # x = 0 agrees only absolutely; depths agree relatively.
+        np.testing.assert_allclose(q, want[0], rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(p2, want[1], rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(d2, want[2], rtol=1e-12, atol=0.0)
+        # The pairs reach every branch: behind the source, out of bounds,
+        # masked in the source, and valid.
+        in_front = ~np.isnan(q[..., 0])
+        inside = (in_front & (q[..., 0] >= 0.0) & (q[..., 0] <= 63.0)
+                  & (q[..., 1] >= 0.0) & (q[..., 1] <= 47.0))
+        assert valid.any() and (inside & ~valid).any()
+        if angle == 1.4:
+            assert not in_front.all() and not inside[in_front].all()
 
     def test_chain_map_exposes_landing_pixel(self):
         ref, src = self._pair()
@@ -368,12 +448,7 @@ class TestWarpGrid:
     @pytest.mark.parametrize("angle, shift", [(0.15, -1.0), (0.6, -5.0), (1.4, -9.8)])
     @pytest.mark.parametrize("depth", [4.0, 10.0, 25.0])
     def test_matches_projection_chain(self, angle, shift, depth):
-        # Rotated, translated pairs.  At 1.4 rad the source looks almost
-        # sideways, so part of the swept plane lies behind it.
-        ref = geometry.Camera(_k(), _rotation(0, 0.1) @ _rotation(1, -0.2),
-                              np.array([0.5, -0.3, 1.0]))
-        src = geometry.Camera(_k(), _rotation(1, angle) @ _rotation(0, 0.05),
-                              np.array([shift, 0.4, 0.2]))
+        ref, src = _rotated_pair(angle, shift)
         coords, valid = geometry.warp_grid(ref, src, depth, width=64, height=48)
         ys, xs = np.mgrid[0:48, 0:64].astype(float)
         points = geometry.back_project_grid(ref, xs, ys, depth)
@@ -384,6 +459,10 @@ class TestWarpGrid:
         in_bounds = ((want[..., 0] >= 0.0) & (want[..., 0] <= 63.0)
                      & (want[..., 1] >= 0.0) & (want[..., 1] <= 47.0))
         np.testing.assert_array_equal(valid, (depths > 0) & in_bounds)
+        # Bit for bit the separable formula written out in the oracle.
+        want_coords, want_valid = _warp_grid_formula(ref, src, depth, 64, 48)
+        assert np.array_equal(coords, want_coords, equal_nan=True)
+        assert np.array_equal(valid, want_valid)
 
     def test_behind_source_is_nan_and_invalid(self):
         ref = geometry.Camera(_k(), np.eye(3), np.zeros(3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mvsweep import geometry, synth
-from mvsweep.errors import NoIntersectionError
+from mvsweep.errors import InvalidArgumentError, NoIntersectionError
 
 
 class TestValueNoise:
@@ -291,6 +291,29 @@ class TestPerturbDepths:
         )
         np.testing.assert_array_equal(out.data[5:], 500.0)
         np.testing.assert_array_equal(out.mask, mask)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": -1.0},
+        {"sigma": float("nan")},
+        {"outlier_frac": 2.0},
+        {"outlier_frac": -0.1},
+        {"outlier_frac": float("nan")},
+    ])
+    def test_arguments_are_range_checked(self, kwargs):
+        from mvsweep.depthmap import DepthMap
+
+        with pytest.raises(InvalidArgumentError):
+            synth.perturb_depths(self._flat(), **kwargs)
+        # Checked before the early return for a map with nothing to perturb.
+        empty = DepthMap(np.full((4, 4), np.nan))
+        with pytest.raises(InvalidArgumentError):
+            synth.perturb_depths(empty, **kwargs)
+
+    def test_range_endpoints_are_accepted(self):
+        depth = self._flat()
+        out = synth.perturb_depths(depth, sigma=0.0, outlier_frac=1.0,
+                                   outlier_range=(1.0, 2.0))
+        assert (out.data != depth.data).all()
 
 
 class TestRenderViewEstimates:
