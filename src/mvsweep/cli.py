@@ -549,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (MvsweepError, FileNotFoundError) as exc:
+    except (MvsweepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

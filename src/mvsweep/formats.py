@@ -5,16 +5,19 @@ Formats follow the conventions common in multi-view stereo datasets:
 ``cam.txt``
     Three blocks: an ``extrinsic`` 4x4 world-to-camera matrix, an
     ``intrinsic`` 3x3 matrix, and a final line ``d_min d_interval
-    [count d_max]`` describing the swept depth range.
+    [count d_max]`` describing the swept depth range.  Numbers must be
+    finite, and ``count`` whole (``4`` or ``4.0``, not ``2.7``).
 
 ``.pfm``
-    Grayscale portable float map: ``Pf``, ``width height``, scale line
-    whose sign encodes endianness (negative = little-endian, the only
-    kind written or accepted), then float32 rows bottom-to-top.
+    Grayscale portable float map: ``Pf``, ``width height``, a finite
+    scale whose sign encodes endianness (negative = little-endian, the
+    only kind written or accepted), then float32 rows bottom-to-top.
     Invalid pixels are stored as NaN.
 
 ``.ppm`` / ``.pgm``
-    Binary P6/P5, maxval 255.
+    Binary P6/P5, maxval 255.  PFM and PPM share one header rule: a
+    ``#`` comment runs to the end of its line, and exactly one
+    whitespace byte separates the last field from the payload.
 
 ``.ply``
     Point clouds, ascii or binary little-endian, float32 positions and
@@ -23,11 +26,16 @@ Formats follow the conventions common in multi-view stereo datasets:
 weights
     A one-line JSON manifest (names, shapes, per-tensor byte offsets)
     followed by raw little-endian float32 data.
+
+Text is ASCII.  A malformed file raises :class:`ParseError` with its
+path and, where one applies, its line: ``error: <path>: ... (line N)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +44,7 @@ import numpy as np
 
 from .errors import (
     BigEndianUnsupportedError,
+    InvalidArgumentError,
     NonRigidRotationWarning,
     ParseError,
 )
@@ -56,6 +65,60 @@ __all__ = [
     "write_pfm",
     "write_ply",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Scanning shared by every reader
+
+
+def _decode(raw: bytes, path) -> str:
+    """The ASCII text held by ``raw``."""
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte {raw[exc.start]:#04x}", path,
+                         raw.count(b"\n", 0, exc.start) + 1) from exc
+
+
+def _numbers(tokens, path, line: int | None, kind) -> list:
+    """``tokens`` parsed as ``kind`` (``int`` or ``float``)."""
+    try:
+        return [kind(token) for token in tokens]
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), path, line) from exc
+
+
+def _payload(raw: bytes, start: int, size: int, path) -> bytes:
+    """The ``size`` bytes of ``raw`` from ``start`` on."""
+    data = raw[start:start + size]
+    if len(data) != size:
+        raise ParseError(f"truncated: expected {size} data bytes, found {len(data)}", path)
+    return data
+
+
+# Four header fields, each after whitespace and ``#`` comments (a comment
+# runs to the end of its line).  Possessive quantifiers keep a field from
+# being split in two or a comment from being read as a field.
+_NETPBM_HEADER = re.compile(rb"(?:\s|#[^\n]*+)*+(\S++)" * 4)
+
+
+def _netpbm_header(raw: bytes, path, kind) -> tuple[bytes, int, int, float, int]:
+    """Scan a PFM or PPM/PGM header.
+
+    Returns the magic, the positive width and height, the last field
+    (PFM scale or PPM maxval) parsed as ``kind``, and the payload
+    offset: exactly one whitespace byte past the last field, so payload
+    bytes that look like whitespace are never read as header.
+    """
+    match = _NETPBM_HEADER.match(raw)
+    if match is None:
+        raise ParseError("truncated header", path)
+    lines = [raw.count(b"\n", 0, match.start(i)) + 1 for i in range(5)]
+    width, height, last = (_numbers([match[i]], path, lines[i], k)[0]
+                           for i, k in ((2, int), (3, int), (4, kind)))
+    if width <= 0 or height <= 0:
+        raise ParseError(f"bad dimensions {width}x{height}", path, lines[2])
+    return match[1], width, height, last, match.end() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -86,47 +149,36 @@ def read_cam(path) -> tuple[Camera, DepthRange]:
     :class:`NonRigidRotationWarning`.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _decode(path.read_bytes(), path).splitlines()
 
     def want(idx: int, token: str) -> None:
         if idx >= len(lines) or lines[idx].strip() != token:
             raise ParseError(f"expected {token!r}", path, idx + 1)
 
-    def matrix(start: int, rows: int, cols: int) -> np.ndarray:
-        out = np.zeros((rows, cols))
-        for r in range(rows):
-            idx = start + r
-            if idx >= len(lines):
-                raise ParseError("unexpected end of file", path, len(lines))
-            parts = lines[idx].split()
-            if len(parts) != cols:
-                raise ParseError(f"expected {cols} numbers", path, idx + 1)
-            try:
-                out[r] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(str(exc), path, idx + 1) from exc
-        return out
+    def row(idx: int, counts: tuple[int, ...]) -> list[float]:
+        if idx >= len(lines):
+            raise ParseError("unexpected end of file", path, len(lines))
+        parts = lines[idx].split()
+        if len(parts) not in counts:
+            raise ParseError(f"expected {' or '.join(map(str, counts))} numbers", path, idx + 1)
+        nums = _numbers(parts, path, idx + 1, float)
+        if not all(map(math.isfinite, nums)):
+            raise ParseError("numbers must be finite", path, idx + 1)
+        return nums
 
     want(0, "extrinsic")
-    extrinsic = matrix(1, 4, 4)
+    extrinsic = np.array([row(idx, (4,)) for idx in range(1, 5)])
     if np.max(np.abs(extrinsic[3] - [0, 0, 0, 1])) > 1e-9:
         raise ParseError("extrinsic last row must be 0 0 0 1", path, 5)
     want(6, "intrinsic")
-    intrinsic = matrix(7, 3, 3)
-    range_idx = 11
-    if range_idx >= len(lines):
-        raise ParseError("missing depth range line", path, len(lines))
-    parts = lines[range_idx].split()
-    if len(parts) not in (2, 4):
-        raise ParseError("depth range line needs 2 or 4 numbers", path, range_idx + 1)
-    try:
-        nums = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(str(exc), path, range_idx + 1) from exc
-    if len(parts) == 2:
+    intrinsic = np.array([row(idx, (3,)) for idx in range(7, 10)])
+    nums = row(11, (2, 4))
+    if len(nums) == 2:
         depth_range = DepthRange(nums[0], nums[1])
-    else:
+    elif nums[2].is_integer():
         depth_range = DepthRange(nums[0], nums[1], int(nums[2]), nums[3])
+    else:
+        raise ParseError(f"depth count must be a whole number, got {nums[2]}", path, 12)
 
     rotation = extrinsic[:3, :3]
     failure = np.max(np.abs(rotation.T @ rotation - np.eye(3)))
@@ -137,8 +189,11 @@ def read_cam(path) -> tuple[Camera, DepthRange]:
                 f"{path}: rotation fails orthonormality by {failure:.2e}; "
                 "re-orthonormalized", NonRigidRotationWarning)
         rotation = fixed
-    camera = Camera(intrinsic=intrinsic, rotation=rotation,
-                    translation=extrinsic[:3, 3])
+    try:
+        camera = Camera(intrinsic=intrinsic, rotation=rotation,
+                        translation=extrinsic[:3, 3])
+    except InvalidArgumentError as exc:
+        raise ParseError(str(exc), path) from exc
     return camera, depth_range
 
 
@@ -172,41 +227,16 @@ def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM into a float32 array (NaN marks invalid)."""
     path = Path(path)
     raw = path.read_bytes()
-
-    def token(pos: int) -> tuple[bytes, int]:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        end = pos
-        while end < len(raw) and not raw[end:end + 1].isspace():
-            end += 1
-        if pos == end:
-            raise ParseError("truncated header", path)
-        return raw[pos:end], end
-
-    magic, pos = token(0)
+    magic, width, height, scale, start = _netpbm_header(raw, path, float)
     if magic == b"PF":
         raise ParseError("color PFM is not supported", path, 1)
     if magic != b"Pf":
         raise ParseError(f"bad magic {magic!r}", path, 1)
-    wtok, pos = token(pos)
-    htok, pos = token(pos)
-    stok, pos = token(pos)
-    try:
-        width, height, scale = int(wtok), int(htok), float(stok)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
-    if width <= 0 or height <= 0:
-        raise ParseError(f"bad dimensions {width}x{height}", path)
+    if not math.isfinite(scale) or scale == 0:
+        raise ParseError(f"scale must be finite and non-zero, got {scale}", path)
     if scale > 0:
         raise BigEndianUnsupportedError("big-endian PFM is not supported", path)
-    if scale == 0:
-        raise ParseError("scale must be non-zero", path)
-    data_start = pos + 1  # exactly one whitespace byte after the scale
-    expected = width * height * 4
-    payload = raw[data_start:data_start + expected]
-    if len(payload) != expected:
-        raise ParseError(
-            f"expected {expected} data bytes, found {len(payload)}", path)
+    payload = _payload(raw, start, width * height * 4, path)
     rows = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     return rows[::-1].copy()  # stored bottom-to-top
 
@@ -246,37 +276,13 @@ def read_image(path) -> np.ndarray:
     """Read binary P5/P6 into floats in [0, 1]."""
     path = Path(path)
     raw = path.read_bytes()
-    pos = 0
-    fields = []
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":  # comment runs to end of line
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end:end + 1].isspace():
-            end += 1
-        if pos == end:
-            raise ParseError("truncated header", path)
-        fields.append(raw[pos:end])
-        pos = end
-    magic, wtok, htok, mtok = fields
+    magic, width, height, maxval, start = _netpbm_header(raw, path, int)
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"bad magic {magic!r}", path, 1)
-    try:
-        width, height, maxval = int(wtok), int(htok), int(mtok)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
     if maxval != 255:
         raise ParseError(f"only maxval 255 is supported, got {maxval}", path)
     channels = 3 if magic == b"P6" else 1
-    expected = width * height * channels
-    payload = raw[pos + 1:pos + 1 + expected]
-    if len(payload) != expected:
-        raise ParseError(
-            f"expected {expected} data bytes, found {len(payload)}", path)
+    payload = _payload(raw, start, width * height * channels, path)
     arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 3:
         return arr.reshape(height, width, 3)
@@ -361,30 +367,27 @@ def read_ply(path) -> PointCloud:
     end = raw.find(b"end_header\n")
     if end < 0:
         raise ParseError("missing end_header", path)
-    header_lines = raw[:end].decode("ascii", errors="replace").splitlines()
-    body = raw[end + len(b"end_header\n"):]
+    start = end + len(b"end_header\n")
+    header_lines = _decode(raw[:end], path).splitlines()
     if not header_lines or header_lines[0] != "ply":
         raise ParseError("not a PLY file", path, 1)
     fmt = None
     count = None
     props: list[tuple[str, str, int]] = []  # (type, name, header line)
     for lineno, line in enumerate(header_lines[1:], start=2):
-        parts = line.split()
-        if not parts or parts[0] == "comment":
-            continue
-        try:
-            if parts[0] == "format":
-                fmt = parts[1]
-            elif parts[0] == "element":
-                if parts[1] != "vertex":
-                    raise ParseError(f"unsupported element {parts[1]!r}", path, lineno)
-                count = int(parts[2])
-                if count < 0:
-                    raise ParseError(f"negative vertex count {count}", path, lineno)
-            elif parts[0] == "property":
-                props.append((parts[1], parts[2], lineno))
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"malformed header line {line!r}", path, lineno) from exc
+        keyword, *args = line.split() or [""]
+        if keyword in ("format", "element", "property") and len(args) < 2:
+            raise ParseError(f"malformed header line {line!r}", path, lineno)
+        if keyword == "format":
+            fmt = args[0]
+        elif keyword == "element":
+            if args[0] != "vertex":
+                raise ParseError(f"unsupported element {args[0]!r}", path, lineno)
+            count = _numbers(args[1:2], path, lineno, int)[0]
+            if count < 0:
+                raise ParseError(f"negative vertex count {count}", path, lineno)
+        elif keyword == "property":
+            props.append((args[0], args[1], lineno))
     if fmt not in ("ascii", "binary_little_endian"):
         raise ParseError(f"unsupported format {fmt!r}", path)
     if count is None:
@@ -393,11 +396,9 @@ def read_ply(path) -> PointCloud:
     if names[:3] != ["x", "y", "z"]:
         raise ParseError("first three properties must be x, y, z", path)
     has_rgb = names[3:6] == ["red", "green", "blue"]
-    if fmt == "binary_little_endian":
-        _check_binary_layout(props, path)
     if fmt == "ascii":
         try:
-            values = np.array(body.decode("ascii").split(), dtype=np.float64)
+            values = np.array(_decode(raw, path)[start:].split(), dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"bad vertex data: {exc}", path) from exc
         stride = len(props)
@@ -405,16 +406,18 @@ def read_ply(path) -> PointCloud:
             raise ParseError(
                 f"expected {count * stride} values, found {len(values)}", path)
         table = values.reshape(count, stride)
-        xyz = table[:, :3]
-        rgb = table[:, 3:6].astype(np.uint8) if has_rgb else None
-        return PointCloud(xyz, rgb)
+        if not has_rgb:
+            return PointCloud(table[:, :3])
+        rgb = table[:, 3:6]
+        if not np.all((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))):
+            raise ParseError("colors must be integers in [0, 255]", path)
+        return PointCloud(table[:, :3], rgb.astype(np.uint8))
+    _check_binary_layout(props, path)
     dtype = [("xyz", "<f4", 3)]
     if has_rgb:
         dtype.append(("rgb", "u1", 3))
-    expected = count * np.dtype(dtype).itemsize
-    if len(body) < expected:
-        raise ParseError(f"expected {expected} data bytes, found {len(body)}", path)
-    record = np.frombuffer(body, dtype=dtype, count=count)
+    record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
+                           dtype=dtype)
     rgb = record["rgb"].copy() if has_rgb else None
     return PointCloud(record["xyz"].astype(np.float64), rgb)
 
@@ -461,22 +464,20 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         raise ParseError("not a tensor container", path, 1)
     if manifest.get("dtype") != "<f4":
         raise ParseError(f"unsupported dtype {manifest.get('dtype')!r}", path, 1)
-    body = raw[newline + 1:]
     try:
         entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
                    for e in manifest["tensors"]]
     except KeyError as exc:
         raise ParseError(f"bad manifest: missing {exc}", path, 1) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad manifest: {exc}", path, 1) from exc
     out: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
+        if not isinstance(name, str):
+            raise ParseError(f"tensor name {name!r} is not a string", path, 1)
         if offset < 0 or min(shape, default=0) < 0:
             raise ParseError(f"tensor {name!r} has a negative offset or shape", path, 1)
-        size = int(np.prod(shape)) * 4 if shape else 4
-        chunk = body[offset:offset + size]
-        if len(chunk) != size:
-            raise ParseError(f"tensor {name!r} is truncated", path)
+        chunk = _payload(raw, newline + 1 + offset, math.prod(shape) * 4, path)
         out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
     return out
 
@@ -543,22 +544,19 @@ class ProjectLayout:
         self.pair.write_text("\n".join(lines) + "\n")
 
     def read_pairs(self) -> dict[int, list[int]]:
-        lines = self.pair.read_text().splitlines()
+        path = self.pair
+        lines = _decode(path.read_bytes(), path).splitlines()
         if not lines:
-            raise ParseError("empty pair file", self.pair, 1)
-        try:
-            count = int(lines[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), self.pair, 1) from exc
+            raise ParseError("empty pair file", path, 1)
+        count = _numbers([lines[0]], path, 1, int)[0]
         pairs: dict[int, list[int]] = {}
         for lineno, line in enumerate(lines[1:count + 1], start=2):
-            try:
-                parts = [int(p) for p in line.split()]
-            except ValueError as exc:
-                raise ParseError(str(exc), self.pair, lineno) from exc
+            parts = _numbers(line.split(), path, lineno, int)
             if not parts:
-                raise ParseError("empty pair line", self.pair, lineno)
+                raise ParseError("empty pair line", path, lineno)
             if min(parts) < 0:
-                raise ParseError("negative view index", self.pair, lineno)
+                raise ParseError("negative view index", path, lineno)
             pairs[parts[0]] = parts[1:]
+        if not 0 <= count < len(lines):
+            raise ParseError(f"bad view count {count}: {len(lines) - 1} lines follow", path, 1)
         return pairs

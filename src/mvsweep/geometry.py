@@ -66,6 +66,8 @@ class Camera:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         if k.shape != (3, 3) or r.shape != (3, 3):
             raise InvalidArgumentError("intrinsic and rotation must be 3x3 matrices")
+        if not (np.isfinite(k).all() and np.isfinite(r).all() and np.isfinite(t).all()):
+            raise InvalidArgumentError("camera entries must be finite")
         if np.any(np.abs(k[np.tril_indices(3, -1)]) > 0) or np.any(np.diag(k) <= 0):
             raise InvalidArgumentError("intrinsic must be upper-triangular with positive diagonal")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:

@@ -471,6 +471,49 @@ class TestOutOfRangeArguments:
         assert "Traceback" not in err
 
 
+def _set_cam_token(path, line, column, value):
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split()
+    parts[column] = value
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedInput:
+    """A malformed input file is one `error:` line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("command, corrupt", [
+        ("depth", lambda proj: (proj / "images" / "00000000.ppm").write_bytes(
+            b"P5\n-2 -3\n255\n" + bytes(6))),
+        ("fuse", lambda proj: (proj / "pair.txt").write_bytes(b"\xff\xfe5\n")),
+        ("depth", lambda proj: _set_cam_token(
+            proj / "cams" / "00000000_cam.txt", 12, 2, "inf")),
+        ("depth", lambda proj: _set_cam_token(
+            proj / "cams" / "00000000_cam.txt", 2, 0, "nan")),
+        ("eval", None),
+    ], ids=["negative-pgm-dims", "non-ascii-pair", "inf-depth-count", "nan-rotation",
+            "recon-is-directory"])
+    def test_reported_without_traceback(self, synth_proj, tmp_path, capsys, command,
+                                        corrupt):
+        proj = tmp_path / "scene"
+        shutil.copytree(synth_proj, proj)
+        if corrupt is not None:
+            corrupt(proj)
+        argv = {
+            "depth": ["depth", "--in", str(proj), "--out", str(tmp_path / "est"),
+                      "--num-depths", "4"],
+            "fuse": ["fuse", "--in", str(proj), "--out", str(tmp_path / "cloud.ply")],
+            "eval": ["eval", "--recon", str(proj), "--gt", str(proj / "gt.ply"),
+                     "--threshold", "1.0"],
+        }[command]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(proj) in errors[0]
+        assert "Traceback" not in err
+
+
 class TestUsage:
     """Argument errors surface as exit code 2, not tracebacks."""
 

@@ -7,9 +7,12 @@ offending path rather than leak numpy/IO errors.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvsweep import formats, geometry
 from mvsweep.errors import (
@@ -97,6 +100,75 @@ class TestCamIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
             formats.read_cam(path)
+
+    @pytest.mark.parametrize("token, count", [("4", 4), ("4.0", 4), ("1e3", 1000)])
+    def test_depth_count_whole_number(self, tmp_path, token, count):
+        path, lines = self._valid_lines(tmp_path)
+        lines[11] = f"425 2.5 {token} 582.5"
+        path.write_text("\n".join(lines) + "\n")
+        _, back = formats.read_cam(path)
+        assert back.count == count and isinstance(back.count, int)
+
+    @pytest.mark.parametrize("token, message", [
+        ("2.7", "whole number"), ("-0.5", "whole number"),
+        ("inf", "finite"), ("nan", "finite"), ("-inf", "finite"), ("1e999", "finite"),
+    ])
+    def test_depth_count_not_whole_number(self, tmp_path, token, message):
+        path, lines = self._valid_lines(tmp_path)
+        lines[11] = f"425 2.5 {token} 582.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as info:
+            formats.read_cam(path)
+        assert info.value.line == 12
+
+    @pytest.mark.parametrize("line, column", [
+        (1, 0),  # rotation
+        (3, 2),  # rotation, last row
+        (2, 3),  # translation
+        (7, 0),  # intrinsic focal length
+        (7, 1),  # intrinsic skew
+        (8, 1),  # intrinsic lower triangle
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_camera_entry(self, tmp_path, line, column, value):
+        path, lines = self._valid_lines(tmp_path)
+        parts = lines[line].split()
+        parts[column] = value
+        lines[line] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="finite") as info:
+            formats.read_cam(path)
+        assert info.value.path == path and info.value.line == line + 1
+
+    @pytest.mark.parametrize("line, column, value", [
+        (7, 0, "-140"),  # focal length must be positive
+        (8, 0, "3"),     # intrinsic must be upper-triangular
+    ])
+    def test_camera_rejected_by_camera_type(self, tmp_path, line, column, value):
+        path, lines = self._valid_lines(tmp_path)
+        parts = lines[line].split()
+        parts[column] = value
+        lines[line] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="intrinsic") as info:
+            formats.read_cam(path)
+        assert info.value.path == path
+
+    def test_non_finite_last_row(self, tmp_path):
+        path, lines = self._valid_lines(tmp_path)
+        lines[4] = "0 0 nan 1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            formats.read_cam(path)
+        assert info.value.line == 5
+
+    def test_non_ascii_text(self, tmp_path):
+        path, lines = self._valid_lines(tmp_path)
+        path.write_bytes("\n".join(lines[:2]).encode() + "\n\u00e9\n".encode("latin-1")
+                         + "\n".join(lines[3:]).encode())
+        with pytest.raises(ParseError, match="non-ASCII byte 0xe9") as info:
+            formats.read_cam(path)
+        assert info.value.line == 3
 
     def test_small_rotation_drift_fixed_silently(self, tmp_path):
         import warnings
@@ -199,6 +271,28 @@ class TestPfm:
         with pytest.raises(ParseError):
             formats.read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"-1e999"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\x00" * 16)
+        with pytest.raises(ParseError, match="finite") as info:
+            formats.read_pfm(path)
+        assert not isinstance(info.value, BigEndianUnsupportedError)
+
+    def test_header_comments(self, tmp_path):
+        # The PPM header rule: a comment runs to the end of its line.
+        path = tmp_path / "d.pfm"
+        data = np.array([[1.5, -2.0]], dtype="<f4")
+        path.write_bytes(b"Pf # depth\n# by hand\n2 1\n-1.0\n" + data.tobytes())
+        np.testing.assert_array_equal(formats.read_pfm(path), data)
+
+    def test_negative_dimensions(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n-2 -3\n-1.0\n" + b"\x00" * 24)
+        with pytest.raises(ParseError, match="dimensions") as info:
+            formats.read_pfm(path)
+        assert info.value.line == 2
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             formats.write_pfm(tmp_path / "d.pfm", np.zeros((2, 2, 3)))
@@ -253,6 +347,14 @@ class TestPpm:
         path = tmp_path / "i.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00")
         with pytest.raises(ParseError):
+            formats.read_image(path)
+
+    @pytest.mark.parametrize("dims", [b"-2 -3", b"0 6", b"3 -2"])
+    def test_non_positive_dimensions(self, tmp_path, dims):
+        # -2 x -3 still claims the 6 bytes that are there.
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(6))
+        with pytest.raises(ParseError, match="dimensions"):
             formats.read_image(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
@@ -439,6 +541,27 @@ class TestPly:
             formats.read_ply(path)
 
 
+    @pytest.mark.parametrize("color", [b"300", b"-1", b"2.5", b"nan", b"inf"])
+    def test_ascii_color_out_of_range(self, tmp_path, color):
+        path = tmp_path / "c.ply"
+        formats.write_ply(path, _rgb_cloud(n=2), mode="ascii")
+        head, body = path.read_bytes().split(b"end_header\n")
+        rows = body.splitlines()
+        rows[1] = b" ".join(rows[1].split()[:4] + [color] + rows[1].split()[5:])
+        path.write_bytes(head + b"end_header\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match="colors"):
+            formats.read_ply(path)
+
+    def test_non_ascii_header(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\ncomment \xff\nelement vertex 0\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n")
+        with pytest.raises(ParseError, match="non-ASCII") as info:
+            formats.read_ply(path)
+        assert info.value.line == 3
+
+
 class TestTensorContainer:
     """Named float32 tensor files with a JSON manifest line."""
 
@@ -507,6 +630,11 @@ class TestTensorContainer:
         (["x"], "bad manifest"),
         ([{"name": "x", "shape": [2], "offset": "zero"}], "bad manifest"),
         ([{"name": "x", "shape": [-1, -2], "offset": 0}], "negative"),
+        ([{"name": "x", "shape": [1e999], "offset": 0}], "bad manifest"),
+        ([{"name": "x", "shape": [2], "offset": 1e999}], "bad manifest"),
+        # The element count overflows int64, so it must not be taken in numpy.
+        ([{"name": "x", "shape": [2 ** 32, 2 ** 32], "offset": 0}], "data bytes"),
+        ([{"name": ["x"], "shape": [2], "offset": 0}], "not a string"),
     ])
     def test_malformed_manifest(self, tmp_path, tensors, message):
         manifest = {"magic": "mvsweep-tensors", "version": 1, "dtype": "<f4"}
@@ -584,3 +712,137 @@ class TestProjectLayout:
         with pytest.raises(ParseError) as info:
             layout.read_pairs()
         assert info.value.line == line
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("-1\n", "bad view count -1", 1),
+        ("3\n0 1\n1 0\n", "bad view count 3: 2 lines follow", 1),
+        ("2\n", "bad view count 2: 0 lines follow", 1),
+        ("1e999\n0 1\n", "invalid literal", 1),
+        ("2\n0 1\n\u00e9\n", "non-ASCII", 3),
+    ])
+    def test_bad_view_count_or_text(self, tmp_path, text, message, line):
+        layout = formats.ProjectLayout(tmp_path)
+        layout.pair.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError, match=message) as info:
+            layout.read_pairs()
+        assert info.value.line == line
+
+    def test_zero_views(self, tmp_path):
+        layout = formats.ProjectLayout(tmp_path)
+        layout.pair.write_text("0\n")
+        assert layout.read_pairs() == {}
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing every reader
+
+
+def _read_pairs(path):
+    return formats.ProjectLayout(path.parent).read_pairs()
+
+
+# Sample name -> (file name, reader).
+_READERS = {
+    "pfm": ("d.pfm", formats.read_pfm),
+    "ppm": ("i.ppm", formats.read_image),
+    "pgm": ("i.pgm", formats.read_image),
+    "ply-ascii": ("a.ply", formats.read_ply),
+    "ply-binary": ("b.ply", formats.read_ply),
+    "cam": ("cam.txt", formats.read_cam),
+    "pair": ("pair.txt", _read_pairs),
+    "tensors": ("w.bin", formats.load_tensors),
+}
+
+# A token is a run of word characters, dots and signs: a number, a
+# keyword or a JSON key.
+_TOKEN = re.compile(rb"[\w.+-]+")
+
+# (kind, position, argument): flip the bits of ``argument`` in one byte,
+# delete ``argument`` bytes, or replace one token by ``argument``.  The
+# position wraps around the byte or token count.
+_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 16), st.integers(1, 8)),
+    st.tuples(st.just("token"), st.integers(0, 1 << 16),
+              st.sampled_from([b"-1", b"0", b"inf", b"nan", b"1e999"])),
+)
+
+
+def _mutate(raw: bytes, edits) -> bytes:
+    data = bytearray(raw)
+    for kind, at, arg in edits:
+        if not data:
+            break
+        if kind == "flip":
+            data[at % len(data)] ^= arg
+        elif kind == "delete":
+            del data[at % len(data):at % len(data) + arg]
+        else:
+            tokens = list(_TOKEN.finditer(data))
+            if tokens:
+                token = tokens[at % len(tokens)]
+                data[token.start():token.end()] = arg
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Valid bytes of every format, and a directory to write mutants to."""
+    root = tmp_path_factory.mktemp("valid")
+    files = {name: root / file_name for name, (file_name, _) in _READERS.items()}
+    formats.write_pfm(files["pfm"], np.arange(6.0).reshape(2, 3))
+    formats.write_image(files["ppm"], np.full((2, 3, 3), 0.5))
+    formats.write_image(files["pgm"], np.full((2, 3), 0.25))  # 3 x 2: six bytes
+    formats.write_ply(files["ply-ascii"], _rgb_cloud(n=3), mode="ascii")
+    formats.write_ply(files["ply-binary"], _rgb_cloud(n=3), mode="binary")
+    formats.write_cam(files["cam"], _camera(), formats.DepthRange(425.0, 2.5, 64, 582.5))
+    formats.ProjectLayout(root).write_pairs({0: [1, 2], 1: [0], 2: [1, 0]})
+    formats.save_tensors(files["tensors"], {"a": np.ones((2, 3)), "b": np.zeros(2)})
+    mutants = tmp_path_factory.mktemp("mutants")
+    return {name: path.read_bytes() for name, path in files.items()}, mutants
+
+
+# Positions of the tokens that the examples below replace, checked
+# against the samples by test_example_positions.
+_PGM_WIDTH, _PGM_HEIGHT, _PFM_SCALE, _PAIR_COUNT = 1, 2, 3, 0
+_CAM_ROTATION, _CAM_DEPTH_COUNT = 1, 29
+_TENSOR_FIRST_DIM = 10
+_PLY_FIRST_RED = 29
+
+
+class TestFuzz:
+    """Mutated files either read or raise ParseError, never anything else."""
+
+    @pytest.mark.filterwarnings("ignore::mvsweep.errors.NonRigidRotationWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(_READERS)),
+           edits=st.lists(_EDITS, min_size=1, max_size=4))
+    # -2 x -3 still claims the six bytes of the 3 x 2 payload.
+    @example(name="pgm", edits=[("token", _PGM_WIDTH, b"-2"), ("token", _PGM_HEIGHT, b"-3")])
+    @example(name="pair", edits=[("flip", 0, 0x80)])
+    @example(name="cam", edits=[("flip", 0, 0x80)])
+    @example(name="cam", edits=[("token", _CAM_DEPTH_COUNT, b"inf")])
+    @example(name="cam", edits=[("token", _CAM_ROTATION, b"nan")])
+    @example(name="tensors", edits=[("token", _TENSOR_FIRST_DIM, b"1e999")])
+    @example(name="pfm", edits=[("token", _PFM_SCALE, b"nan")])
+    @example(name="ply-ascii", edits=[("token", _PLY_FIRST_RED, b"nan")])
+    @example(name="pair", edits=[("token", _PAIR_COUNT, b"-1")])
+    def test_mutants_read_or_raise_parse_error(self, valid_files, name, edits):
+        samples, mutants = valid_files
+        file_name, read = _READERS[name]
+        path = mutants / file_name
+        path.write_bytes(_mutate(samples[name], edits))
+        try:
+            read(path)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize("name, at, token", [
+        ("pgm", _PGM_WIDTH, b"3"), ("pgm", _PGM_HEIGHT, b"2"),
+        ("pfm", _PFM_SCALE, b"-1.0"), ("pair", _PAIR_COUNT, b"3"),
+        ("cam", _CAM_ROTATION, b"0.8660254037844"), ("cam", _CAM_DEPTH_COUNT, b"64"),
+        ("tensors", _TENSOR_FIRST_DIM, b"2"), ("ply-ascii", _PLY_FIRST_RED, b"255"),
+    ])
+    def test_example_positions(self, valid_files, name, at, token):
+        samples, _ = valid_files
+        assert _TOKEN.findall(samples[name])[at] == token

@@ -10,7 +10,7 @@ import pytest
 
 from mvsweep import geometry
 from mvsweep.depthmap import DepthMap
-from mvsweep.errors import BehindCameraError
+from mvsweep.errors import BehindCameraError, InvalidArgumentError
 
 
 def _k(f: float = 100.0, cx: float = 32.0, cy: float = 24.0) -> np.ndarray:
@@ -71,6 +71,18 @@ class TestCameraValidation:
         r = np.diag([1.0, 1.0, -1.0])  # orthonormal but det = -1
         with pytest.raises(ValueError):
             geometry.Camera(_k(), r, np.zeros(3))
+
+    @pytest.mark.parametrize("part, index", [
+        ("intrinsic", (0, 0)), ("intrinsic", (0, 1)), ("intrinsic", (1, 0)),
+        ("rotation", (0, 0)), ("rotation", (2, 1)), ("translation", (2,)),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, part, index, value):
+        # NaN fails every comparison, so it passes the range checks above.
+        args = {"intrinsic": _k(), "rotation": np.eye(3), "translation": np.zeros(3)}
+        args[part][index] = value
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            geometry.Camera(**args)
 
     def test_arrays_are_frozen(self):
         cam = _identity_cam()
