@@ -457,8 +457,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if newline < 0:
         raise ParseError("missing manifest line", path, 1)
     try:
-        manifest = json.loads(raw[:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(_decode(raw[:newline], path))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"bad manifest: {exc}", path, 1) from exc
     if not isinstance(manifest, dict) or manifest.get("magic") != "mvsweep-tensors":
         raise ParseError("not a tensor container", path, 1)

@@ -111,7 +111,8 @@ class TestCamIO:
 
     @pytest.mark.parametrize("token, message", [
         ("2.7", "whole number"), ("-0.5", "whole number"),
-        ("inf", "finite"), ("nan", "finite"), ("-inf", "finite"), ("1e999", "finite"),
+        ("inf", "must be finite"), ("nan", "must be finite"), ("-inf", "must be finite"),
+        ("1e999", "must be finite"),
     ])
     def test_depth_count_not_whole_number(self, tmp_path, token, message):
         path, lines = self._valid_lines(tmp_path)
@@ -136,7 +137,7 @@ class TestCamIO:
         parts[column] = value
         lines[line] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="finite") as info:
+        with pytest.raises(ParseError, match="must be finite") as info:
             formats.read_cam(path)
         assert info.value.path == path and info.value.line == line + 1
 
@@ -275,7 +276,7 @@ class TestPfm:
     def test_non_finite_scale_rejected(self, tmp_path, scale):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\x00" * 16)
-        with pytest.raises(ParseError, match="finite") as info:
+        with pytest.raises(ParseError, match="scale must be finite") as info:
             formats.read_pfm(path)
         assert not isinstance(info.value, BigEndianUnsupportedError)
 
@@ -289,7 +290,7 @@ class TestPfm:
     def test_negative_dimensions(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n-2 -3\n-1.0\n" + b"\x00" * 24)
-        with pytest.raises(ParseError, match="dimensions") as info:
+        with pytest.raises(ParseError, match="bad dimensions -2x-3") as info:
             formats.read_pfm(path)
         assert info.value.line == 2
 
@@ -354,7 +355,7 @@ class TestPpm:
         # -2 x -3 still claims the 6 bytes that are there.
         path = tmp_path / "i.pgm"
         path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(6))
-        with pytest.raises(ParseError, match="dimensions"):
+        with pytest.raises(ParseError, match="bad dimensions"):
             formats.read_image(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
@@ -549,7 +550,7 @@ class TestPly:
         rows = body.splitlines()
         rows[1] = b" ".join(rows[1].split()[:4] + [color] + rows[1].split()[5:])
         path.write_bytes(head + b"end_header\n" + b"\n".join(rows) + b"\n")
-        with pytest.raises(ParseError, match="colors"):
+        with pytest.raises(ParseError, match="colors must be integers"):
             formats.read_ply(path)
 
     def test_non_ascii_header(self, tmp_path):
@@ -606,6 +607,13 @@ class TestTensorContainer:
         path.write_bytes(b"not json at all\n")
         with pytest.raises(ParseError):
             formats.load_tensors(path)
+
+    def test_non_ascii_manifest(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b'{"magic": "mvsweep-tensors\xc3\xa9"}\n')
+        with pytest.raises(ParseError, match="non-ASCII byte 0xc3") as info:
+            formats.load_tensors(path)
+        assert info.value.line == 1
 
     def test_missing_newline(self, tmp_path):
         path = tmp_path / "w.bin"
