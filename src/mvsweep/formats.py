@@ -88,18 +88,18 @@ def _numbers(tokens, path, line: int | None, kind) -> list:
         raise ParseError(str(exc), path, line) from exc
 
 
-def _payload(raw: bytes, start: int, size: int, path) -> bytes:
-    """The ``size`` bytes of ``raw`` from ``start`` on."""
+def _payload(raw: bytes, start: int, size: int, path, what: str = "payload") -> bytes:
+    """The ``size`` bytes of ``raw`` from ``start`` on; ``what`` names them."""
     data = raw[start:start + size]
     if len(data) != size:
-        raise ParseError(f"truncated: expected {size} data bytes, found {len(data)}", path)
+        raise ParseError(f"truncated {what}: expected {size} data bytes, found {len(data)}", path)
     return data
 
 
 # Four header fields, each after whitespace and ``#`` comments (a comment
-# runs to the end of its line).  Possessive quantifiers keep a field from
-# being split in two or a comment from being read as a field.
-_NETPBM_HEADER = re.compile(rb"(?:\s|#[^\n]*+)*+(\S++)" * 4)
+# runs to the end of its line).  The lookaheads keep a field from being
+# split in two or a comment from being cut short and read as a field.
+_NETPBM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
 
 
 def _netpbm_header(raw: bytes, path, kind) -> tuple[bytes, int, int, float, int]:
@@ -436,11 +436,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     offset = 0
     for name, arr in tensors.items():
         arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({
-            "name": name,
-            "shape": list(arr32.shape),
-            "offset": offset,
-        })
+        entries.append({"name": name, "shape": list(arr32.shape), "offset": offset})
         blobs.append(arr32.tobytes())
         offset += len(blobs[-1])
     manifest = json.dumps(
@@ -477,8 +473,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise ParseError(f"tensor name {name!r} is not a string", path, 1)
         if offset < 0 or min(shape, default=0) < 0:
             raise ParseError(f"tensor {name!r} has a negative offset or shape", path, 1)
-        chunk = _payload(raw, newline + 1 + offset, math.prod(shape) * 4, path)
-        out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+        chunk = _payload(raw, newline + 1 + offset, math.prod(shape) * 4, path, f"tensor {name!r}")
+        try:
+            out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+        except (ValueError, OverflowError) as exc:  # a dimension numpy cannot index
+            raise ParseError(f"tensor {name!r} has shape {list(shape)}: {exc}", path, 1) from exc
     return out
 
 
@@ -528,8 +527,7 @@ class ProjectLayout:
         return self.root / "gt.ply"
 
     def view_count(self) -> int:
-        images = sorted((self.root / "images").glob("*.ppm"))
-        return len(images)
+        return len(list((self.root / "images").glob("*.ppm")))
 
     def make_dirs(self, with_gt: bool = False) -> None:
         for sub in ("images", "cams", "depths") + (("gt_depths",) if with_gt else ()):
