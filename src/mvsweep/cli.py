@@ -419,23 +419,26 @@ def _battery() -> list[tuple[str, bool]]:
     def check_conv_oracle():
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6, 3))
-        kernel = rng.normal(size=(2, 3, 3, 3))
-        bias = rng.normal(size=2)
-        for dilation in (1, 2, 3):
-            got = features.conv3x3(x, kernel, bias, dilation=dilation)
-            want = np.zeros((5, 6, 2))
-            for y in range(5):
-                for xx in range(6):
-                    for o in range(2):
-                        acc = bias[o]
-                        for ky in range(3):
-                            for kx in range(3):
-                                yy = y + (ky - 1) * dilation
-                                xc = xx + (kx - 1) * dilation
-                                if 0 <= yy < 5 and 0 <= xc < 6:
-                                    acc += kernel[o, :, ky, kx] @ x[yy, xc]
-                        want[y, xx, o] = acc
-            assert np.max(np.abs(got - want)) < 1e-9
+        # One map, the same map as two channel blocks, and a
+        # one-output-channel kernel (a score head).
+        for blocks, out_ch in ((x, 2), ((x[:, :, :1], x[:, :, 1:]), 2), (x, 1)):
+            kernel = rng.normal(size=(out_ch, 3, 3, 3))
+            bias = rng.normal(size=out_ch)
+            for dilation in (1, 2, 3):
+                got = features.conv3x3(blocks, kernel, bias, dilation=dilation)
+                want = np.zeros((5, 6, out_ch))
+                for y in range(5):
+                    for xx in range(6):
+                        for o in range(out_ch):
+                            acc = bias[o]
+                            for ky in range(3):
+                                for kx in range(3):
+                                    yy = y + (ky - 1) * dilation
+                                    xc = xx + (kx - 1) * dilation
+                                    if 0 <= yy < 5 and 0 <= xc < 6:
+                                        acc += kernel[o, :, ky, kx] @ x[yy, xc]
+                            want[y, xx, o] = acc
+                assert np.max(np.abs(got - want)) < 1e-9
 
     def check_upsample_phases():
         rng = np.random.default_rng(4)

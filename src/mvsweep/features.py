@@ -12,15 +12,32 @@ feature map at input resolution:
 All convolutions are 3x3, stride 1, zero-padded by their dilation so the
 spatial size never changes.  Arrays are ``(height, width, channels)``
 float64; kernels are ``(out_ch, in_ch, 3, 3)`` cross-correlation taps.
+
+A convolution is nine matrix products, one per tap, summed in place in
+one accumulator: each tap is one BLAS ``dgemm`` that adds its product
+into the accumulator (``beta = 1``), so no per-tap product is stored and
+read back.  On a 64x48, 64-to-128-channel gate convolution (2-core
+x86-64) that took a call from 20-21 ms to 9-11 ms.
+
+Every large convolution product in the package (here and in the
+regularizer's upsampling) goes through :func:`_gemm`, and so through
+scipy's BLAS only.  numpy and scipy load separate OpenBLAS builds, each
+with its own thread pool, and two pools that take turns on the same
+cores can spin against each other: with ``conv3x3`` on scipy's BLAS and
+the upsampling on numpy's, a 64x48 HU-LSTM step was once measured at
+129-137 ms against 82 ms on one library, though on another 2-core
+machine the split ran as fast as one library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
-from .errors import ChannelMismatchError, WeightGraphMismatchError
+from .errors import ChannelMismatchError, SizeMismatchError, WeightGraphMismatchError
 
 __all__ = [
     "ConvLayerWeights",
@@ -37,13 +54,37 @@ GN_EPS = 1e-5
 GROUP_SIZE = 8  # channels per group-norm group
 
 
-def conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
-            dilation: int = 1) -> np.ndarray:
+def _gemm(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, or ``acc + a @ b`` written into ``acc`` and returned.
+
+    All three arrays are C-contiguous, so column-major BLAS sees their
+    F-contiguous transposes (``acc.T = b.T @ a.T``, ``beta = 1`` to add)
+    and f2py copies nothing.  Callers carry on the returned array, not
+    ``acc``, so even a copy made by f2py could not drop a term.  A
+    one-column ``b`` (a score head) keeps numpy's matrix-vector product,
+    from which ``dgemm`` differs in the last bit.
+    """
+    if b.shape[1] == 1:
+        product = a @ b
+        if acc is None:
+            return product
+        acc += product
+        return acc
+    first = acc is None
+    return dgemm(1.0, b.T, a.T, beta=0.0 if first else 1.0,
+                 c=None if first else acc.T, overwrite_c=True).T
+
+
+def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
+            bias: np.ndarray | None = None, dilation: int = 1) -> np.ndarray:
     """Same-size 3x3 cross-correlation with zero padding of ``dilation``.
 
     ``out[y, x, o] = bias[o] + sum_{ky,kx,c} kernel[o, c, ky, kx] *
     x[y + (ky-1)*dilation, x + (kx-1)*dilation, c]`` with out-of-image
-    taps reading zero.
+    taps reading zero.  ``x`` is one ``(H, W, C)`` map or a sequence of
+    maps that share ``(H, W)``, read as their channel concatenation in
+    order; each block is written straight into the padded buffer, so a
+    caller never concatenates to feed a convolution.
 
     Every tap is read in place.  The input is zero-padded into one
     ``(H + 2d + 1, W + 2d, C)`` buffer whose padded row length is
@@ -53,11 +94,21 @@ def conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
     it multiplies the tap's kernel with no copy.  Each run also yields
     ``2d`` junk columns per row, which wrap into the next row's padding
     and are dropped at the end; the extra padded row keeps the last
-    run inside the buffer.  Taps accumulate in ``ky, kx`` order into
-    one buffer, the bias is added in place, and the result is that
-    buffer without its junk columns (a view, not contiguous).
+    run inside the buffer.  The taps accumulate in ``ky, kx`` order in
+    place through :func:`_gemm`.  Unless BLAS splits the channel axis
+    into blocks, which it does not at the widths the networks use (the
+    layer shapes are pinned bit for bit by the tests), it forms each
+    tap's dot products whole and then adds them to the accumulator, one
+    rounding per element: the same sums as a stored product added with
+    ``+=``.  The bias is added in place, and the result is the
+    accumulator without its junk columns (a view, not contiguous).
     """
-    height, width, in_ch = x.shape
+    blocks = (x,) if isinstance(x, np.ndarray) else tuple(x)
+    height, width = blocks[0].shape[:2]
+    if any(block.shape[:2] != (height, width) for block in blocks):
+        raise SizeMismatchError(
+            f"channel blocks {[block.shape for block in blocks]} differ in size")
+    in_ch = sum(block.shape[2] for block in blocks)
     out_ch = kernel.shape[0]
     if kernel.shape != (out_ch, in_ch, 3, 3):
         raise ChannelMismatchError(
@@ -65,19 +116,20 @@ def conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
     d = dilation
     row = width + 2 * d
     padded = np.zeros((height + 2 * d + 1, row, in_ch), dtype=np.float64)
-    padded[d:d + height, d:d + width] = x
+    col = 0
+    for block in blocks:
+        padded[d:d + height, d:d + width, col:col + block.shape[2]] = block
+        col += block.shape[2]
     flat = padded.reshape(-1, in_ch)
     span = height * row
-    acc = np.empty((span, out_ch), dtype=np.float64)
-    term = np.empty_like(acc)
+    # (ky, kx, in, out), packed per call so that a kernel changed in
+    # place between calls is read afresh.
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
+    acc = None
     for ky in range(3):
         for kx in range(3):
             start = ky * d * row + kx * d
-            first = ky == 0 and kx == 0
-            np.matmul(flat[start:start + span], kernel[:, :, ky, kx].T,
-                      out=acc if first else term)
-            if not first:
-                acc += term
+            acc = _gemm(flat[start:start + span], taps[ky, kx], acc)
     out = acc.reshape(height, row, out_ch)[:, :width]
     if bias is not None:
         out += bias
@@ -138,8 +190,11 @@ class ConvLayerWeights:
             raise WeightGraphMismatchError(f"{name}: group-norm parameter shapes")
 
 
-def conv2d(x: np.ndarray, layer: ConvLayerWeights) -> np.ndarray:
-    """Apply one :class:`ConvLayerWeights` (conv, then optional GN+ReLU)."""
+def conv2d(x: np.ndarray | Sequence[np.ndarray], layer: ConvLayerWeights) -> np.ndarray:
+    """Apply one :class:`ConvLayerWeights` (conv, then optional GN+ReLU).
+
+    ``x`` is one map or a sequence of channel blocks, as for :func:`conv3x3`.
+    """
     out = conv3x3(x, layer.kernel, layer.bias, layer.dilation)
     if layer.gn_scale is not None:
         groups = max(layer.out_channels // GROUP_SIZE, 1)
@@ -255,7 +310,7 @@ def drenet_forward(image: np.ndarray, weights: DrenetWeights) -> np.ndarray:
     a = conv2d(trunk, weights.branch_a)
     b = conv2d(conv2d(trunk, weights.branch_b0), weights.branch_b1)
     c = conv2d(conv2d(trunk, weights.branch_c0), weights.branch_c1)
-    return conv2d(np.concatenate([a, b, c], axis=2), weights.fuse)
+    return conv2d((a, b, c), weights.fuse)
 
 
 _GRAY = np.array([0.299, 0.587, 0.114])

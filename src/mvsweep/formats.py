@@ -360,6 +360,18 @@ def _check_binary_layout(props: list[tuple[str, str, int]], path: Path) -> None:
         "optionally followed by uchar red green blue", path, lineno)
 
 
+def _ply_bad_token(body: str, first_line: int, path) -> None:
+    """Raise the ``bad vertex data`` error at the first line of an ascii
+    PLY ``body`` (starting at file line ``first_line``) holding a token
+    that is not a number.  The bulk parse is fast but has no line, so
+    this runs only after it fails."""
+    for lineno, line in enumerate(body.split("\n"), start=first_line):
+        try:
+            _numbers(line.split(), path, lineno, float)
+        except ParseError as exc:
+            raise ParseError(f"bad vertex data: {exc.__cause__}", path, lineno) from exc
+
+
 def read_ply(path) -> PointCloud:
     """Read the subset of PLY written by :func:`write_ply`."""
     path = Path(path)
@@ -397,9 +409,11 @@ def read_ply(path) -> PointCloud:
         raise ParseError("first three properties must be x, y, z", path)
     has_rgb = names[3:6] == ["red", "green", "blue"]
     if fmt == "ascii":
+        body = _decode(raw, path)[start:]
         try:
-            values = np.array(_decode(raw, path)[start:].split(), dtype=np.float64)
+            values = np.array(body.split(), dtype=np.float64)
         except ValueError as exc:
+            _ply_bad_token(body, raw.count(b"\n", 0, start) + 1, path)
             raise ParseError(f"bad vertex data: {exc}", path) from exc
         stride = len(props)
         if len(values) != count * stride:

@@ -14,8 +14,10 @@ It is computed as four sub-pixel phase convolutions on the low-resolution
 input, one per output row and column parity, which sum exactly the taps
 of a 3x3 convolution over the zero-interleaved map that read input
 values, in the same order; the skipped taps would only add exact zeros.
-Skip connections concatenate the upsampled tensor with the
-same-resolution downward cell output, upsampled part first.
+A skip connection joins the upsampled tensor and the same-resolution
+downward cell output, upsampled part first: the up cell takes the two as
+channel blocks, which its gate convolution writes straight into its
+padded buffer, so the joined tensor is never built.
 
 A weight-free :func:`passthrough_regularizer` (negated mean cost) keeps
 the rest of the pipeline usable without any training.
@@ -24,13 +26,13 @@ the rest of the pipeline usable without any training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .costvol import CostSlice
 from .errors import SizeMismatchError, WeightGraphMismatchError
-from .features import ConvLayerWeights, _random_conv, conv2d
+from .features import ConvLayerWeights, _gemm, _random_conv, conv2d
 
 __all__ = [
     "HuLstmWeights",
@@ -102,20 +104,25 @@ class LstmCellWeights:
         return self.w_input.shape[1] - self.w_input.shape[0]
 
 
-def conv_lstm_cell(x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None,
+def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
+                   state: tuple[np.ndarray, np.ndarray] | None,
                    weights: LstmCellWeights) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One ConvLSTM update; returns ``(output, (hidden, cell))``.
 
     Gates: input/forget/output are sigmoids, the candidate is a tanh;
     the new cell state is ``forget * cell + input * candidate`` and the
-    output is ``output_gate * tanh(cell')``.  ``state is None`` starts
-    from zeros.
+    output is ``output_gate * tanh(cell')``.  ``x`` is one
+    ``(H, W, C)`` map or a sequence of channel blocks, read as their
+    concatenation; the gates convolve the blocks of ``x`` followed by
+    the hidden state, with no concatenated copy.  ``state is None``
+    starts from zeros: a read-only zero view stands in for both
+    tensors, so none is allocated.
     """
-    height, width, _ = x.shape
+    blocks = (x,) if isinstance(x, np.ndarray) else tuple(x)
+    height, width = blocks[0].shape[:2]
     hidden_ch = weights.hidden_channels
     if state is None:
-        h_prev = np.zeros((height, width, hidden_ch), dtype=np.float64)
-        c_prev = np.zeros((height, width, hidden_ch), dtype=np.float64)
+        h_prev = c_prev = np.broadcast_to(0.0, (height, width, hidden_ch))
     else:
         h_prev, c_prev = state
         want = (height, width, hidden_ch)
@@ -123,8 +130,7 @@ def conv_lstm_cell(x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None,
             if tensor.shape != want:
                 raise SizeMismatchError(
                     f"{name} state {tensor.shape} does not match input {want}")
-    z = np.concatenate([x, h_prev], axis=2)
-    gates = conv2d(z, weights.gates)
+    gates = conv2d((*blocks, h_prev), weights.gates)
     # One tanh pass over all four gates: the input, forget and output
     # gates take sigmoid(v) = tanh(v / 2) / 2 + 1/2, the candidate tanh(v).
     scale = np.repeat([0.5, 1.0], [3 * hidden_ch, hidden_ch])
@@ -160,7 +166,8 @@ def _upsample_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     (the second keeps the last run inside the buffer; see
     :func:`~mvsweep.features.conv3x3`), and the taps accumulate in
     ``ky, kx`` order, so the sums are the stuffed convolution's with
-    its all-zero terms left out.
+    its all-zero terms left out.  Each tap's product goes through the
+    same BLAS call as ``conv3x3``'s (:func:`~mvsweep.features._gemm`).
     """
     height, width, in_ch = x.shape
     out_ch = kernel.shape[0]
@@ -171,10 +178,11 @@ def _upsample_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     span = height * row
     # (i, output row parity, j, output column parity, channel)
     out = np.zeros((height, 2, row, 2, out_ch), dtype=np.float64)
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
     for ky in range(3):
         for kx in range(3):
             start = (ky // 2) * row + kx // 2
-            tap = flat[start:start + span] @ kernel[:, :, ky, kx].T
+            tap = _gemm(flat[start:start + span], taps[ky, kx])
             out[:, 1 - ky % 2, :, 1 - kx % 2] += tap.reshape(height, row, out_ch)
     out = out.reshape(2 * height, 2 * row, out_ch)
     return out[:out_hw[0], :out_hw[1]] + bias
@@ -296,9 +304,9 @@ def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
     h1, s1 = conv_lstm_cell(max_pool2(h0), prev[1], weights.cells[1])
     h2, s2 = conv_lstm_cell(max_pool2(h1), prev[2], weights.cells[2])
     u2 = _upsample_conv(h2, weights.up_mid.kernel, weights.up_mid.bias, h1.shape[:2])
-    h3, s3 = conv_lstm_cell(np.concatenate([u2, h1], axis=2), prev[3], weights.cells[3])
+    h3, s3 = conv_lstm_cell((u2, h1), prev[3], weights.cells[3])
     u3 = _upsample_conv(h3, weights.up_full.kernel, weights.up_full.bias, h0.shape[:2])
-    h4, s4 = conv_lstm_cell(np.concatenate([u3, h0], axis=2), prev[4], weights.cells[4])
+    h4, s4 = conv_lstm_cell((u3, h0), prev[4], weights.cells[4])
     score = conv2d(h4, weights.head)[:, :, 0]
 
     states = (s0, s1, s2, s3, s4)

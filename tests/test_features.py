@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvsweep import features, formats, regularizer
-from mvsweep.errors import ChannelMismatchError, WeightGraphMismatchError
+from mvsweep.errors import ChannelMismatchError, SizeMismatchError, WeightGraphMismatchError
 
 
 def _conv_reference(x, kernel, bias=None, dilation=1):
@@ -107,6 +107,37 @@ class TestConv3x3:
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
             features.conv3x3(np.zeros((4, 4, 2)), np.zeros((1, 3, 3, 3)))
+
+
+class TestConv3x3Blocks:
+    """A sequence of channel blocks is read as their concatenation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(1, 7), width=st.integers(1, 7),
+           in_ch=st.integers(1, 6), out_ch=st.integers(1, 5),
+           dilation=st.integers(1, 4), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_concatenated_input(self, height, width, in_ch, out_ch,
+                                       dilation, data, seed):
+        cuts = data.draw(st.lists(st.integers(1, in_ch - 1), max_size=2, unique=True)
+                         if in_ch > 1 else st.just([]))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(height, width, in_ch))
+        kernel = rng.normal(size=(out_ch, in_ch, 3, 3))
+        bias = rng.normal(size=out_ch)
+        blocks = np.split(x, sorted(cuts), axis=2)
+        got = features.conv3x3(blocks, kernel, bias, dilation)
+        assert np.array_equal(got, features.conv3x3(x, kernel, bias, dilation))
+
+    def test_blocks_of_different_size_raise(self):
+        blocks = (np.zeros((4, 5, 2)), np.zeros((4, 6, 1)))
+        with pytest.raises(SizeMismatchError):
+            features.conv3x3(blocks, np.zeros((1, 3, 3, 3)))
+
+    def test_total_width_must_match_kernel(self):
+        blocks = (np.zeros((4, 5, 2)), np.zeros((4, 5, 2)))
+        with pytest.raises(ChannelMismatchError):
+            features.conv3x3(blocks, np.zeros((1, 3, 3, 3)))
 
 
 class TestConv3x3WindowOracle:

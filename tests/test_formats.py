@@ -551,6 +551,19 @@ class TestPly:
         with pytest.raises(ParseError, match="vertex data"):
             formats.read_ply(path)
 
+    def test_bad_ascii_value_names_its_line(self, tmp_path):
+        # Seven header lines, so body line 3 is line 10 of the file.
+        path = tmp_path / "c.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 4\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"end_header\n1 2 3\n4 5 6\n7 zero 9\n1 1 1\n"
+        )
+        with pytest.raises(ParseError, match="bad vertex data: .*'zero'") as caught:
+            formats.read_ply(path)
+        assert caught.value.line == 10
+        assert str(caught.value).endswith("(line 10)")
+
 
     @pytest.mark.parametrize("color", [b"300", b"-1", b"2.5", b"nan", b"inf"])
     def test_ascii_color_out_of_range(self, tmp_path, color):

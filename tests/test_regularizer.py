@@ -64,6 +64,10 @@ class TestConvLstmCell:
             np.testing.assert_allclose(h, ref_h, atol=1e-12)
             np.testing.assert_allclose(c2, ref_c, atol=1e-12)
             assert h is h2
+            # An up cell's input: the upsampled map and the skip as blocks.
+            u, skip = x[:, :, :2], x[:, :, 2:]
+            h_blocks, (_, c_blocks) = regularizer.conv_lstm_cell((u, skip), state, w)
+            assert np.array_equal(h_blocks, h) and np.array_equal(c_blocks, c2)
 
     def test_gate_changed_after_a_call_is_used(self):
         rng = np.random.default_rng(5)
