@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +53,8 @@ def _add_synth(sub) -> None:
 def _add_depth(sub) -> None:
     p = sub.add_parser("depth", help="estimate depth maps by plane sweep")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", help="output project directory (default: --in)")
+    p.add_argument("--out", help="output project directory (default: --in); the "
+                   "estimated views' images and cams and their pair.txt are copied there")
     p.add_argument("--views", type=int, help="number of views (default: all)")
     p.add_argument("--num-depths", type=int, default=DEFAULT_DEPTHS)
     p.add_argument("--depth-mode", choices=("uniform", "inverse"), default="uniform")
@@ -256,6 +258,13 @@ def cmd_depth(args) -> int:
     regularize = _regularizer(args, tensors)
     views, pairs = _load_project(layout, args.views)
     out_layout.make_dirs()
+    if out_layout.root.resolve() != layout.root.resolve():
+        # The estimated views' inputs go along unchanged, so that the
+        # output directory is a project that ``fuse`` can read.
+        for i in range(len(views)):
+            shutil.copyfile(layout.image(i), out_layout.image(i))
+            shutil.copyfile(layout.cam(i), out_layout.cam(i))
+        out_layout.write_pairs(pairs)
     feats = [extract(image) for _, _, image in views]
 
     def run_view(ref: int) -> None:
@@ -419,9 +428,12 @@ def _battery() -> list[tuple[str, bool]]:
     def check_conv_oracle():
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6, 3))
-        # One map, the same map as two channel blocks, and a
-        # one-output-channel kernel (a score head).
-        for blocks, out_ch in ((x, 2), ((x[:, :, :1], x[:, :, 1:]), 2), (x, 1)):
+        x32 = x.astype(np.float32)
+        # One map, the same map as two channel blocks, a one-output-channel
+        # kernel (a score head), and the map in float32, whose products run
+        # in single precision and are held to float32 rounding.
+        for blocks, out_ch in ((x, 2), ((x[:, :, :1], x[:, :, 1:]), 2), (x, 1),
+                               (x32, 2), (x32, 1)):
             kernel = rng.normal(size=(out_ch, 3, 3, 3))
             bias = rng.normal(size=out_ch)
             for dilation in (1, 2, 3):
@@ -438,7 +450,10 @@ def _battery() -> list[tuple[str, bool]]:
                                     if 0 <= yy < 5 and 0 <= xc < 6:
                                         acc += kernel[o, :, ky, kx] @ x[yy, xc]
                             want[y, xx, o] = acc
-                assert np.max(np.abs(got - want)) < 1e-9
+                single = blocks is x32
+                assert got.dtype == (np.float32 if single else np.float64)
+                bound = 1e-5 * np.max(np.abs(want)) if single else 1e-9
+                assert np.max(np.abs(got - want)) < bound
 
     def check_upsample_phases():
         rng = np.random.default_rng(4)
@@ -453,6 +468,9 @@ def _battery() -> list[tuple[str, bool]]:
             want = full[:out_hw[0], :out_hw[1]]
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-9
+            got = regularizer._upsample_conv(x.astype(np.float32), kernel, bias, out_hw)
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
 
     def check_bilinear_sample():
         rng = np.random.default_rng(5)

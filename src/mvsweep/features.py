@@ -10,14 +10,20 @@ feature map at input resolution:
   used by the self-contained pipeline.
 
 All convolutions are 3x3, stride 1, zero-padded by their dilation so the
-spatial size never changes.  Arrays are ``(height, width, channels)``
-float64; kernels are ``(out_ch, in_ch, 3, 3)`` cross-correlation taps.
+spatial size never changes.  Arrays are ``(height, width, channels)``;
+kernels are ``(out_ch, in_ch, 3, 3)`` cross-correlation taps.  A
+convolution computes in its input's dtype, float32 or float64: the
+padded buffer, the packed taps and the accumulator take it, and the
+weights (stored float64) are cast to it at use.  DRENet casts its image
+to float32 once on entry, so the whole network runs in float32; the
+photometric descriptor stays float64.
 
 A convolution is nine matrix products, one per tap, summed in place in
-one accumulator: each tap is one BLAS ``dgemm`` that adds its product
-into the accumulator (``beta = 1``), so no per-tap product is stored and
-read back.  On a 64x48, 64-to-128-channel gate convolution (2-core
-x86-64) that took a call from 20-21 ms to 9-11 ms.
+one accumulator: each tap is one BLAS ``gemm`` (``sgemm`` for float32,
+``dgemm`` for float64) that adds its product into the accumulator
+(``beta = 1``), so no per-tap product is stored and read back.  On a
+64x48, 64-to-128-channel gate convolution (2-core x86-64) that took a
+float64 call from 20-21 ms to 9-11 ms.
 
 Every large convolution product in the package (here and in the
 regularizer's upsampling) goes through :func:`_gemm`, and so through
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, sgemm
 
 from .errors import ChannelMismatchError, SizeMismatchError, WeightGraphMismatchError
 
@@ -57,10 +63,11 @@ GROUP_SIZE = 8  # channels per group-norm group
 def _gemm(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, or ``acc + a @ b`` written into ``acc`` and returned.
 
-    All three arrays are C-contiguous, so column-major BLAS sees their
-    F-contiguous transposes (``acc.T = b.T @ a.T``, ``beta = 1`` to add)
-    and f2py copies nothing.  Callers carry on the returned array, not
-    ``acc``, so even a copy made by f2py could not drop a term.  A
+    All three arrays are C-contiguous and share one dtype, so
+    column-major BLAS (``sgemm`` for float32, ``dgemm`` for float64) sees
+    their F-contiguous transposes (``acc.T = b.T @ a.T``, ``beta = 1`` to
+    add) and f2py copies nothing.  Callers carry on the returned array,
+    not ``acc``, so even a copy made by f2py could not drop a term.  A
     one-column ``b`` (a score head) keeps numpy's matrix-vector product,
     from which ``dgemm`` differs in the last bit.
     """
@@ -70,9 +77,10 @@ def _gemm(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.nda
             return product
         acc += product
         return acc
+    gemm = sgemm if a.dtype == np.float32 else dgemm
     first = acc is None
-    return dgemm(1.0, b.T, a.T, beta=0.0 if first else 1.0,
-                 c=None if first else acc.T, overwrite_c=True).T
+    return gemm(1.0, b.T, a.T, beta=0.0 if first else 1.0,
+                c=None if first else acc.T, overwrite_c=True).T
 
 
 def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
@@ -84,7 +92,9 @@ def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
     taps reading zero.  ``x`` is one ``(H, W, C)`` map or a sequence of
     maps that share ``(H, W)``, read as their channel concatenation in
     order; each block is written straight into the padded buffer, so a
-    caller never concatenates to feed a convolution.
+    caller never concatenates to feed a convolution.  The result has the
+    blocks' result type, at least float32; the kernel and bias are cast
+    to it.
 
     Every tap is read in place.  The input is zero-padded into one
     ``(H + 2d + 1, W + 2d, C)`` buffer whose padded row length is
@@ -115,7 +125,8 @@ def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
             f"kernel {kernel.shape} does not accept {in_ch}-channel input")
     d = dilation
     row = width + 2 * d
-    padded = np.zeros((height + 2 * d + 1, row, in_ch), dtype=np.float64)
+    dtype = np.result_type(np.float32, *blocks)
+    padded = np.zeros((height + 2 * d + 1, row, in_ch), dtype=dtype)
     col = 0
     for block in blocks:
         padded[d:d + height, d:d + width, col:col + block.shape[2]] = block
@@ -124,7 +135,7 @@ def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
     span = height * row
     # (ky, kx, in, out), packed per call so that a kernel changed in
     # place between calls is read afresh.
-    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0), dtype=dtype)
     acc = None
     for ky in range(3):
         for kx in range(3):
@@ -132,7 +143,7 @@ def conv3x3(x: np.ndarray | Sequence[np.ndarray], kernel: np.ndarray,
             acc = _gemm(flat[start:start + span], taps[ky, kx], acc)
     out = acc.reshape(height, row, out_ch)[:, :width]
     if bias is not None:
-        out += bias
+        out += bias.astype(dtype, copy=False)
     return out
 
 
@@ -150,7 +161,8 @@ def group_norm_relu(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     mean = g.mean(axis=(0, 1, 3), keepdims=True)
     var = g.var(axis=(0, 1, 3), keepdims=True)
     normed = ((g - mean) / np.sqrt(var + eps)).reshape(height, width, channels)
-    return np.maximum(normed * scale + shift, 0.0)
+    return np.maximum(normed * scale.astype(x.dtype, copy=False)
+                      + shift.astype(x.dtype, copy=False), 0.0)
 
 
 @dataclass(eq=False)
@@ -292,8 +304,9 @@ def drenet_forward(image: np.ndarray, weights: DrenetWeights) -> np.ndarray:
 
     ``image`` is ``(height, width)`` or ``(height, width, channels)``
     with values in [0, 1]; a single-channel input is replicated to the
-    channel count the stem expects.  Output is ``(height, width, 32)``
-    at the input resolution.
+    channel count the stem expects.  The image is cast to float32 here,
+    and every layer runs in float32.  Output is ``(height, width, 32)``
+    float32 at the input resolution.
     """
     if image.ndim == 2:
         image = image[:, :, None]
@@ -303,7 +316,7 @@ def drenet_forward(image: np.ndarray, weights: DrenetWeights) -> np.ndarray:
     if image.shape[2] != want:
         raise ChannelMismatchError(
             f"image has {image.shape[2]} channels, stem expects {want}")
-    x = np.asarray(image, dtype=np.float64)
+    x = np.asarray(image, dtype=np.float32)
     x = conv2d(x, weights.stem0)
     x = conv2d(x, weights.stem1)
     trunk = conv2d(x, weights.grow)

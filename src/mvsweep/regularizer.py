@@ -5,7 +5,10 @@ half, full resolution) consumes cost slices one depth at a time and
 emits a single-channel score slice per depth.  Recurrence runs along
 the depth axis: each cell keeps hidden/cell state from the previous
 slice, so context accumulates across hypotheses while only one slice
-is ever materialized.
+is ever materialized.  The U runs in float32: :func:`hu_lstm_step` casts
+each cost slice to float32 on entry, and every cell, pooling, upsampling
+and the score head keep that dtype, so the carried state is float32
+too (the cost volume and the depth selection stay float64).
 
 Downsampling between cells is 2x2 max pooling with ceil semantics (odd
 edges are replicated before pooling); upsampling is a stride-2 3x3
@@ -115,14 +118,17 @@ def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
     ``(H, W, C)`` map or a sequence of channel blocks, read as their
     concatenation; the gates convolve the blocks of ``x`` followed by
     the hidden state, with no concatenated copy.  ``state is None``
-    starts from zeros: a read-only zero view stands in for both
-    tensors, so none is allocated.
+    starts from zeros: a read-only zero view in the input's dtype stands
+    in for both tensors, so none is allocated.  The cell computes in the
+    result type of ``x`` and the state (see
+    :func:`~mvsweep.features.conv3x3`).
     """
     blocks = (x,) if isinstance(x, np.ndarray) else tuple(x)
     height, width = blocks[0].shape[:2]
     hidden_ch = weights.hidden_channels
     if state is None:
-        h_prev = c_prev = np.broadcast_to(0.0, (height, width, hidden_ch))
+        zero = np.zeros((), np.result_type(*blocks))
+        h_prev = c_prev = np.broadcast_to(zero, (height, width, hidden_ch))
     else:
         h_prev, c_prev = state
         want = (height, width, hidden_ch)
@@ -133,11 +139,11 @@ def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
     gates = conv2d((*blocks, h_prev), weights.gates)
     # One tanh pass over all four gates: the input, forget and output
     # gates take sigmoid(v) = tanh(v / 2) / 2 + 1/2, the candidate tanh(v).
-    scale = np.repeat([0.5, 1.0], [3 * hidden_ch, hidden_ch])
+    scale = np.repeat(np.array([0.5, 1.0], gates.dtype), [3 * hidden_ch, hidden_ch])
     gates *= scale
     np.tanh(gates, out=gates)
     gates *= scale
-    gates += np.repeat([0.5, 0.0], [3 * hidden_ch, hidden_ch])
+    gates += np.repeat(np.array([0.5, 0.0], gates.dtype), [3 * hidden_ch, hidden_ch])
     gate_in, gate_forget, gate_out, candidate = np.split(gates, 4, axis=2)
     c_new = gate_forget * c_prev + gate_in * candidate
     h_new = gate_out * np.tanh(c_new)
@@ -167,25 +173,28 @@ def _upsample_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     :func:`~mvsweep.features.conv3x3`), and the taps accumulate in
     ``ky, kx`` order, so the sums are the stuffed convolution's with
     its all-zero terms left out.  Each tap's product goes through the
-    same BLAS call as ``conv3x3``'s (:func:`~mvsweep.features._gemm`).
+    same BLAS call as ``conv3x3``'s (:func:`~mvsweep.features._gemm`),
+    in ``x``'s dtype (at least float32), to which the kernel and bias
+    are cast.
     """
     height, width, in_ch = x.shape
     out_ch = kernel.shape[0]
     row = width + 1
-    padded = np.zeros((height + 2, row, in_ch), dtype=np.float64)
+    dtype = np.result_type(np.float32, x)
+    padded = np.zeros((height + 2, row, in_ch), dtype=dtype)
     padded[:height, :width] = x
     flat = padded.reshape(-1, in_ch)
     span = height * row
     # (i, output row parity, j, output column parity, channel)
-    out = np.zeros((height, 2, row, 2, out_ch), dtype=np.float64)
-    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
+    out = np.zeros((height, 2, row, 2, out_ch), dtype=dtype)
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0), dtype=dtype)
     for ky in range(3):
         for kx in range(3):
             start = (ky // 2) * row + kx // 2
             tap = _gemm(flat[start:start + span], taps[ky, kx])
             out[:, 1 - ky % 2, :, 1 - kx % 2] += tap.reshape(height, row, out_ch)
     out = out.reshape(2 * height, 2 * row, out_ch)
-    return out[:out_hw[0], :out_hw[1]] + bias
+    return out[:out_hw[0], :out_hw[1]] + bias.astype(dtype, copy=False)
 
 
 # (cell name, input channels); hidden channels are uniform.  Cells 3 and
@@ -294,9 +303,10 @@ def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
     """Advance the recurrent U by one depth slice.
 
     ``state is None`` starts all cells from zeros.  Returns the score
-    slice for this depth and the state to carry to the next one.
+    slice for this depth and the state to carry to the next one, both
+    float32: the cost is cast to float32 here.
     """
-    x = cost_slice.cost
+    x = np.asarray(cost_slice.cost, dtype=np.float32)
     prev = [None] * 5 if state is None else [
         (state.hidden[i], state.cell[i]) for i in range(5)]
 

@@ -304,8 +304,8 @@ def test_criterion_5_memory_scaling():
     small, _ = _stream_peak(16, weights)
     large, most_alive = _stream_peak(256, weights)
     failures = []
-    # One recurrent state is ~62 kB here, so keeping the 240 extra states
-    # adds ~15 MB; interpreter free lists account for ~0.2 MB of growth.
+    # One float32 recurrent state is ~31 kB here, so keeping the 240 extra
+    # states adds ~7.5 MB; interpreter free lists account for ~0.2 MB of growth.
     if large - small > 1_000_000:
         failures.append(f"peak {small} B at D=16 grew to {large} B at D=256")
     # Score slices are too small at 6x8 to show in the bytes, so count

@@ -153,6 +153,50 @@ class TestDepth:
         parallel = formats.ProjectLayout(out)
         for i in range(5):
             assert serial.depth(i).read_bytes() == parallel.depth(i).read_bytes()
+            assert serial.confidence(i).read_bytes() == parallel.confidence(i).read_bytes()
+
+    def test_thread_pool_parity_networks(self, synth_proj, tmp_path, monkeypatch):
+        # Both networks run float32 products (sgemm) on the worker threads.
+        layouts = []
+        for jobs in ("1", "3"):
+            monkeypatch.setenv("MVSWEEP_JOBS", jobs)
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main([
+                "depth", "--in", str(synth_proj), "--out", str(out), "--num-depths", "6",
+                "--features", "drenet", "--regularizer", "hulstm",
+            ]) == 0
+            layouts.append(formats.ProjectLayout(out))
+        serial, parallel = layouts
+        for i in range(5):
+            assert serial.depth(i).read_bytes() == parallel.depth(i).read_bytes()
+            assert serial.confidence(i).read_bytes() == parallel.confidence(i).read_bytes()
+
+    @pytest.mark.parametrize("views", [None, 2])
+    def test_out_directory_can_be_fused(self, synth_proj, tmp_path, views):
+        out = tmp_path / "estimates"
+        limit = [] if views is None else ["--views", str(views)]
+        assert cli.main(["depth", "--in", str(synth_proj), "--out", str(out),
+                         "--num-depths", "4", *limit]) == 0
+        count = 5 if views is None else views
+        source, target = formats.ProjectLayout(synth_proj), formats.ProjectLayout(out)
+        assert target.view_count() == count
+        for i in range(count):
+            assert target.image(i).read_bytes() == source.image(i).read_bytes()
+            assert target.cam(i).read_bytes() == source.cam(i).read_bytes()
+        # The sources of each estimated view, without views past --views.
+        assert target.read_pairs() == {
+            i: [j for j in source.read_pairs()[i] if j < count] for i in range(count)}
+        assert cli.main(["fuse", "--in", str(out), "--phi", "0"]) == 0
+        assert target.cloud.exists()
+
+    def test_out_equal_to_in_keeps_the_pair_file(self, tmp_path):
+        root = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(root), "--views", "3",
+                         "--size", "16x12"]) == 0
+        pair = (root / "pair.txt").read_bytes()
+        assert cli.main(["depth", "--in", str(root), "--out", str(root / "."),
+                         "--views", "2", "--num-depths", "4"]) == 0
+        assert (root / "pair.txt").read_bytes() == pair
 
     @pytest.mark.parametrize("value", ["x", "0", "-1", ""])
     def test_bad_job_count_is_user_error(self, synth_proj, tmp_path, monkeypatch,

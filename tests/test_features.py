@@ -197,6 +197,51 @@ class TestConv3x3WindowOracle:
         assert np.array_equal(got, _conv_by_windows(x, kernel, bias, dilation))
 
 
+# Float32 against float64 on the network shapes, relative to the float64
+# output's largest magnitude.  One convolution sums 9 * in_ch products,
+# whose float32 rounding stays near sqrt(9 * in_ch) * 6e-8 (about 2e-7
+# measured); a network chains nine layers or 24 recurrent steps.
+CONV_F32_RTOL = 1e-5
+NETWORK_F32_RTOL = 1e-4
+
+
+def assert_close_to_float64(got, want, rtol):
+    """``got`` is float32 and within ``rtol * max|want|`` of float64 ``want``."""
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestConv3x3Dtype:
+    """The convolution runs in its input's dtype; weights are cast at use."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_takes_input_dtype(self, dtype):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5, 6, 3)).astype(dtype)
+        kernel = rng.normal(size=(4, 3, 3, 3))
+        for out_ch in (4, 1):  # a BLAS product and a score head's vector product
+            out = features.conv3x3(x, kernel[:out_ch], rng.normal(size=out_ch))
+            assert out.dtype == dtype
+        layer = features._random_conv(rng, 3, 8, gn=True)
+        assert features.conv2d(x, layer).dtype == dtype
+
+    def test_mixed_blocks_take_their_result_type(self):
+        x = np.ones((4, 5, 3))
+        blocks = (x[:, :, :1].astype(np.float32), x[:, :, 1:])
+        assert features.conv3x3(blocks, np.ones((2, 3, 3, 3))).dtype == np.float64
+
+    @pytest.mark.parametrize("in_ch", [64, 96])
+    def test_float32_tracks_float64_on_gate_convolutions(self, in_ch):
+        # The HU-LSTM's full-resolution gate convolutions at 64x48.
+        rng = np.random.default_rng(in_ch)
+        x = rng.normal(size=(48, 64, in_ch))
+        kernel = rng.uniform(-1.0, 1.0, (128, in_ch, 3, 3)) / np.sqrt(9 * in_ch)
+        bias = rng.normal(size=128)
+        assert_close_to_float64(features.conv3x3(x.astype(np.float32), kernel, bias),
+                                features.conv3x3(x, kernel, bias), CONV_F32_RTOL)
+
+
 class TestGroupNormRelu:
     """Per-group statistics over all pixels of one map, then ReLU."""
 
@@ -349,6 +394,26 @@ class TestDrenetForward:
         np.testing.assert_array_equal(
             features.drenet_forward(img, w), features.drenet_forward(img, w)
         )
+
+    def test_float32_image_stays_float32(self):
+        rng = np.random.default_rng(10)
+        w = features.random_drenet_weights(seed=5)
+        image = rng.uniform(size=(6, 7, 3)).astype(np.float32)
+        assert features.drenet_forward(image, w).dtype == np.float32
+
+    def test_float32_tracks_float64(self):
+        # A float64 image runs in float32 too; the reference evaluates
+        # the network's graph on it in float64, layer by layer.
+        rng = np.random.default_rng(11)
+        w = features.random_drenet_weights(seed=6)
+        image = rng.uniform(size=(48, 64, 3))
+        trunk = features.conv2d(features.conv2d(features.conv2d(image, w.stem0), w.stem1),
+                                w.grow)
+        branches = (features.conv2d(trunk, w.branch_a),
+                    features.conv2d(features.conv2d(trunk, w.branch_b0), w.branch_b1),
+                    features.conv2d(features.conv2d(trunk, w.branch_c0), w.branch_c1))
+        want = features.conv2d(branches, w.fuse)
+        assert_close_to_float64(features.drenet_forward(image, w), want, NETWORK_F32_RTOL)
 
     def test_rejects_two_channel_input(self):
         w = features.random_drenet_weights(seed=0)

@@ -159,6 +159,19 @@ class TestConvLstmCell:
         assert gate[0] == 0.0 and gate[16000] == 1.0
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_runs_in_input_dtype(self, dtype):
+        # The zero state is built in the input's dtype, so a float32 cell
+        # never widens to float64, with or without a carried state.
+        rng = np.random.default_rng(8)
+        w = _random_cell(rng, in_ch=3, hidden_ch=2)
+        x = rng.normal(size=(5, 5, 3)).astype(dtype)
+        state = None
+        for _ in range(2):
+            h, state = regularizer.conv_lstm_cell(x, state, w)
+            assert h.dtype == state[0].dtype == state[1].dtype == dtype
+
+
 class TestMaxPool2:
     """Ceil-size 2x2 pooling with edge replication."""
 
@@ -224,6 +237,15 @@ class TestUpsampleConv:
         terms = _stuffed_conv(np.abs(x), np.abs(kernel), np.abs(bias), out_hw)
         n = 4 * in_ch + 1
         assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * terms)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_takes_input_dtype(self, dtype):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 5, 3)).astype(dtype)
+        got = regularizer._upsample_conv(x, rng.normal(size=(2, 3, 3, 3)),
+                                         rng.normal(size=2), (8, 9))
+        assert got.dtype == dtype
 
 
 class TestHuLstmWeights:
@@ -321,6 +343,42 @@ class TestHuLstmStep:
         out_b = [s.score for s in regularizer.regularize_stream(_slice_stream(rng_b, 2), w)]
         for a, b in zip(out_a, out_b):
             np.testing.assert_array_equal(a, b)
+
+
+    def test_float32_cost_stays_float32(self):
+        rng = np.random.default_rng(13)
+        w = regularizer.random_hulstm_weights(seed=4, in_channels=4)
+        state = None
+        for sl in _slice_stream(rng, 2, shape=(7, 9, 4)):
+            sl.cost = sl.cost.astype(np.float32)
+            score, state = regularizer.hu_lstm_step(sl, state, w)
+            assert score.score.dtype == np.float32
+            assert {t.dtype for t in state.hidden + state.cell} == {np.dtype(np.float32)}
+
+    def test_float32_tracks_float64(self):
+        # Float64 slices run in float32 too: no float64 array may appear
+        # in the returned state.  The reference evaluates the U in float64
+        # from the same parts, over 24 chained 64x48 slices; the bound is
+        # relative to the float64 maximum.
+        rng = np.random.default_rng(14)
+        w = regularizer.random_hulstm_weights(seed=5)
+        state = None
+        prev = [None] * 5
+        for sl in _slice_stream(rng, 24, shape=(48, 64, 32)):
+            score, state = regularizer.hu_lstm_step(sl, state, w)
+            h0, s0 = regularizer.conv_lstm_cell(sl.cost, prev[0], w.cells[0])
+            h1, s1 = regularizer.conv_lstm_cell(regularizer.max_pool2(h0), prev[1], w.cells[1])
+            h2, s2 = regularizer.conv_lstm_cell(regularizer.max_pool2(h1), prev[2], w.cells[2])
+            u2 = regularizer._upsample_conv(h2, w.up_mid.kernel, w.up_mid.bias, h1.shape[:2])
+            h3, s3 = regularizer.conv_lstm_cell((u2, h1), prev[3], w.cells[3])
+            u3 = regularizer._upsample_conv(h3, w.up_full.kernel, w.up_full.bias, h0.shape[:2])
+            h4, s4 = regularizer.conv_lstm_cell((u3, h0), prev[4], w.cells[4])
+            prev = [s0, s1, s2, s3, s4]
+            want = conv3x3(h4, w.head.kernel, w.head.bias)[:, :, 0]
+            for got, ref in [(score.score, want), *zip(state.hidden, (s[0] for s in prev)),
+                             *zip(state.cell, (s[1] for s in prev))]:
+                assert got.dtype == np.float32 and ref.dtype == np.float64
+                assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
 
 
 class TestPassthroughRegularizer:
