@@ -14,7 +14,9 @@ process several concurrently (results are identical regardless).
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
+import math
 import os
 import shutil
 import sys
@@ -139,9 +141,9 @@ def cmd_synth(args) -> int:
     if args.views < 1:
         raise InvalidArgumentError(f"--views must be positive, got {args.views}")
     # Written as "not in range" so NaN is rejected too.
-    if not args.noise_sigma >= 0.0:
+    if not 0.0 <= args.noise_sigma < np.inf:
         raise InvalidArgumentError(
-            f"--noise-sigma must be non-negative, got {args.noise_sigma}")
+            f"--noise-sigma must be non-negative and finite, got {args.noise_sigma}")
     if not 0.0 <= args.outlier_frac <= 1.0:
         raise InvalidArgumentError(
             f"--outlier-frac must lie in [0, 1], got {args.outlier_frac}")
@@ -488,6 +490,44 @@ def _battery() -> list[tuple[str, bool]]:
                     + fy * ((1 - fx) * values[y0 + 1, x0] + fx * values[y0 + 1, x0 + 1]))
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def check_texture_oracle():
+        # The shared-lattice noise routine against a per-point formula:
+        # the hash in Python integers and an eight-corner weighted sum.
+        def lattice(ix, iy, iz, seed):
+            h = (ix * 0x8DA6B343 ^ iy * 0xD8163841 ^ iz * 0xCB1AB31F
+                 ^ seed * 0x9E3779B9) & 0xFFFFFFFF
+            h ^= h >> 13
+            h = (h * 0x85EBCA6B) & 0xFFFFFFFF
+            return (h ^ h >> 16) / 4294967296.0
+
+        def noise(point, seed, scale, octaves):
+            total = norm = 0.0
+            amp, cell = 1.0, scale
+            for octave in range(octaves):
+                base = [math.floor(c / cell) for c in point]
+                frac = [c / cell - b for c, b in zip(point, base)]
+                t = [f * f * (3.0 - 2.0 * f) for f in frac]
+                value = 0.0
+                for offset in itertools.product((0, 1), repeat=3):
+                    weight = math.prod(w if o else 1.0 - w for o, w in zip(offset, t))
+                    value += weight * lattice(*(b + o for b, o in zip(base, offset)),
+                                              seed + 7919 * octave)
+                total += amp * value
+                norm += amp
+                amp *= 0.5
+                cell *= 0.5
+            return total / norm
+
+        points = np.random.default_rng(8).uniform(-300.0, 300.0, (6, 3))
+        points[-1] = (-4.1e10, 7.3e10, -2.2e10)  # lattice products wrap
+        seeds = (0, 131, 262)
+        for scale, octaves in ((60.0, 2), (17.0, 3)):
+            got = synth._noise_fields(points, seeds, scale, octaves)
+            assert got.shape == (len(points), len(seeds))
+            for point, row in zip(points.tolist(), got):
+                for seed, value in zip(seeds, row):
+                    assert abs(value - noise(point, seed, scale, octaves)) < 1e-12
+
     def check_streaming_softmax():
         rng = np.random.default_rng(3)
         scores = rng.normal(size=(16, 4, 5))
@@ -536,6 +576,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("conv_oracle", check_conv_oracle)
     run("upsample_phases", check_upsample_phases)
     run("bilinear_sample", check_bilinear_sample)
+    run("texture_oracle", check_texture_oracle)
     run("streaming_softmax", check_streaming_softmax)
     run("consistency_values", check_consistency_values)
     run("formats_round_trip", check_formats_round_trip)

@@ -85,9 +85,10 @@ class FusionParams:
     min_views: int = 3
 
     def __post_init__(self) -> None:
-        if self.lam < 0 or self.tau < 0 or not (0.0 <= self.phi <= 1.0):
+        # Written as "not in range" so NaN is rejected too.
+        if not (self.lam >= 0.0 and self.tau >= 0.0 and 0.0 <= self.phi <= 1.0):
             raise InvalidArgumentError("lam and tau must be non-negative, phi in [0, 1]")
-        if self.tau1 <= 0 or self.tau2 <= 0 or self.min_views < 1:
+        if not (self.tau1 > 0.0 and self.tau2 > 0.0 and self.min_views >= 1):
             raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 
 

@@ -62,13 +62,14 @@ def accuracy_completeness(recon: PointCloud, truth: PointCloud,
                           max_dist: float) -> tuple[float, float]:
     """Truncated mean nearest distances (reconstruction->truth, truth->reconstruction).
 
-    Distances are clipped to ``max_dist`` before averaging.  Both clouds
-    must be non-empty.
+    Distances are clipped to ``max_dist`` before averaging, which must
+    be positive and finite.  Both clouds must be non-empty.
     """
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("accuracy/completeness need non-empty clouds")
-    if max_dist <= 0:
-        raise InvalidArgumentError(f"max_dist must be positive, got {max_dist}")
+    # Written as "not in range" so NaN is rejected too.
+    if not 0.0 < max_dist < np.inf:
+        raise InvalidArgumentError(f"max_dist must be positive and finite, got {max_dist}")
     acc = float(np.minimum(nearest_distance(recon, truth), max_dist).mean())
     comp = float(np.minimum(nearest_distance(truth, recon), max_dist).mean())
     return acc, comp
@@ -81,12 +82,15 @@ def fscore(recon: PointCloud, truth: PointCloud, threshold: float,
     Precision is the fraction of reconstructed points within
     ``threshold`` of the truth; recall the fraction of truth points
     within ``threshold`` of the reconstruction; the f-score is their
-    harmonic mean (0 when both vanish).
+    harmonic mean (0 when both vanish).  ``threshold`` must be
+    non-negative and finite.
     """
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("f-score needs non-empty clouds")
-    if threshold < 0:
-        raise InvalidArgumentError(f"threshold must be non-negative, got {threshold}")
+    # Written as "not in range" so NaN is rejected too.
+    if not 0.0 <= threshold < np.inf:
+        raise InvalidArgumentError(
+            f"threshold must be non-negative and finite, got {threshold}")
     precision = float((nearest_distance(recon, truth) <= threshold).mean())
     recall = float((nearest_distance(truth, recon) <= threshold).mean())
     if precision + recall == 0.0:
@@ -128,8 +132,10 @@ def evaluate_clouds(recon: PointCloud, truth: PointCloud, threshold: float,
     """Full report; ``max_dist`` defaults to 20x the f-score threshold."""
     if max_dist is None:
         max_dist = 20.0 * threshold
-    acc, comp = accuracy_completeness(recon, truth, max_dist)
+    # The f-score first, so a bad threshold is reported as such and not
+    # as the max_dist derived from it.
     precision, recall, f = fscore(recon, truth, threshold)
+    acc, comp = accuracy_completeness(recon, truth, max_dist)
     return EvalReport(
         accuracy=acc,
         completeness=comp,

@@ -13,6 +13,11 @@ at continuous coordinates, which makes reprojection round trips exact
 up to floating-point roundoff; stored ground-truth maps quantize to the
 pixel grid and are accurate only to the local depth variation.
 
+The texture is evaluated only at the hit points of each view; pixels
+whose ray misses the surface stay 0.  The three colour channels are
+three seeds of one noise field and share a single lattice pass: the
+cell, the smoothstep weights and the seed-free corner keys are computed
+once, and only the seeded hash finish and the blend run per channel.
 The noise lattice uses fixed-width unsigned integer hashing only, so
 identical seeds produce bit-identical scenes on any platform.
 """
@@ -47,18 +52,82 @@ __all__ = [
 # Procedural texture
 
 
-def _hash_lattice(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray,
-                  seed: int) -> np.ndarray:
-    """Deterministic [0, 1) value per integer lattice point."""
-    seed_mix = np.uint32((seed * 0x9E3779B9) & 0xFFFFFFFF)
-    h = (ix.astype(np.uint32) * np.uint32(0x8DA6B343)
-         ^ iy.astype(np.uint32) * np.uint32(0xD8163841)
-         ^ iz.astype(np.uint32) * np.uint32(0xCB1AB31F)
-         ^ seed_mix)
+def _lattice_keys(base: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seed-free key terms of each cell's lower and upper lattice planes.
+
+    ``base`` holds the integer lower corners as ``(3, n)``.  Per axis
+    the result is ``(i * m, (i + 1) * m)`` modulo 2**32 for the axis
+    multipliers ``m`` 0x8DA6B343, 0xD8163841 and 0xCB1AB31F; a corner's
+    key is the xor of its three terms.  The upper term is the lower one
+    plus ``m``, which wraps exactly like the product of ``i + 1``.
+    """
+    terms = []
+    for coord, mult in zip(base, (0x8DA6B343, 0xD8163841, 0xCB1AB31F)):
+        lo = coord.astype(np.uint32) * np.uint32(mult)
+        terms.append((lo, lo + np.uint32(mult)))
+    return terms
+
+
+def _hash_seeds(key: np.ndarray, seed_mix: np.ndarray) -> np.ndarray:
+    """Deterministic [0, 1) value per lattice key, one row per seed.
+
+    ``seed_mix`` holds each seed times 0x9E3779B9 modulo 2**32 as an
+    ``(S, 1)`` column; ``key`` is ``(n,)`` and the result ``(S, n)``.
+    """
+    h = key ^ seed_mix
     h ^= h >> np.uint32(13)
     h *= np.uint32(0x85EBCA6B)
     h ^= h >> np.uint32(16)
-    return h.astype(np.float64) / 4294967296.0
+    return h / 4294967296.0
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``a * (1 - t) + b * t``, overwriting ``a`` and ``b``."""
+    a *= 1 - t
+    b *= t
+    a += b
+    return a
+
+
+def _noise_fields(points: np.ndarray, seeds: Sequence[int], scale: float,
+                  octaves: int) -> np.ndarray:
+    """One :func:`value_noise` field per seed, stacked on a last axis.
+
+    Each octave finds the cell, the smoothstep weights and the corner
+    keys once for all seeds; only the hash finish and the trilinear
+    blend run per seed.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    # Coordinate-major, so each axis is one contiguous run.
+    xyz = pts.reshape(-1, pts.shape[-1]).T.copy()
+    total = np.zeros((len(seeds), xyz.shape[1]), dtype=np.float64)
+    norm = 0.0
+    amp = 1.0
+    cell = float(scale)
+    for octave in range(octaves):
+        p = xyz / cell
+        base = np.floor(p)
+        frac = p - base
+        tx, ty, tz = frac * frac * (3.0 - 2.0 * frac)
+        kx, ky, kz = _lattice_keys(base.astype(np.int64))
+        seed_mix = np.array(
+            [((seed + 7919 * octave) * 0x9E3779B9) & 0xFFFFFFFF for seed in seeds],
+            dtype=np.uint32)[:, None]
+
+        def corner(cx, cy, cz):
+            return _hash_seeds(kx[cx] ^ ky[cy] ^ kz[cz], seed_mix)
+
+        x0 = _lerp(corner(0, 0, 0), corner(1, 0, 0), tx)
+        x1 = _lerp(corner(0, 1, 0), corner(1, 1, 0), tx)
+        x2 = _lerp(corner(0, 0, 1), corner(1, 0, 1), tx)
+        x3 = _lerp(corner(0, 1, 1), corner(1, 1, 1), tx)
+        y0 = _lerp(x0, x1, ty)
+        y1 = _lerp(x2, x3, ty)
+        total += amp * _lerp(y0, y1, tz)
+        norm += amp
+        amp *= 0.5
+        cell *= 0.5
+    return (total / norm).T.reshape(pts.shape[:-1] + (len(seeds),))
 
 
 def value_noise(points: np.ndarray, seed: int = 0, scale: float = 25.0,
@@ -67,37 +136,11 @@ def value_noise(points: np.ndarray, seed: int = 0, scale: float = 25.0,
 
     ``scale`` is the base lattice cell size in world units; each octave
     halves the cell and the amplitude.  Identical inputs give identical
-    outputs across platforms (integer-hash lattice).
+    outputs across platforms (integer-hash lattice).  This is the
+    one-seed case of the routine that shades all three colour channels
+    in one lattice pass, so it equals each of their fields bit for bit.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    total = np.zeros(pts.shape[:-1], dtype=np.float64)
-    norm = 0.0
-    amp = 1.0
-    cell = float(scale)
-    for octave in range(octaves):
-        p = pts / cell
-        base = np.floor(p)
-        frac = p - base
-        t = frac * frac * (3.0 - 2.0 * frac)
-        base_i = base.astype(np.int64)
-        corner = {}
-        for cx in (0, 1):
-            for cy in (0, 1):
-                for cz in (0, 1):
-                    corner[cx, cy, cz] = _hash_lattice(
-                        base_i[..., 0] + cx, base_i[..., 1] + cy,
-                        base_i[..., 2] + cz, seed + 7919 * octave)
-        x0 = corner[0, 0, 0] * (1 - t[..., 0]) + corner[1, 0, 0] * t[..., 0]
-        x1 = corner[0, 1, 0] * (1 - t[..., 0]) + corner[1, 1, 0] * t[..., 0]
-        x2 = corner[0, 0, 1] * (1 - t[..., 0]) + corner[1, 0, 1] * t[..., 0]
-        x3 = corner[0, 1, 1] * (1 - t[..., 0]) + corner[1, 1, 1] * t[..., 0]
-        y0 = x0 * (1 - t[..., 1]) + x1 * t[..., 1]
-        y1 = x2 * (1 - t[..., 1]) + x3 * t[..., 1]
-        total += amp * (y0 * (1 - t[..., 2]) + y1 * t[..., 2])
-        norm += amp
-        amp *= 0.5
-        cell *= 0.5
-    return total / norm
+    return _noise_fields(points, (seed,), scale, octaves)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +275,8 @@ def _ray_grid(cam: Camera, width: int, height: int):
 
 def _shade(points: np.ndarray, scene: SceneSpec) -> np.ndarray:
     """RGB albedo of surface points, channels from three noise fields."""
-    channels = [
-        value_noise(points, scene.texture_seed + 131 * ch,
-                    scene.noise_scale, scene.noise_octaves)
-        for ch in range(3)
-    ]
-    rgb = np.stack(channels, axis=-1)
+    rgb = _noise_fields(points, [scene.texture_seed + 131 * ch for ch in range(3)],
+                        scene.noise_scale, scene.noise_octaves)
     return np.clip(0.5 + (rgb - 0.5) * (2.0 * scene.contrast), 0.0, 1.0)
 
 
@@ -245,8 +284,9 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
                  height: int) -> list[tuple[np.ndarray, DepthMap]]:
     """Render ``(image, depth)`` for every camera.
 
-    Images are ``(height, width, 3)`` in [0, 1]; depth maps carry the
-    exact ray-intersection depth with misses masked.  A view that sees
+    Images are ``(height, width, 3)`` in [0, 1], shaded at the hit
+    pixels only and 0 where the ray misses; depth maps carry the exact
+    ray-intersection depth with misses masked.  A view that sees
     no surface at all raises :class:`NoIntersectionError`.
     """
     out = []
@@ -256,8 +296,8 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
         hit = np.isfinite(t)
         if not hit.any():
             raise NoIntersectionError(f"view {index} sees no surface")
-        points = origin + np.where(hit, t, 1.0)[..., None] * dirs
-        image = np.where(hit[..., None], _shade(points, scene), 0.0)
+        image = np.zeros((height, width, 3))
+        image[hit] = _shade(origin + t[hit, None] * dirs[hit], scene)
         depth = DepthMap(np.where(hit, t, np.nan), hit)
         out.append((image, depth))
     return out
@@ -305,12 +345,12 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
     replaced by uniform draws from ``outlier_range`` (default: the map's
     own valid min/max).  Gaussian noise of standard deviation ``sigma``
     is added to all valid pixels first.  The mask is unchanged.  Raises
-    :class:`InvalidArgumentError` for a negative ``sigma`` or an
-    ``outlier_frac`` outside [0, 1], NaN included.
+    :class:`InvalidArgumentError` for a ``sigma`` that is negative or not
+    finite, or an ``outlier_frac`` outside [0, 1], NaN included.
     """
     # Written as "not in range" so NaN is rejected too.
-    if not sigma >= 0.0:
-        raise InvalidArgumentError(f"sigma must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidArgumentError(f"sigma must be non-negative and finite, got {sigma}")
     if not 0.0 <= outlier_frac <= 1.0:
         raise InvalidArgumentError(f"outlier_frac must lie in [0, 1], got {outlier_frac}")
     rng = np.random.default_rng(seed)

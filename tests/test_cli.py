@@ -91,6 +91,7 @@ class TestSynth:
         ("--outlier-frac", "nan"),
         ("--noise-sigma", "-1"),
         ("--noise-sigma", "nan"),
+        ("--noise-sigma", "inf"),
     ])
     def test_noise_flags_are_range_checked(self, flag, value, tmp_path, capsys):
         out = tmp_path / "noisy"
@@ -496,8 +497,13 @@ class TestOutOfRangeArguments:
         ["depth", "--num-depths", "1"],
         ["fuse", "--phi", "2"],
         ["fuse", "--filter", "fixed", "--min-views", "0"],
+        ["fuse", "--tau", "nan"],
+        ["fuse", "--lambda", "nan"],
         ["eval", "--threshold", "0"],
         ["eval", "--threshold", "-1"],
+        ["eval", "--threshold", "nan"],
+        ["eval", "--threshold", "inf"],
+        ["eval", "--threshold", "1", "--max-dist", "nan"],
     ], ids=" ".join)
     def test_reported_without_traceback(self, argv, synth_proj, tmp_path, capsys):
         command, *rest = argv

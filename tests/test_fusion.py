@@ -67,6 +67,9 @@ class TestParamsAndContainers:
     def test_fusion_params_validation(self):
         with pytest.raises(ValueError):
             fusion.FusionParams(lam=-1.0)
+        for field in ("lam", "tau", "phi", "tau1", "tau2"):
+            with pytest.raises(ValueError):
+                fusion.FusionParams(**{field: float("nan")})
         with pytest.raises(ValueError):
             fusion.FusionParams(phi=1.5)
         with pytest.raises(ValueError):

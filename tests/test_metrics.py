@@ -89,8 +89,9 @@ class TestAccuracyCompleteness:
             metrics.accuracy_completeness(PointCloud.empty(), a, 1.0)
         with pytest.raises(EmptyCloudError):
             metrics.accuracy_completeness(a, PointCloud.empty(), 1.0)
-        with pytest.raises(ValueError):
-            metrics.accuracy_completeness(a, a, max_dist=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                metrics.accuracy_completeness(a, a, max_dist=bad)
 
 
 class TestFscore:
@@ -129,8 +130,9 @@ class TestFscore:
         a = _cloud([[0, 0, 0]])
         with pytest.raises(EmptyCloudError):
             metrics.fscore(a, PointCloud.empty(), 1.0)
-        with pytest.raises(ValueError):
-            metrics.fscore(a, a, threshold=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                metrics.fscore(a, a, threshold=bad)
 
 
 class TestEvalReport:

@@ -196,6 +196,105 @@ class TestRenderScene:
             np.testing.assert_array_equal(dep_a.data, dep_b.data)
 
 
+def _reference_hash_lattice(ix, iy, iz, seed):
+    """The lattice hash as first written: one seed, every corner hashed whole."""
+    seed_mix = np.uint32((seed * 0x9E3779B9) & 0xFFFFFFFF)
+    h = (ix.astype(np.uint32) * np.uint32(0x8DA6B343)
+         ^ iy.astype(np.uint32) * np.uint32(0xD8163841)
+         ^ iz.astype(np.uint32) * np.uint32(0xCB1AB31F)
+         ^ seed_mix)
+    h ^= h >> np.uint32(13)
+    h *= np.uint32(0x85EBCA6B)
+    h ^= h >> np.uint32(16)
+    return h.astype(np.float64) / 4294967296.0
+
+
+def _reference_value_noise(points, seed, scale, octaves):
+    """Per-channel value noise as first written, one field per call."""
+    pts = np.asarray(points, dtype=np.float64)
+    total = np.zeros(pts.shape[:-1], dtype=np.float64)
+    norm = 0.0
+    amp = 1.0
+    cell = float(scale)
+    for octave in range(octaves):
+        p = pts / cell
+        base = np.floor(p)
+        frac = p - base
+        t = frac * frac * (3.0 - 2.0 * frac)
+        base_i = base.astype(np.int64)
+        corner = {}
+        for cx in (0, 1):
+            for cy in (0, 1):
+                for cz in (0, 1):
+                    corner[cx, cy, cz] = _reference_hash_lattice(
+                        base_i[..., 0] + cx, base_i[..., 1] + cy,
+                        base_i[..., 2] + cz, seed + 7919 * octave)
+        x0 = corner[0, 0, 0] * (1 - t[..., 0]) + corner[1, 0, 0] * t[..., 0]
+        x1 = corner[0, 1, 0] * (1 - t[..., 0]) + corner[1, 1, 0] * t[..., 0]
+        x2 = corner[0, 0, 1] * (1 - t[..., 0]) + corner[1, 0, 1] * t[..., 0]
+        x3 = corner[0, 1, 1] * (1 - t[..., 0]) + corner[1, 1, 1] * t[..., 0]
+        y0 = x0 * (1 - t[..., 1]) + x1 * t[..., 1]
+        y1 = x2 * (1 - t[..., 1]) + x3 * t[..., 1]
+        total += amp * (y0 * (1 - t[..., 2]) + y1 * t[..., 2])
+        norm += amp
+        amp *= 0.5
+        cell *= 0.5
+    return total / norm
+
+
+def _reference_render(scene, cams, width, height):
+    """Images as first rendered: every pixel shaded, misses at t = 1, then masked."""
+    images = []
+    for cam in cams:
+        origin, dirs = synth._ray_grid(cam, width, height)
+        t = scene.surface.intersect(origin[None, None, :], dirs)
+        hit = np.isfinite(t)
+        points = origin + np.where(hit, t, 1.0)[..., None] * dirs
+        channels = [
+            _reference_value_noise(points, scene.texture_seed + 131 * ch,
+                                   scene.noise_scale, scene.noise_octaves)
+            for ch in range(3)
+        ]
+        rgb = np.stack(channels, axis=-1)
+        shaded = np.clip(0.5 + (rgb - 0.5) * (2.0 * scene.contrast), 0.0, 1.0)
+        images.append(np.where(hit[..., None], shaded, 0.0))
+    return images
+
+
+class TestRendererOracle:
+    """Shading hit points only, with one lattice pass for all three
+    channels, gives the per-channel, every-pixel renderer's images bit
+    for bit."""
+
+    @pytest.mark.parametrize("surface", [synth.Plane(), synth.Sphere(radius=100.0)],
+                             ids=["plane", "sphere"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_images_equal_reference(self, surface, seed):
+        scene = synth.SceneSpec(surface=surface, texture_seed=seed)
+        cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=3))
+        rendered = synth.render_scene(scene, cams, 64, 48)
+        for (image, depth), want in zip(rendered, _reference_render(scene, cams, 64, 48)):
+            assert image.dtype == want.dtype == np.float64
+            assert np.array_equal(image, want)
+            if isinstance(surface, synth.Sphere):
+                assert depth.mask.any() and not depth.mask.all()
+            assert np.all(image[~depth.mask] == 0.0)
+
+    @pytest.mark.parametrize("octaves", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [25.0, 60.0])
+    def test_value_noise_equals_reference(self, octaves, scale):
+        rng = np.random.default_rng(7)
+        # Negative cells and coordinates far enough out that the lattice
+        # products wrap modulo 2**32.
+        pts = np.concatenate([rng.uniform(-300.0, 300.0, size=(500, 3)),
+                              rng.uniform(-1e11, 1e11, size=(50, 3))])
+        for seed in (0, 5, -3):
+            got = synth.value_noise(pts, seed=seed, scale=scale, octaves=octaves)
+            want = _reference_value_noise(pts, seed, scale, octaves)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestAnalyticDepth:
     """Continuous-pixel exact depth lookups."""
 
@@ -295,6 +394,7 @@ class TestPerturbDepths:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": -1.0},
         {"sigma": float("nan")},
+        {"sigma": float("inf")},
         {"outlier_frac": 2.0},
         {"outlier_frac": -0.1},
         {"outlier_frac": float("nan")},
