@@ -56,8 +56,6 @@ from .metrics import (
 )
 from .regularizer import (
     HuLstmWeights,
-    LstmCellWeights,
-    LstmState,
     ScoreSlice,
     conv_lstm_cell,
     hu_lstm_step,

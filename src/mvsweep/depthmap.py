@@ -45,9 +45,6 @@ class DepthMap:
     def valid_count(self) -> int:
         return int(self.mask.sum())
 
-    def copy(self) -> "DepthMap":
-        return DepthMap(self.data.copy(), self.mask.copy())
-
     def depth_at(self, x: float, y: float) -> float:
         """Nearest-pixel depth at a continuous coordinate, NaN if invalid."""
         if not (0.0 <= x <= self.width - 1.0 and 0.0 <= y <= self.height - 1.0):

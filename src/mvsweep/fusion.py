@@ -86,8 +86,10 @@ class FusionParams:
 
     def __post_init__(self) -> None:
         # Written as "not in range" so NaN is rejected too.
-        if not (self.lam >= 0.0 and self.tau >= 0.0 and 0.0 <= self.phi <= 1.0):
-            raise InvalidArgumentError("lam and tau must be non-negative, phi in [0, 1]")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.tau < np.inf
+                and 0.0 <= self.phi <= 1.0):
+            raise InvalidArgumentError(
+                "lam and tau must be non-negative and finite, phi in [0, 1]")
         if not (self.tau1 > 0.0 and self.tau2 > 0.0 and self.min_views >= 1):
             raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 

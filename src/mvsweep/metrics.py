@@ -30,32 +30,26 @@ __all__ = [
 ]
 
 
-def nearest_distance(query: PointCloud, reference: PointCloud,
-                     method: str = "kdtree") -> np.ndarray:
-    """Distance from each query point to its nearest reference point.
-
-    ``method`` selects the k-d tree implementation or a brute-force
-    pairwise scan (identical results; the scan exists as an oracle and
-    for tiny inputs).
-    """
+def nearest_distance(query: PointCloud, reference: PointCloud) -> np.ndarray:
+    """Distance from each query point to its nearest reference point (k-d tree)."""
     if len(reference) == 0:
         raise EmptyReferenceError("nearest-distance query against an empty cloud")
     if len(query) == 0:
         return np.zeros(0, dtype=np.float64)
-    if method == "kdtree":
-        dists, _ = cKDTree(reference.xyz).query(query.xyz)
-        return np.asarray(dists, dtype=np.float64)
-    if method == "brute":
-        out = np.empty(len(query), dtype=np.float64)
-        # Chunked so the pairwise matrix stays small.
-        step = 512
-        for start in range(0, len(query), step):
-            block = query.xyz[start:start + step]
-            diff = block[:, None, :] - reference.xyz[None, :, :]
-            out[start:start + len(block)] = np.sqrt(
-                np.square(diff).sum(axis=2)).min(axis=1)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    dists, _ = cKDTree(reference.xyz).query(query.xyz)
+    return np.asarray(dists, dtype=np.float64)
+
+
+def _check_threshold(threshold: float) -> None:
+    # Written as "not in range" so NaN is rejected too.
+    if not 0.0 <= threshold < np.inf:
+        raise InvalidArgumentError(
+            f"threshold must be non-negative and finite, got {threshold}")
+
+
+def _check_max_dist(max_dist: float) -> None:
+    if not 0.0 < max_dist < np.inf:
+        raise InvalidArgumentError(f"max_dist must be positive and finite, got {max_dist}")
 
 
 def accuracy_completeness(recon: PointCloud, truth: PointCloud,
@@ -67,9 +61,7 @@ def accuracy_completeness(recon: PointCloud, truth: PointCloud,
     """
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("accuracy/completeness need non-empty clouds")
-    # Written as "not in range" so NaN is rejected too.
-    if not 0.0 < max_dist < np.inf:
-        raise InvalidArgumentError(f"max_dist must be positive and finite, got {max_dist}")
+    _check_max_dist(max_dist)
     acc = float(np.minimum(nearest_distance(recon, truth), max_dist).mean())
     comp = float(np.minimum(nearest_distance(truth, recon), max_dist).mean())
     return acc, comp
@@ -87,10 +79,7 @@ def fscore(recon: PointCloud, truth: PointCloud, threshold: float,
     """
     if len(recon) == 0 or len(truth) == 0:
         raise EmptyCloudError("f-score needs non-empty clouds")
-    # Written as "not in range" so NaN is rejected too.
-    if not 0.0 <= threshold < np.inf:
-        raise InvalidArgumentError(
-            f"threshold must be non-negative and finite, got {threshold}")
+    _check_threshold(threshold)
     precision = float((nearest_distance(recon, truth) <= threshold).mean())
     recall = float((nearest_distance(truth, recon) <= threshold).mean())
     if precision + recall == 0.0:
@@ -129,11 +118,18 @@ class EvalReport:
 
 def evaluate_clouds(recon: PointCloud, truth: PointCloud, threshold: float,
                     max_dist: float | None = None) -> EvalReport:
-    """Full report; ``max_dist`` defaults to 20x the f-score threshold."""
+    """Full report; ``max_dist`` defaults to 20x the f-score threshold.
+
+    Both distances are checked before any nearest-distance query.
+    """
+    _check_threshold(threshold)
     if max_dist is None:
+        if threshold == 0.0:
+            raise InvalidArgumentError(
+                "threshold 0 gives no default max_dist (20x threshold); "
+                "a zero threshold needs an explicit max_dist (--max-dist)")
         max_dist = 20.0 * threshold
-    # The f-score first, so a bad threshold is reported as such and not
-    # as the max_dist derived from it.
+    _check_max_dist(max_dist)
     precision, recall, f = fscore(recon, truth, threshold)
     acc, comp = accuracy_completeness(recon, truth, max_dist)
     return EvalReport(

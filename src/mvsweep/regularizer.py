@@ -5,7 +5,10 @@ half, full resolution) consumes cost slices one depth at a time and
 emits a single-channel score slice per depth.  Recurrence runs along
 the depth axis: each cell keeps hidden/cell state from the previous
 slice, so context accumulates across hypotheses while only one slice
-is ever materialized.  The U runs in float32: :func:`hu_lstm_step` casts
+is ever materialized.  Each cell is one 3x3 convolution over the
+channel concatenation ``[x, h]`` whose outputs are its input, forget,
+output and candidate gates stacked in that order; weight containers
+store it per gate.  The U runs in float32: :func:`hu_lstm_step` casts
 each cost slice to float32 on entry, and every cell, pooling, upsampling
 and the score head keep that dtype, so the carried state is float32
 too (the cost volume and the depth selection stay float64).
@@ -28,7 +31,7 @@ the rest of the pipeline usable without any training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,8 +42,6 @@ from .features import ConvLayerWeights, _gemm, _random_conv, conv2d
 
 __all__ = [
     "HuLstmWeights",
-    "LstmCellWeights",
-    "LstmState",
     "ScoreSlice",
     "conv_lstm_cell",
     "hu_lstm_step",
@@ -59,62 +60,22 @@ class ScoreSlice:
     score: np.ndarray
 
 
+# Gate order of a cell's stacked convolution and of its container tensors.
 _GATES = ("input", "forget", "output", "candidate")
-
-
-@dataclass(frozen=True, eq=False)
-class LstmCellWeights:
-    """Gate convolutions of one ConvLSTM cell.
-
-    Every gate convolves the channel concatenation ``[x, h]`` of the
-    input and the previous hidden state, so each kernel has shape
-    ``(hidden_ch, in_ch + hidden_ch, 3, 3)``.  The four gates are stacked
-    once, in field order, into :attr:`gates`, one convolution with
-    ``4 * hidden_ch`` outputs, and the per-gate fields are rebound to
-    views of it: a gate changed in place changes the stacked kernel.
-    """
-
-    w_input: np.ndarray
-    b_input: np.ndarray
-    w_forget: np.ndarray
-    b_forget: np.ndarray
-    w_output: np.ndarray
-    b_output: np.ndarray
-    w_candidate: np.ndarray
-    b_candidate: np.ndarray
-    gates: ConvLayerWeights = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        kernels = [getattr(self, f"w_{gate}") for gate in _GATES]
-        biases = [getattr(self, f"b_{gate}") for gate in _GATES]
-        shapes = {(kernel.shape, bias.shape) for kernel, bias in zip(kernels, biases)}
-        if len(shapes) != 1 or 0 in (kernels[0].ndim, biases[0].ndim):
-            raise WeightGraphMismatchError(
-                f"gate kernel and bias shapes {sorted(shapes)} do not stack")
-        gates = ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
-        object.__setattr__(self, "gates", gates)
-        for gate, kernel, bias in zip(_GATES, np.split(gates.kernel, 4),
-                                      np.split(gates.bias, 4)):
-            object.__setattr__(self, f"w_{gate}", kernel)
-            object.__setattr__(self, f"b_{gate}", bias)
-
-    @property
-    def hidden_channels(self) -> int:
-        return self.w_input.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.w_input.shape[1] - self.w_input.shape[0]
 
 
 def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
                    state: tuple[np.ndarray, np.ndarray] | None,
-                   weights: LstmCellWeights) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+                   weights: ConvLayerWeights) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One ConvLSTM update; returns ``(output, (hidden, cell))``.
 
-    Gates: input/forget/output are sigmoids, the candidate is a tanh;
-    the new cell state is ``forget * cell + input * candidate`` and the
-    output is ``output_gate * tanh(cell')``.  ``x`` is one
+    ``weights`` is the cell's one gate convolution over ``[x, h]``: its
+    ``4 * hidden_ch`` outputs are the input, forget, output and
+    candidate gates stacked in that order, so the kernel has shape
+    ``(4 * hidden_ch, in_ch + hidden_ch, 3, 3)``.  Input/forget/output
+    are sigmoids, the candidate is a tanh; the new cell state is
+    ``forget * cell + input * candidate`` and the output is
+    ``output_gate * tanh(cell')``.  ``x`` is one
     ``(H, W, C)`` map or a sequence of channel blocks, read as their
     concatenation; the gates convolve the blocks of ``x`` followed by
     the hidden state, with no concatenated copy.  ``state is None``
@@ -125,7 +86,10 @@ def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
     """
     blocks = (x,) if isinstance(x, np.ndarray) else tuple(x)
     height, width = blocks[0].shape[:2]
-    hidden_ch = weights.hidden_channels
+    if weights.out_channels % 4:
+        raise WeightGraphMismatchError(
+            f"gate conv has {weights.out_channels} outputs, not 4 stacked gates")
+    hidden_ch = weights.out_channels // 4
     if state is None:
         zero = np.zeros((), np.result_type(*blocks))
         h_prev = c_prev = np.broadcast_to(zero, (height, width, hidden_ch))
@@ -136,7 +100,7 @@ def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
             if tensor.shape != want:
                 raise SizeMismatchError(
                     f"{name} state {tensor.shape} does not match input {want}")
-    gates = conv2d((*blocks, h_prev), weights.gates)
+    gates = conv2d((*blocks, h_prev), weights)
     # One tanh pass over all four gates: the input, forget and output
     # gates take sigmoid(v) = tanh(v / 2) / 2 + 1/2, the candidate tanh(v).
     scale = np.repeat(np.array([0.5, 1.0], gates.dtype), [3 * hidden_ch, hidden_ch])
@@ -219,7 +183,7 @@ _HU_CONVS = (
 class HuLstmWeights:
     """Parameters of the U-shaped recurrent regularizer."""
 
-    cells: tuple[LstmCellWeights, ...]
+    cells: tuple[ConvLayerWeights, ...]
     up_mid: ConvLayerWeights
     up_full: ConvLayerWeights
     head: ConvLayerWeights
@@ -229,28 +193,24 @@ class HuLstmWeights:
         if len(self.cells) != len(_HU_CELLS):
             raise WeightGraphMismatchError(f"expected {len(_HU_CELLS)} cells, got {len(self.cells)}")
         # The input width is free, so it is read from the first cell's
-        # kernels, whose rank must be checked before that read.
-        if self.cells[0].w_input.ndim != 4:
+        # kernel, whose rank must be checked before that read.
+        if self.cells[0].kernel.ndim != 4:
             raise WeightGraphMismatchError(
-                f"cell_full_down: w_input {self.cells[0].w_input.shape}, expected 4-d")
-        in_ch = self.cells[0].in_channels
+                f"cell_full_down: kernel {self.cells[0].kernel.shape}, expected 4-d")
+        first_in = self.cells[0].in_channels
         for cell, (name, expect_in) in zip(self.cells, _HU_CELLS):
-            expect = in_ch if name == "cell_full_down" else expect_in
-            cell.gates.check(name, expect + HIDDEN_CH, 4 * HIDDEN_CH)
+            expect = first_in if name == "cell_full_down" else expect_in + HIDDEN_CH
+            cell.check(name, expect, 4 * HIDDEN_CH)
         for name, *channels in _HU_CONVS:
             getattr(self, name).check(name, *channels)
-
-    @property
-    def up_full_kernel(self) -> np.ndarray:
-        """Kernel of the upsample conv into the full-resolution cell."""
-        return self.up_full.kernel
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for cell, (name, _) in zip(self.cells, _HU_CELLS):
-            for gate in _GATES:
-                out[f"{name}.w_{gate}"] = getattr(cell, f"w_{gate}")
-                out[f"{name}.b_{gate}"] = getattr(cell, f"b_{gate}")
+            for gate, kernel, bias in zip(_GATES, np.split(cell.kernel, 4),
+                                          np.split(cell.bias, 4)):
+                out[f"{name}.w_{gate}"] = kernel
+                out[f"{name}.b_{gate}"] = bias
         for name, *_ in _HU_CONVS:
             out[f"{name}.kernel"] = getattr(self, name).kernel
             out[f"{name}.bias"] = getattr(self, name).bias
@@ -259,11 +219,7 @@ class HuLstmWeights:
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "HuLstmWeights":
         try:
-            cells = tuple(
-                LstmCellWeights(**{
-                    f"{kind}_{gate}": tensors[f"{name}.{kind}_{gate}"]
-                    for gate in _GATES for kind in ("w", "b")})
-                for name, _ in _HU_CELLS)
+            cells = tuple(_stack_gates(tensors, name) for name, _ in _HU_CELLS)
             convs = {name: ConvLayerWeights(tensors[f"{name}.kernel"],
                                             tensors[f"{name}.bias"])
                      for name, *_ in _HU_CONVS}
@@ -272,12 +228,15 @@ class HuLstmWeights:
         return cls(cells=cells, **convs)
 
 
-@dataclass(eq=False)
-class LstmState:
-    """Hidden and cell tensors of all five cells at one recurrence step."""
-
-    hidden: tuple[np.ndarray, ...]
-    cell: tuple[np.ndarray, ...]
+def _stack_gates(tensors: dict[str, np.ndarray], name: str) -> ConvLayerWeights:
+    """One cell's per-gate container tensors as its stacked gate conv."""
+    kernels = [tensors[f"{name}.w_{gate}"] for gate in _GATES]
+    biases = [tensors[f"{name}.b_{gate}"] for gate in _GATES]
+    shapes = {(kernel.shape, bias.shape) for kernel, bias in zip(kernels, biases)}
+    if len(shapes) != 1 or 0 in (kernels[0].ndim, biases[0].ndim):
+        raise WeightGraphMismatchError(
+            f"{name}: gate kernel and bias shapes {sorted(shapes)} do not stack")
+    return ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
 
 
 def random_hulstm_weights(seed: int = 0, in_channels: int = 32) -> HuLstmWeights:
@@ -287,28 +246,22 @@ def random_hulstm_weights(seed: int = 0, in_channels: int = 32) -> HuLstmWeights
     for name, in_ch in _HU_CELLS:
         if name == "cell_full_down":
             in_ch = in_channels
-        # One draw of the stacked kernel yields the four gate kernels in
-        # gate order, as four consecutive per-gate draws would.
-        gates = _random_conv(rng, in_ch + HIDDEN_CH, 4 * HIDDEN_CH)
-        cells.append(LstmCellWeights(**{
-            f"{kind}_{gate}": part
-            for kind, whole in (("w", gates.kernel), ("b", gates.bias))
-            for gate, part in zip(_GATES, np.split(whole, 4))}))
+        cells.append(_random_conv(rng, in_ch + HIDDEN_CH, 4 * HIDDEN_CH))
     return HuLstmWeights(cells=tuple(cells), **{
         name: _random_conv(rng, in_ch, out_ch) for name, in_ch, out_ch in _HU_CONVS})
 
 
-def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
-                 weights: HuLstmWeights) -> tuple[ScoreSlice, LstmState]:
+def hu_lstm_step(cost_slice: CostSlice, state: Sequence[tuple[np.ndarray, np.ndarray]] | None,
+                 weights: HuLstmWeights) -> tuple[ScoreSlice, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """Advance the recurrent U by one depth slice.
 
-    ``state is None`` starts all cells from zeros.  Returns the score
+    ``state`` holds the five cells' ``(hidden, cell)`` pairs in cell
+    order; ``None`` starts all cells from zeros.  Returns the score
     slice for this depth and the state to carry to the next one, both
     float32: the cost is cast to float32 here.
     """
     x = np.asarray(cost_slice.cost, dtype=np.float32)
-    prev = [None] * 5 if state is None else [
-        (state.hidden[i], state.cell[i]) for i in range(5)]
+    prev = (None,) * len(_HU_CELLS) if state is None else state
 
     h0, s0 = conv_lstm_cell(x, prev[0], weights.cells[0])
     h1, s1 = conv_lstm_cell(max_pool2(h0), prev[1], weights.cells[1])
@@ -318,18 +271,13 @@ def hu_lstm_step(cost_slice: CostSlice, state: LstmState | None,
     u3 = _upsample_conv(h3, weights.up_full.kernel, weights.up_full.bias, h0.shape[:2])
     h4, s4 = conv_lstm_cell((u3, h0), prev[4], weights.cells[4])
     score = conv2d(h4, weights.head)[:, :, 0]
-
-    states = (s0, s1, s2, s3, s4)
-    new_state = LstmState(
-        hidden=tuple(s[0] for s in states),
-        cell=tuple(s[1] for s in states),
-    )
-    return ScoreSlice(index=cost_slice.index, score=score), new_state
+    return ScoreSlice(index=cost_slice.index, score=score), (s0, s1, s2, s3, s4)
 
 
-def regularize_stream(slices: Iterable[CostSlice], weights: HuLstmWeights,
-                      state: LstmState | None = None) -> Iterator[ScoreSlice]:
+def regularize_stream(slices: Iterable[CostSlice],
+                      weights: HuLstmWeights) -> Iterator[ScoreSlice]:
     """Map a cost-slice stream to a score-slice stream, threading state."""
+    state = None
     for cost_slice in slices:
         score, state = hu_lstm_step(cost_slice, state, weights)
         yield score

@@ -170,16 +170,12 @@ def _conv_reference(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def _random_cell(rng: np.random.Generator, in_ch: int, hidden: int,
-                 scale: float = 0.5) -> regularizer.LstmCellWeights:
-    def w():
-        return rng.standard_normal((hidden, in_ch + hidden, 3, 3)) * scale
-
-    def b():
-        return rng.standard_normal(hidden) * scale
-
-    return regularizer.LstmCellWeights(
-        w_input=w(), b_input=b(), w_forget=w(), b_forget=b(),
-        w_output=w(), b_output=b(), w_candidate=w(), b_candidate=b())
+                 scale: float = 0.5) -> features.ConvLayerWeights:
+    """A stacked gate conv, drawn gate by gate (kernel, then bias) in gate order."""
+    kernels, biases = zip(*[(rng.standard_normal((hidden, in_ch + hidden, 3, 3)) * scale,
+                             rng.standard_normal(hidden) * scale)
+                            for _ in range(4)])
+    return features.ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
 
 
 def test_criterion_3_convlstm_oracle():
@@ -194,10 +190,12 @@ def test_criterion_3_convlstm_oracle():
     h_got, (_, c_got) = regularizer.conv_lstm_cell(x, (h_prev, c_prev), weights)
 
     z = np.concatenate([x, h_prev], axis=2)
-    gate_in = 1.0 / (1.0 + np.exp(-_conv_reference(z, weights.w_input, weights.b_input)))
-    gate_forget = 1.0 / (1.0 + np.exp(-_conv_reference(z, weights.w_forget, weights.b_forget)))
-    gate_out = 1.0 / (1.0 + np.exp(-_conv_reference(z, weights.w_output, weights.b_output)))
-    candidate = np.tanh(_conv_reference(z, weights.w_candidate, weights.b_candidate))
+    w_in, w_forget, w_out, w_cand = np.split(weights.kernel, 4)
+    b_in, b_forget, b_out, b_cand = np.split(weights.bias, 4)
+    gate_in = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_in, b_in)))
+    gate_forget = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_forget, b_forget)))
+    gate_out = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_out, b_out)))
+    candidate = np.tanh(_conv_reference(z, w_cand, b_cand))
     c_ref = gate_forget * c_prev + gate_in * candidate
     h_ref = gate_out * np.tanh(c_ref)
 

@@ -467,6 +467,14 @@ class TestEval:
         parsed = json.loads(report_path.read_text())
         assert 0.0 <= parsed["f_score"] <= 1.0
 
+    def test_zero_threshold_needs_max_dist(self, synth_proj, capsys):
+        clouds = ["--recon", str(synth_proj / "gt.ply"), "--gt", str(synth_proj / "gt.ply")]
+        assert cli.main(["eval", *clouds, "--threshold", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold 0") and "--max-dist" in err
+        assert cli.main(["eval", *clouds, "--threshold", "0", "--max-dist", "1"]) == 0
+        assert "f_score=1.000000" in capsys.readouterr().out
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = cli.main([
             "eval", "--recon", str(tmp_path / "nope.ply"),
@@ -499,6 +507,8 @@ class TestOutOfRangeArguments:
         ["fuse", "--filter", "fixed", "--min-views", "0"],
         ["fuse", "--tau", "nan"],
         ["fuse", "--lambda", "nan"],
+        ["fuse", "--tau", "inf"],
+        ["fuse", "--lambda", "inf"],
         ["eval", "--threshold", "0"],
         ["eval", "--threshold", "-1"],
         ["eval", "--threshold", "nan"],

@@ -70,6 +70,9 @@ class TestParamsAndContainers:
         for field in ("lam", "tau", "phi", "tau1", "tau2"):
             with pytest.raises(ValueError):
                 fusion.FusionParams(**{field: float("nan")})
+        for field in ("lam", "tau", "phi"):
+            with pytest.raises(ValueError):
+                fusion.FusionParams(**{field: float("inf")})
         with pytest.raises(ValueError):
             fusion.FusionParams(phi=1.5)
         with pytest.raises(ValueError):

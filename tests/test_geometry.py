@@ -532,9 +532,3 @@ class TestDepthMap:
                 assert np.isnan(grid[k])
             else:
                 assert grid[k] == pytest.approx(single)
-
-    def test_copy_is_independent(self):
-        dm = DepthMap(np.ones((2, 2)))
-        cp = dm.copy()
-        cp.data[0, 0] = 5.0
-        assert dm.data[0, 0] == 1.0

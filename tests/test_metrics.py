@@ -10,12 +10,25 @@ import numpy as np
 import pytest
 
 from mvsweep import metrics
-from mvsweep.errors import EmptyCloudError, EmptyReferenceError
+from mvsweep.errors import EmptyCloudError, EmptyReferenceError, InvalidArgumentError
 from mvsweep.fusion import PointCloud
 
 
 def _cloud(rows) -> PointCloud:
     return PointCloud(np.asarray(rows, dtype=np.float64))
+
+
+def _brute_nearest(query: PointCloud, reference: PointCloud) -> np.ndarray:
+    """Pairwise-scan oracle for :func:`metrics.nearest_distance`."""
+    out = np.empty(len(query), dtype=np.float64)
+    # Chunked so the pairwise matrix stays small.
+    step = 512
+    for start in range(0, len(query), step):
+        block = query.xyz[start:start + step]
+        diff = block[:, None, :] - reference.xyz[None, :, :]
+        out[start:start + len(block)] = np.sqrt(
+            np.square(diff).sum(axis=2)).min(axis=1)
+    return out
 
 
 class TestNearestDistance:
@@ -33,9 +46,8 @@ class TestNearestDistance:
         rng = np.random.default_rng(0)
         query = PointCloud(rng.normal(size=(700, 3)))
         ref = PointCloud(rng.normal(size=(400, 3)))
-        kd = metrics.nearest_distance(query, ref, method="kdtree")
-        brute = metrics.nearest_distance(query, ref, method="brute")
-        np.testing.assert_allclose(kd, brute, atol=1e-10)
+        kd = metrics.nearest_distance(query, ref)
+        np.testing.assert_allclose(kd, _brute_nearest(query, ref), atol=1e-10)
 
     def test_empty_query_allowed(self):
         out = metrics.nearest_distance(PointCloud.empty(), _cloud([[0, 0, 0]]))
@@ -44,11 +56,6 @@ class TestNearestDistance:
     def test_empty_reference_raises(self):
         with pytest.raises(EmptyReferenceError):
             metrics.nearest_distance(_cloud([[0, 0, 0]]), PointCloud.empty())
-
-    def test_unknown_method_raises(self):
-        a = _cloud([[0, 0, 0]])
-        with pytest.raises(ValueError):
-            metrics.nearest_distance(a, a, method="octree")
 
     def test_self_distance_zero(self):
         rng = np.random.default_rng(1)
@@ -173,6 +180,19 @@ class TestEvalReport:
         assert report.completeness == pytest.approx(0.0)
         assert report.overall == pytest.approx(0.5)
         assert report.precision == 0.5 and report.recall == 1.0
+
+    @pytest.mark.parametrize("threshold, max_dist", [
+        (0.0, None), (-1.0, None), (float("nan"), None), (float("inf"), 1.0),
+        (1.0, 0.0), (1.0, float("nan")),
+    ])
+    def test_arguments_checked_before_any_query(self, threshold, max_dist, monkeypatch):
+        def no_query(*args):
+            raise AssertionError("nearest_distance called before the argument check")
+
+        monkeypatch.setattr(metrics, "nearest_distance", no_query)
+        a = _cloud([[0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidArgumentError):
+            metrics.evaluate_clouds(a, a, threshold, max_dist)
 
     def test_default_max_dist(self):
         a = _cloud([[0.0, 0.0, 0.0]])

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from mvsweep import costvol, regularizer
 from mvsweep.errors import SizeMismatchError, WeightGraphMismatchError
-from mvsweep.features import conv3x3
+from mvsweep.features import ConvLayerWeights, conv3x3
 
 
 def _sigmoid(v):
@@ -24,27 +24,28 @@ def _sigmoid(v):
 
 
 def _random_cell(rng, in_ch, hidden_ch, scale=0.5):
+    """A stacked gate conv, drawn gate by gate (kernel, then bias) in gate order."""
     shape = (hidden_ch, in_ch + hidden_ch, 3, 3)
-    return regularizer.LstmCellWeights(
-        w_input=rng.normal(scale=scale, size=shape),
-        b_input=rng.normal(scale=scale, size=hidden_ch),
-        w_forget=rng.normal(scale=scale, size=shape),
-        b_forget=rng.normal(scale=scale, size=hidden_ch),
-        w_output=rng.normal(scale=scale, size=shape),
-        b_output=rng.normal(scale=scale, size=hidden_ch),
-        w_candidate=rng.normal(scale=scale, size=shape),
-        b_candidate=rng.normal(scale=scale, size=hidden_ch),
-    )
+    kernels, biases = zip(*[(rng.normal(scale=scale, size=shape),
+                             rng.normal(scale=scale, size=hidden_ch))
+                            for _ in range(4)])
+    return ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
+
+
+def _gates(w):
+    """Per-gate (kernel, bias) views: input, forget, output, candidate."""
+    return list(zip(np.split(w.kernel, 4), np.split(w.bias, 4)))
 
 
 def _reference_cell(x, state, w):
     """Gate-by-gate evaluation with separate convolutions per gate."""
     h_prev, c_prev = state
     z = np.concatenate([x, h_prev], axis=2)
-    gi = _sigmoid(conv3x3(z, w.w_input, w.b_input))
-    gf = _sigmoid(conv3x3(z, w.w_forget, w.b_forget))
-    go = _sigmoid(conv3x3(z, w.w_output, w.b_output))
-    gc = np.tanh(conv3x3(z, w.w_candidate, w.b_candidate))
+    (wi, bi), (wf, bf), (wo, bo), (wc, bc) = _gates(w)
+    gi = _sigmoid(conv3x3(z, wi, bi))
+    gf = _sigmoid(conv3x3(z, wf, bf))
+    go = _sigmoid(conv3x3(z, wo, bo))
+    gc = np.tanh(conv3x3(z, wc, bc))
     c_new = gf * c_prev + gi * gc
     h_new = go * np.tanh(c_new)
     return h_new, c_new
@@ -75,24 +76,19 @@ class TestConvLstmCell:
         x = rng.normal(size=(5, 5, 3))
         state = (rng.normal(size=(5, 5, 2)), rng.normal(size=(5, 5, 2)))
         regularizer.conv_lstm_cell(x, state, w)
-        w.w_input[...] = 0.0
-        w.b_forget[:] *= -1.0
+        (w_input, _), (_, b_forget), *_ = _gates(w)
+        w_input[...] = 0.0
+        b_forget[:] *= -1.0
         h, (_, c) = regularizer.conv_lstm_cell(x, state, w)
         ref_h, ref_c = _reference_cell(x, state, w)
         np.testing.assert_allclose(h, ref_h, atol=1e-12)
         np.testing.assert_allclose(c, ref_c, atol=1e-12)
 
-    def test_gates_cannot_be_rebound(self):
-        # Rebinding a gate would leave the stacked kernel behind; a
-        # changed cell is built with dataclasses.replace instead.
-        w = _random_cell(np.random.default_rng(6), in_ch=3, hidden_ch=2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            w.w_input = np.zeros_like(w.w_input)
-
-    def test_gate_shapes_must_agree(self):
-        w = _random_cell(np.random.default_rng(7), in_ch=3, hidden_ch=2)
-        with pytest.raises(WeightGraphMismatchError):
-            dataclasses.replace(w, b_output=np.zeros(3))
+    def test_gate_count_must_be_four(self):
+        rng = np.random.default_rng(7)
+        w = ConvLayerWeights(rng.normal(size=(6, 4, 3, 3)), rng.normal(size=6))
+        with pytest.raises(WeightGraphMismatchError, match="6 outputs"):
+            regularizer.conv_lstm_cell(rng.normal(size=(3, 3, 1)), None, w)
 
     def test_none_state_is_zero_state(self):
         rng = np.random.default_rng(1)
@@ -119,8 +115,9 @@ class TestConvLstmCell:
         # the cell state through unchanged.
         rng = np.random.default_rng(3)
         w = _random_cell(rng, in_ch=1, hidden_ch=1, scale=0.0)
-        w.b_forget[:] = 50.0
-        w.b_input[:] = -50.0
+        (_, b_input), (_, b_forget), *_ = _gates(w)
+        b_forget[:] = 50.0
+        b_input[:] = -50.0
         c_prev = rng.normal(size=(3, 3, 1))
         state = (np.zeros((3, 3, 1)), c_prev)
         _, (_, c_new) = regularizer.conv_lstm_cell(np.ones((3, 3, 1)), state, w)
@@ -149,8 +146,9 @@ class TestConvLstmCell:
         v = np.concatenate([np.linspace(-800.0, 800.0, 16001),
                             np.linspace(-40.0, 40.0, 16001)])
         w = _random_cell(np.random.default_rng(0), in_ch=1, hidden_ch=1, scale=0.0)
-        w.w_input[0, 0, 1, 1] = 1.0
-        w.b_candidate[:] = 50.0
+        (w_input, _), *_, (_, b_candidate) = _gates(w)
+        w_input[0, 0, 1, 1] = 1.0
+        b_candidate[:] = 50.0
         x = v.reshape(2, -1, 1)
         _, (_, c_new) = regularizer.conv_lstm_cell(x, None, w)
         gate = c_new.ravel()
@@ -213,8 +211,8 @@ class TestUpsampleConv:
         rng = np.random.default_rng(in_hw[0] + out_hw[1])
         x = rng.normal(size=in_hw + (regularizer.HIDDEN_CH,))
         bias = rng.normal(size=regularizer.HIDDEN_CH)
-        got = regularizer._upsample_conv(x, w.up_full_kernel, bias, out_hw)
-        assert np.array_equal(got, _stuffed_conv(x, w.up_full_kernel, bias, out_hw))
+        got = regularizer._upsample_conv(x, w.up_full.kernel, bias, out_hw)
+        assert np.array_equal(got, _stuffed_conv(x, w.up_full.kernel, bias, out_hw))
 
     @settings(max_examples=60, deadline=None)
     @given(height=st.integers(1, 7), width=st.integers(1, 7),
@@ -306,10 +304,10 @@ class TestHuLstmStep:
         score, state = regularizer.hu_lstm_step(sl, None, w)
         assert score.score.shape == (9, 13)
         assert score.index == sl.index
-        assert len(state.hidden) == 5 and len(state.cell) == 5
+        assert len(state) == 5 and all(len(pair) == 2 for pair in state)
         # Full-res cells hold (9, 13); the quarter cell holds ceil sizes.
-        assert state.hidden[0].shape == (9, 13, 32)
-        assert state.hidden[2].shape == (3, 4, 32)
+        assert state[0][0].shape == (9, 13, 32)
+        assert state[2][0].shape == (3, 4, 32)
 
     def test_stream_threads_state(self):
         # Feeding the same slice twice must give different scores, since
@@ -353,7 +351,7 @@ class TestHuLstmStep:
             sl.cost = sl.cost.astype(np.float32)
             score, state = regularizer.hu_lstm_step(sl, state, w)
             assert score.score.dtype == np.float32
-            assert {t.dtype for t in state.hidden + state.cell} == {np.dtype(np.float32)}
+            assert {t.dtype for pair in state for t in pair} == {np.dtype(np.float32)}
 
     def test_float32_tracks_float64(self):
         # Float64 slices run in float32 too: no float64 array may appear
@@ -375,8 +373,8 @@ class TestHuLstmStep:
             h4, s4 = regularizer.conv_lstm_cell((u3, h0), prev[4], w.cells[4])
             prev = [s0, s1, s2, s3, s4]
             want = conv3x3(h4, w.head.kernel, w.head.bias)[:, :, 0]
-            for got, ref in [(score.score, want), *zip(state.hidden, (s[0] for s in prev)),
-                             *zip(state.cell, (s[1] for s in prev))]:
+            for got, ref in [(score.score, want),
+                             *((state[i][k], prev[i][k]) for i in range(5) for k in (0, 1))]:
                 assert got.dtype == np.float32 and ref.dtype == np.float64
                 assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
 
