@@ -427,6 +427,30 @@ def _battery() -> list[tuple[str, bool]]:
                 assert np.max(np.abs(p2[idx] - single[0])) < 1e-9
                 assert abs(d2[idx] - single[1]) < 1e-9 * single[1]
 
+    def check_depth_lookup():
+        # The nearest-pixel gather against a plain loop on a non-square
+        # map, so that a swapped width and height reads the wrong pixel.
+        rng = np.random.default_rng(7)
+        h, w = 5, 8
+        data = rng.uniform(1.0, 9.0, (h, w))
+        mask = rng.random((h, w)) > 0.25
+        dm = DepthMap(data, mask)
+        xs = np.concatenate([rng.uniform(-1.0, w, 80),
+                             [0.0, w - 1.0, 2.5, -0.0, w - 0.5, np.nan, np.inf]])
+        ys = np.concatenate([rng.uniform(-1.0, h, 80),
+                             [h - 1.0, 0.0, 3.5, 1.5, 1.0, 1.0, -np.inf]])
+        got = dm.depth_grid(xs, ys)
+        for x, y, value in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            want = math.nan
+            if 0.0 <= x <= w - 1.0 and 0.0 <= y <= h - 1.0:
+                ix, iy = math.floor(x + 0.5), math.floor(y + 0.5)
+                if mask[iy, ix]:
+                    want = float(data[iy, ix])
+            assert value == want or (math.isnan(value) and math.isnan(want))
+        # Every pixel center, as an (h, 1) column against a (w,) row.
+        grid = dm.depth_grid(np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None])
+        assert np.array_equal(grid, np.where(mask, data, np.nan), equal_nan=True)
+
     def check_conv_oracle():
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6, 3))
@@ -573,6 +597,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("camera_round_trip", check_camera_round_trip)
     run("hypothesis_sampling", check_hypothesis_sampling)
     run("reprojection_chain", check_reprojection_chain)
+    run("depth_lookup", check_depth_lookup)
     run("conv_oracle", check_conv_oracle)
     run("upsample_phases", check_upsample_phases)
     run("bilinear_sample", check_bilinear_sample)

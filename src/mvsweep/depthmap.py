@@ -56,16 +56,25 @@ class DepthMap:
         return float(self.data[iy, ix])
 
     def depth_grid(self, xs, ys) -> np.ndarray:
-        """Vectorized :meth:`depth_at`; NaN where invalid."""
+        """Vectorized :meth:`depth_at`; NaN where invalid.
+
+        ``xs`` and ``ys`` broadcast against each other.  Each query
+        becomes one flat index ``iy * width + ix`` of its nearest pixel,
+        so the data and the mask are each read by one 1-d gather; a
+        query outside the image reads pixel 0 and is then set to NaN.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        inside = (
-            (xs >= 0.0)
-            & (xs <= self.width - 1.0)
-            & (ys >= 0.0)
-            & (ys <= self.height - 1.0)
-        )
-        ix = np.floor(np.where(inside, xs, 0.0) + 0.5).astype(np.intp)
-        iy = np.floor(np.where(inside, ys, 0.0) + 0.5).astype(np.intp)
-        out = np.where(inside & self.mask[iy, ix], self.data[iy, ix], np.nan)
-        return out
+        inside = (xs >= 0.0) & (ys >= 0.0)
+        inside &= xs <= self.width - 1.0
+        inside &= ys <= self.height - 1.0
+        flat = np.where(inside, ys, 0.0)
+        flat += 0.5
+        np.floor(flat, out=flat)
+        flat *= self.width
+        col = np.where(inside, xs, 0.0)
+        col += 0.5
+        flat += np.floor(col, out=col)
+        index = flat.astype(np.intp)
+        inside &= np.take(self.mask.ravel(), index)
+        return np.where(inside, np.take(self.data.ravel(), index), np.nan)

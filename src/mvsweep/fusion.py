@@ -132,39 +132,59 @@ def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
                          lam: float = 200.0) -> float:
     """Matching score of one reference pixel against one source view.
 
-    Returns 0.0 when the reference pixel is invalid or the round trip
-    through the source depth map fails.
+    The reference depth is ``ref.depth.depth_at(pixel)``, the nearest
+    pixel that :meth:`~mvsweep.depthmap.DepthMap.depth_grid` reads too.
+    Returns 0.0 when that lookup is off the image, masked or not a
+    positive finite depth, or when the round trip through the source
+    depth map fails.
     """
-    x, y = int(round(pixel[0])), int(round(pixel[1]))
-    if not ref.depth.mask[y, x]:
+    x, y = float(pixel[0]), float(pixel[1])
+    depth = ref.depth.depth_at(x, y)
+    if not 0.0 < depth < np.inf:
         return 0.0
-    depth = float(ref.depth.data[y, x])
-    result = reproject(ref.camera, src.camera, (pixel[0], pixel[1]), depth, src.depth)
+    result = reproject(ref.camera, src.camera, (x, y), depth, src.depth)
     if result is None:
         return 0.0
     pixel2, depth2 = result
-    xi_p, xi_d = reprojection_errors(pixel, pixel2, depth, depth2)
+    xi_p, xi_d = reprojection_errors((x, y), pixel2, depth, depth2)
     return float(consistency_from_errors(xi_p, xi_d, lam))
 
 
-def _round_trips(ref: ViewEstimate, src: ViewEstimate, xs: np.ndarray,
-                 ys: np.ndarray, lam: float):
-    """Round trip of the reference pixels ``(xs, ys)`` through ``src``.
+def _reference_pixels(ref: ViewEstimate, active: np.ndarray):
+    """Indices ``(ys, xs)`` of the ``active`` reference pixels and their
+    float coordinates and depths ``(px, py, depths)``, which every round
+    trip from this reference shares."""
+    ys, xs = np.nonzero(active)
+    return ys, xs, (xs.astype(np.float64), ys.astype(np.float64), ref.depth.data[ys, xs])
 
-    ``xs``/``ys`` are integer pixel indices.  Returns ``(q, d2, xi_p,
-    xi_d, c, valid)``: the landing pixel in the source, the depth after
-    the trip back, both errors, the matching score and the validity of
-    the trip.  Failed trips have NaN ``d2`` and errors and score 0.
+
+def _round_trips(ref: ViewEstimate, src: ViewEstimate, pixels):
+    """Round trip of the reference ``pixels`` through ``src``.
+
+    ``pixels`` is the ``(px, py, depths)`` triple of
+    :func:`_reference_pixels`.  Returns ``(q, d2, xi_p, xi_d, valid)``:
+    the landing pixel in the source, the depth after the trip back, both
+    errors and the validity of the trip.  Failed trips have NaN ``d2``
+    and errors.
     """
-    fx = xs.astype(np.float64)
-    fy = ys.astype(np.float64)
-    depths = ref.depth.data[ys, xs]
+    px, py, depths = pixels
     q, p2, d2, valid = reproject_chain_map(
-        ref.camera, src.camera, fx, fy, depths, src.depth)
+        ref.camera, src.camera, px, py, depths, src.depth)
     with np.errstate(invalid="ignore"):
-        xi_p, xi_d = reprojection_errors_map(fx, fy, p2, depths, d2)
-        c = np.nan_to_num(consistency_from_errors(xi_p, xi_d, lam))
-    return q, d2, xi_p, xi_d, c, valid
+        xi_p, xi_d = reprojection_errors_map(px, py, p2, depths, d2)
+    return q, d2, xi_p, xi_d, valid
+
+
+def _scores(xi_p: np.ndarray, xi_d: np.ndarray, valid: np.ndarray,
+            lam: float) -> np.ndarray:
+    """:func:`consistency_from_errors` of the trips, 0 where ``valid`` is
+    False; the scores overwrite ``xi_d``."""
+    c = np.multiply(lam, xi_d, out=xi_d)
+    c += xi_p
+    np.negative(c, out=c)
+    np.exp(c, out=c)
+    c[~valid] = 0.0
+    return c
 
 
 def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -174,11 +194,11 @@ def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     The reference itself never appears in the sum; invalid pixels and
     failed round trips contribute 0.
     """
-    ys, xs = np.nonzero(ref.depth.mask)
+    ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
     total = np.zeros(len(xs), dtype=np.float64)
     for src in srcs:
-        _, _, _, _, c, _ = _round_trips(ref, src, xs, ys, lam)
-        total += c
+        _, _, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
+        total += _scores(xi_p, xi_d, valid, lam)
     out = np.zeros(ref.depth.data.shape, dtype=np.float64)
     out[ys, xs] = total
     return out
@@ -208,10 +228,10 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     ``xi_p < tau1`` and ``xi_d < tau2`` (strict); a pixel is kept when
     at least ``min_views`` sources support it.
     """
-    ys, xs = np.nonzero(ref.depth.mask)
+    ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
     support = np.zeros(len(xs), dtype=np.int64)
     for src in srcs:
-        _, _, xi_p, xi_d, _, valid = _round_trips(ref, src, xs, ys, params.lam)
+        _, _, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
         support += valid & (xi_p < params.tau1) & (xi_d < params.tau2)
     kept = np.zeros(ref.depth.data.shape, dtype=bool)
     kept[ys, xs] = support >= params.min_views
@@ -240,21 +260,25 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
         active = ref.depth.mask & ~consumed[i]
         if not active.any():
             continue
-        ys, xs = np.nonzero(active)
+        ys, xs, pixels = _reference_pixels(ref, active)
         weight = np.ones(len(xs), dtype=np.float64)
-        depth_acc = ref.depth.data[ys, xs]
+        depth_acc = pixels[2].copy()  # the trips below still read the depths
         for j, src in enumerate(views):
             if j == i:
                 continue
-            q, d2, _, _, c, valid = _round_trips(ref, src, xs, ys, lam)
-            matched = valid & (c > MATCH_SCORE_FLOOR)
-            if matched.any():
-                weight[matched] += c[matched]
-                depth_acc[matched] += c[matched] * d2[matched]
+            q, d2, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
+            c = _scores(xi_p, xi_d, valid, lam)
+            # Failed trips score 0, below the floor.
+            hit = np.flatnonzero(c > MATCH_SCORE_FLOOR)
+            if hit.size:
+                score = c[hit]
+                weight[hit] += score
+                depth_acc[hit] += score * d2[hit]
                 # The matched source pixel is the same nearest pixel the
                 # depth lookup used; mark it so view j never re-emits it.
-                qx = np.floor(q[matched, 0] + 0.5).astype(np.intp)
-                qy = np.floor(q[matched, 1] + 0.5).astype(np.intp)
+                landing = q[hit]
+                landing += 0.5
+                qx, qy = np.floor(landing, out=landing).astype(np.intp).T
                 consumed[j][qy, qx] = True
         fused_depth = depth_acc / weight
         points.append(back_project_grid(ref.camera, xs, ys, fused_depth))

@@ -20,7 +20,8 @@ Conventions used throughout the package:
 Functions that look up stored depth (:func:`reproject`,
 :func:`reproject_chain_map`) accept any sampler object exposing
 ``depth_at(x, y) -> float`` and ``depth_grid(xs, ys) -> ndarray`` that
-return NaN for out-of-bounds or invalid queries.
+return NaN for out-of-bounds or invalid queries; ``depth_grid`` returns
+a new array, which :func:`reproject_chain_map` overwrites in place.
 :class:`mvsweep.depthmap.DepthMap` implements the nearest-pixel lookup
 used by the fusion pipeline; analytic samplers can be substituted when
 exact surface depth is available.
@@ -185,13 +186,24 @@ def _pair_map(ref: Camera, src: Camera, xs, ys, depths):
     """Source pixels ``(..., 2)`` and depths of ``(xs, ys)`` at ``depths``.
 
     Same contract as ``project_points(src, back_project_grid(ref, ...))``:
-    pixels are NaN where the depth in ``src`` is not positive.
+    pixels are NaN where the depth in ``src`` is not positive.  Each
+    component ``(x * a0 + y * a1 + a2) * d + b`` is built in place in
+    its own buffer and the two quotients are divided straight into the
+    pixel array.
     """
     a, b = _pair_transform(ref, src)
-    wx, wy, wz = ((xs * a[i, 0] + ys * a[i, 1] + a[i, 2]) * depths + b[i]
-                  for i in range(3))
+    shape = np.broadcast_shapes(xs.shape, ys.shape, depths.shape)
+    wx, wy, wz, term = (np.empty(shape) for _ in range(4))
+    for i, w in enumerate((wx, wy, wz)):
+        np.multiply(xs, a[i, 0], out=w)
+        w += np.multiply(ys, a[i, 1], out=term)
+        w += a[i, 2]
+        w *= depths
+        w += b[i]
+    pixels = np.empty(shape + (2,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pixels = np.stack([wx / wz, wy / wz], axis=-1)
+        np.divide(wx, wz, out=pixels[..., 0])
+        np.divide(wy, wz, out=pixels[..., 1])
     pixels[~(wz > 0)] = np.nan
     return pixels, wz
 
@@ -207,8 +219,13 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     Both legs are the closed-form pair transform that :func:`warp_grid`
     sweeps with, ``w = d * A @ (x, y, 1) + b``: out with ``(ref, src)``
     applied to ``(x, y, depth)``, back with the roles swapped applied to
-    ``(q, d_src)``.  Each component is formed on its own, so no
-    ``(..., 3)`` stack or per-pixel 3x3 product is built.
+    ``(q, d_src)``.  The source depth comes from one
+    ``src_depth.depth_grid`` call over every pixel; queries that landed
+    behind the source ask at ``(-1, -1)``, outside every image.  A pixel
+    stays valid only while each step succeeds (in front of the source,
+    a positive finite lookup, in front of the reference again); the
+    lookup of a failed trip is replaced by 1 before the trip back, and
+    its outputs are filled with NaN in place.
     """
     xs, ys, depths = (np.asarray(v, dtype=np.float64) for v in (xs, ys, depths))
     q, d_fwd = _pair_map(ref, src, xs, ys, depths)
@@ -216,12 +233,15 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     qx = np.where(valid, q[..., 0], -1.0)
     qy = np.where(valid, q[..., 1], -1.0)
     d_src = src_depth.depth_grid(qx, qy)
-    valid &= np.isfinite(d_src) & (d_src > 0)
-    d_safe = np.where(valid, d_src, 1.0)
-    p2, d2 = _pair_map(src, ref, qx, qy, d_safe)
+    valid &= d_src > 0
+    valid &= np.isfinite(d_src)
+    failed = ~valid
+    d_src[failed] = 1.0
+    p2, d2 = _pair_map(src, ref, qx, qy, d_src)
     valid &= d2 > 0
-    p2 = np.where(valid[..., None], p2, np.nan)
-    d2 = np.where(valid, d2, np.nan)
+    failed = ~valid
+    p2[failed] = np.nan
+    d2[failed] = np.nan
     return q, p2, d2, valid
 
 

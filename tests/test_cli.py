@@ -494,6 +494,7 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert len(lines) >= 5
         assert all(line.endswith(": ok") for line in lines)
+        assert "depth_lookup: ok" in lines
 
 
 class TestOutOfRangeArguments:

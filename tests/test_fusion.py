@@ -142,6 +142,71 @@ class TestPairwiseConsistency:
         assert got == pytest.approx(np.exp(-(0.2 + 200.0 * 0.25)), rel=1e-9)
 
 
+class TestPairwiseConsistencyBounds:
+    """The reference depth is read like ``depth_at``: off-image, masked and
+    non-positive depths score 0 instead of wrapping or raising.
+
+    Two ring cameras 32x24 look at a plane that every pixel of both sees.
+    """
+
+    @pytest.fixture()
+    def pair(self):
+        rig = synth.CameraRigSpec(n_views=3, width=32, height=24, focal=70.0)
+        cams = synth.make_camera_ring(rig)[:2]
+        rendered = synth.render_scene(synth.SceneSpec(surface=synth.Plane()),
+                                      cams, 32, 24)
+        return [fusion.ViewEstimate(cam, depth, np.ones((24, 32)))
+                for cam, (_, depth) in zip(cams, rendered)]
+
+    def test_left_of_image_is_zero(self, pair):
+        ref, src = pair
+        assert ref.depth.mask.all()
+        # A negative index would wrap to the last column.
+        assert fusion.pairwise_consistency(ref, src, (-1.0, 11.0)) == 0.0
+        assert fusion.pairwise_consistency(ref, src, (-0.6, 11.0)) == 0.0
+
+    def test_right_of_image_is_zero(self, pair):
+        ref, src = pair
+        assert fusion.pairwise_consistency(ref, src, (32.0, 11.0)) == 0.0
+        assert fusion.pairwise_consistency(ref, src, (15.0, 24.0)) == 0.0
+        assert fusion.pairwise_consistency(ref, src, (31.2, 11.0)) == 0.0
+        # The edge pixel itself is inside and scores.
+        assert fusion.pairwise_consistency(ref, src, (31.0, 11.0)) > 0.0
+
+    def test_masked_pixel_is_zero(self, pair):
+        ref, src = pair
+        mask = ref.depth.mask.copy()
+        mask[11, 15] = False
+        ref = fusion.ViewEstimate(ref.camera, DepthMap(ref.depth.data, mask),
+                                  ref.confidence)
+        assert fusion.pairwise_consistency(ref, src, (15.0, 11.0)) == 0.0
+        assert fusion.pairwise_consistency(ref, src, (15.3, 10.8)) == 0.0
+
+    @pytest.mark.parametrize("depth", [-672.0, 0.0, -0.0, np.inf])
+    def test_non_positive_depth_is_zero(self, pair, depth):
+        ref, src = pair
+        data = ref.depth.data.copy()
+        data[11, 15] = depth
+        ref = fusion.ViewEstimate(
+            ref.camera, DepthMap(data, np.ones(data.shape, dtype=bool)),
+            ref.confidence)
+        assert fusion.pairwise_consistency(ref, src, (15.0, 11.0)) == 0.0
+        if depth < 0.0:
+            assert fusion.dynamic_consistency_map(ref, [src])[11, 15] == 0.0
+
+    def test_half_pixel_reads_the_depth_at_pixel(self, pair):
+        ref, src = pair
+        # floor(10.5 + 0.5) = 11, where round() would pick 10.
+        depth = ref.depth.depth_at(10.5, 11.0)
+        assert depth == ref.depth.data[11, 11] != ref.depth.data[11, 10]
+        pixel2, depth2 = geometry.reproject(ref.camera, src.camera, (10.5, 11.0),
+                                            depth, src.depth)
+        xi_p, xi_d = geometry.reprojection_errors((10.5, 11.0), pixel2, depth, depth2)
+        want = float(fusion.consistency_from_errors(xi_p, xi_d, 200.0))
+        assert 0.0 < want < 1.0
+        assert fusion.pairwise_consistency(ref, src, (10.5, 11.0)) == want
+
+
 class TestDynamicConsistency:
     """Summed matching scores and the soft filter."""
 
@@ -335,3 +400,164 @@ class TestSparsePathOracle:
             want[y, x] = support >= min_views
         np.testing.assert_array_equal(kept, want)
         assert 0 < kept.sum() < ref.depth.mask.sum()
+
+
+# Reference round trip in its plain form: a 2-d fancy gather per depth
+# lookup, a stack per leg, np.where copies for every NaN fill, the
+# reference pixels cast per source, np.nan_to_num for the score and
+# boolean gathers in fusion.  The package must reproduce it bit for bit.
+
+
+def _frozen_depth_grid(dm, xs, ys):
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = ((xs >= 0.0) & (xs <= dm.width - 1.0)
+              & (ys >= 0.0) & (ys <= dm.height - 1.0))
+    ix = np.floor(np.where(inside, xs, 0.0) + 0.5).astype(np.intp)
+    iy = np.floor(np.where(inside, ys, 0.0) + 0.5).astype(np.intp)
+    return np.where(inside & dm.mask[iy, ix], dm.data[iy, ix], np.nan)
+
+
+def _frozen_pair_map(ref, src, xs, ys, depths):
+    a = src.proj_m @ ref.proj_m_inv
+    b = src.proj_t - a @ ref.proj_t
+    wx, wy, wz = ((xs * a[i, 0] + ys * a[i, 1] + a[i, 2]) * depths + b[i]
+                  for i in range(3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels = np.stack([wx / wz, wy / wz], axis=-1)
+    pixels[~(wz > 0)] = np.nan
+    return pixels, wz
+
+
+def _frozen_chain(ref, src, xs, ys, depths, src_depth):
+    q, d_fwd = _frozen_pair_map(ref, src, xs, ys, depths)
+    valid = d_fwd > 0
+    qx = np.where(valid, q[..., 0], -1.0)
+    qy = np.where(valid, q[..., 1], -1.0)
+    d_src = _frozen_depth_grid(src_depth, qx, qy)
+    valid &= np.isfinite(d_src) & (d_src > 0)
+    d_safe = np.where(valid, d_src, 1.0)
+    p2, d2 = _frozen_pair_map(src, ref, qx, qy, d_safe)
+    valid &= d2 > 0
+    p2 = np.where(valid[..., None], p2, np.nan)
+    d2 = np.where(valid, d2, np.nan)
+    return q, p2, d2, valid
+
+
+def _frozen_round_trips(ref, src, xs, ys, lam):
+    fx = xs.astype(np.float64)
+    fy = ys.astype(np.float64)
+    depths = ref.depth.data[ys, xs]
+    q, p2, d2, valid = _frozen_chain(ref.camera, src.camera, fx, fy, depths, src.depth)
+    with np.errstate(invalid="ignore"):
+        xi_p = np.hypot(p2[..., 0] - fx, p2[..., 1] - fy)
+        xi_d = np.abs(d2 - depths) / depths
+        c = np.nan_to_num(np.exp(-(xi_p + lam * xi_d)))
+    return q, d2, xi_p, xi_d, c, valid
+
+
+def _frozen_dynamic_map(ref, srcs, lam):
+    ys, xs = np.nonzero(ref.depth.mask)
+    total = np.zeros(len(xs))
+    for src in srcs:
+        total += _frozen_round_trips(ref, src, xs, ys, lam)[4]
+    out = np.zeros(ref.depth.data.shape)
+    out[ys, xs] = total
+    return out
+
+
+def _frozen_fixed_kept(ref, srcs, params):
+    ys, xs = np.nonzero(ref.depth.mask)
+    support = np.zeros(len(xs), dtype=np.int64)
+    for src in srcs:
+        _, _, xi_p, xi_d, _, valid = _frozen_round_trips(ref, src, xs, ys, params.lam)
+        support += valid & (xi_p < params.tau1) & (xi_d < params.tau2)
+    kept = np.zeros(ref.depth.data.shape, dtype=bool)
+    kept[ys, xs] = support >= params.min_views
+    return kept
+
+
+def _frozen_fuse(views, lam):
+    consumed = [np.zeros(v.depth.data.shape, dtype=bool) for v in views]
+    points, colors = [], []
+    for i, ref in enumerate(views):
+        active = ref.depth.mask & ~consumed[i]
+        if not active.any():
+            continue
+        ys, xs = np.nonzero(active)
+        weight = np.ones(len(xs))
+        depth_acc = ref.depth.data[ys, xs]
+        for j, src in enumerate(views):
+            if j == i:
+                continue
+            q, d2, _, _, c, valid = _frozen_round_trips(ref, src, xs, ys, lam)
+            matched = valid & (c > fusion.MATCH_SCORE_FLOOR)
+            if matched.any():
+                weight[matched] += c[matched]
+                depth_acc[matched] += c[matched] * d2[matched]
+                qx = np.floor(q[matched, 0] + 0.5).astype(np.intp)
+                qy = np.floor(q[matched, 1] + 0.5).astype(np.intp)
+                consumed[j][qy, qx] = True
+        points.append(geometry.back_project_grid(ref.camera, xs, ys, depth_acc / weight))
+        colors.append(np.clip(np.rint(ref.image[ys, xs] * 255.0), 0, 255).astype(np.uint8))
+    return np.concatenate(points), np.concatenate(colors)
+
+
+class TestRoundTripBitIdentity:
+    """Filters and fusion equal the frozen round trip bit for bit.
+
+    Five ring cameras sit wider apart (radius 700) than they stand off the
+    sphere (600), so a ray's far outliers pass behind the opposite
+    cameras.  Depths carry noise and outliers from near the cameras to far
+    beyond the sphere, every view masks a random fifth of its pixels, and
+    many trips leave the source image.
+    """
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        rig = synth.CameraRigSpec(n_views=5, radius=700.0, width=40, height=30,
+                                  focal=120.0)
+        cams = synth.make_camera_ring(rig)
+        rendered = synth.render_scene(
+            synth.SceneSpec(surface=synth.Sphere(radius=100.0)), cams, 40, 30)
+        rng = np.random.default_rng(12)
+        views = []
+        for i, (cam, (image, depth)) in enumerate(zip(cams, rendered)):
+            noisy = synth.perturb_depths(depth, sigma=0.5, outlier_frac=0.2,
+                                         outlier_range=(5.0, 20000.0), seed=i)
+            mask = noisy.mask & (rng.random(noisy.data.shape) < 0.8)
+            views.append(fusion.ViewEstimate(cam, DepthMap(noisy.data, mask),
+                                             np.ones(noisy.data.shape), image))
+        return views
+
+    def test_scene_reaches_every_branch(self, views):
+        ref, src = views[0], views[2]
+        ys, xs = np.nonzero(ref.depth.mask)
+        q, _, _, _, c, valid = _frozen_round_trips(ref, src, xs, ys, 200.0)
+        behind = np.isnan(q[:, 0])
+        outside = ~behind & ((q[:, 0] < 0) | (q[:, 0] > 39) | (q[:, 1] < 0) | (q[:, 1] > 29))
+        assert behind.any() and outside.any() and valid.any()
+        assert np.any((c > 0.0) & (c < fusion.MATCH_SCORE_FLOOR))
+        assert np.any(c > fusion.MATCH_SCORE_FLOOR)
+
+    @pytest.mark.parametrize("lam", [0.0, 200.0])
+    def test_dynamic_map(self, views, lam):
+        for i, ref in enumerate(views):
+            srcs = views[:i] + views[i + 1:]
+            got = fusion.dynamic_consistency_map(ref, srcs, lam)
+            assert got.tobytes() == _frozen_dynamic_map(ref, srcs, lam).tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 200.0])
+    def test_fixed_filter(self, views, lam):
+        params = fusion.FusionParams(lam=lam, tau1=2.0, tau2=0.02, min_views=2)
+        for i, ref in enumerate(views):
+            srcs = views[:i] + views[i + 1:]
+            got = fusion.fixed_threshold_filter(ref, srcs, params).depth.mask
+            np.testing.assert_array_equal(got, _frozen_fixed_kept(ref, srcs, params))
+
+    @pytest.mark.parametrize("lam", [0.0, 200.0])
+    def test_fuse_point_cloud(self, views, lam):
+        cloud = fusion.fuse_point_cloud(views, lam)
+        xyz, rgb = _frozen_fuse(views, lam)
+        assert cloud.xyz.tobytes() == xyz.tobytes()
+        assert cloud.rgb.tobytes() == rgb.tobytes()

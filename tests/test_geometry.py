@@ -7,6 +7,9 @@ fixtures below are checked to near machine precision.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvsweep import geometry
 from mvsweep.depthmap import DepthMap
@@ -517,6 +520,40 @@ class TestDepthMap:
         assert np.isnan(dm.depth_at(0.0, 2.5))
         # The domain edge itself is inside.
         assert dm.depth_at(3.0, 2.0) == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_depth_grid_equals_depth_at_everywhere(self, data):
+        """Element by element, for any map and any query, broadcast ones too."""
+        h = data.draw(st.integers(1, 6), label="height")
+        w = data.draw(st.integers(1, 6), label="width")
+        values = data.draw(arrays(np.float64, (h, w), elements=st.floats(-1e3, 1e3)),
+                           label="depths")
+        mask = data.draw(arrays(bool, (h, w)), label="mask")
+        dm = DepthMap(values, mask)
+
+        def coords(size):
+            special = st.sampled_from([
+                np.nan, np.inf, -np.inf, -0.0, 0.0, size - 1.0, size - 0.5,
+                float(np.nextafter(size - 1.0, np.inf)), float(np.nextafter(0.0, -1.0)),
+                -0.5, 0.5])
+            half = st.integers(-1, size).map(lambda k: k + 0.5)
+            return st.one_of(special, half, st.floats(-2.0, size + 1.0))
+
+        n = data.draw(st.integers(1, 6), label="queries")
+        m = data.draw(st.integers(1, 6), label="rows")
+        xs = np.array(data.draw(st.lists(coords(w), min_size=n, max_size=n), label="xs"))
+        ys = np.array(data.draw(st.lists(coords(h), min_size=n, max_size=n), label="ys"))
+        rows = np.array(data.draw(st.lists(coords(h), min_size=m, max_size=m),
+                                  label="rows ys"))[:, None]
+
+        want = np.array([dm.depth_at(x, y) for x, y in zip(xs, ys)])
+        np.testing.assert_array_equal(dm.depth_grid(xs, ys), want)
+        # An (m, 1) column of ys against a row of n xs gives an (m, n) grid.
+        grid = dm.depth_grid(xs, rows)
+        assert grid.shape == (m, n)
+        want = np.array([[dm.depth_at(x, y) for x in xs] for y in rows[:, 0]])
+        np.testing.assert_array_equal(grid, want)
 
     def test_depth_grid_matches_scalar(self):
         rng = np.random.default_rng(3)
