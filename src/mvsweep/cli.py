@@ -249,6 +249,16 @@ def _jobs() -> int:
     return jobs
 
 
+def _hypothesis_space(depth_range: formats.DepthRange, args) -> geometry.HypothesisSpace:
+    """The swept depths of one view: its cam's range, ``--num-depths`` samples."""
+    d_max = depth_range.d_max
+    if d_max is None:
+        count = depth_range.count or DEFAULT_DEPTHS
+        d_max = depth_range.d_min + depth_range.d_interval * (count - 1)
+    return geometry.HypothesisSpace(
+        depth_range.d_min, d_max, args.num_depths, args.depth_mode)
+
+
 def cmd_depth(args) -> int:
     jobs = _jobs()
     if args.views is not None and args.views < 1:
@@ -259,6 +269,13 @@ def cmd_depth(args) -> int:
     extract = _feature_extractor(args, tensors)
     regularize = _regularizer(args, tensors)
     views, pairs = _load_project(layout, args.views)
+    # Everything that can reject the views runs before anything is written.
+    spaces = [_hypothesis_space(depth_range, args) for _, depth_range, _ in views]
+    if not any(pairs.values()):
+        raise MvsweepError(
+            f"no estimated view has a source view among the {len(views)} "
+            "view(s) estimated; depth needs a reference and at least one source")
+    feats = [extract(image) for _, _, image in views]
     out_layout.make_dirs()
     if out_layout.root.resolve() != layout.root.resolve():
         # The estimated views' inputs go along unchanged, so that the
@@ -267,7 +284,6 @@ def cmd_depth(args) -> int:
             shutil.copyfile(layout.image(i), out_layout.image(i))
             shutil.copyfile(layout.cam(i), out_layout.cam(i))
         out_layout.write_pairs(pairs)
-    feats = [extract(image) for _, _, image in views]
 
     def run_view(ref: int) -> None:
         src_ids = pairs[ref]
@@ -279,18 +295,11 @@ def cmd_depth(args) -> int:
                               np.zeros(shape, dtype=bool))
             formats.write_pfm(out_layout.confidence(ref), np.zeros(shape))
             return
-        cam, depth_range, _ = views[ref]
-        d_max = depth_range.d_max
-        if d_max is None:
-            count = depth_range.count or DEFAULT_DEPTHS
-            d_max = depth_range.d_min + depth_range.d_interval * (count - 1)
-        space = geometry.HypothesisSpace(
-            depth_range.d_min, d_max, args.num_depths, args.depth_mode)
         stream = costvol.cost_volume_stream(
-            feats[ref], [feats[j] for j in src_ids], cam,
-            [views[j][0] for j in src_ids], space)
+            feats[ref], [feats[j] for j in src_ids], views[ref][0],
+            [views[j][0] for j in src_ids], spaces[ref])
         scores = regularize(stream)
-        depth, confidence = estimator.online_softmax_wta(scores, space)
+        depth, confidence = estimator.online_softmax_wta(scores, spaces[ref])
         formats.write_pfm(out_layout.depth(ref), depth.data, depth.mask)
         formats.write_pfm(out_layout.confidence(ref), confidence)
         log.info("view %d: depth map done", ref)
@@ -514,6 +523,42 @@ def _battery() -> list[tuple[str, bool]]:
                     + fy * ((1 - fx) * values[y0 + 1, x0] + fx * values[y0 + 1, x0 + 1]))
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def check_cost_slice():
+        # The streamed variance against a population variance written out
+        # in Python over the reference and the source sample, where the
+        # point at the swept depth lands inside the source; the rotated
+        # source leaves some reference pixels uncovered.
+        h, w, depth = 4, 6, 8.0
+        k = np.array([[6.0, 0.0, 2.5], [0.0, 6.0, 1.5], [0.0, 0.0, 1.0]])
+        c, s = math.cos(0.1), math.sin(0.1)
+        rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        ref_cam = geometry.Camera(k, np.eye(3), np.zeros(3))
+        src_cam = geometry.Camera(k, rot, np.array([-2.0, 0.3, 0.0]))
+        rng = np.random.default_rng(9)
+        ref, src = rng.normal(size=(2, h, w, 2))
+        sl = costvol.build_cost_slice(ref, [src], ref_cam, [src_cam], depth)
+        uncovered = 0
+        for y, x in itertools.product(range(h), range(w)):
+            point = geometry.back_project(ref_cam, (x, y), depth)
+            (sx, sy), _ = geometry.project(src_cam, point)
+            samples = [ref[y, x].tolist()]
+            if 0.0 <= sx <= w - 1.0 and 0.0 <= sy <= h - 1.0:
+                x0, y0 = min(int(sx), w - 2), min(int(sy), h - 2)
+                fx, fy = sx - x0, sy - y0
+                samples.append([
+                    (1 - fy) * ((1 - fx) * src[y0, x0, ch] + fx * src[y0, x0 + 1, ch])
+                    + fy * ((1 - fx) * src[y0 + 1, x0, ch] + fx * src[y0 + 1, x0 + 1, ch])
+                    for ch in range(2)])
+            else:
+                uncovered += 1
+            assert sl.valid_views[y, x] == len(samples)
+            for ch in range(2):
+                column = [sample[ch] for sample in samples]
+                mean = sum(column) / len(column)
+                want = sum((v - mean) ** 2 for v in column) / len(column)
+                assert abs(sl.cost[y, x, ch] - want) < 1e-12
+        assert 0 < uncovered < h * w
+
     def check_texture_oracle():
         # The shared-lattice noise routine against a per-point formula:
         # the hash in Python integers and an eight-corner weighted sum.
@@ -601,6 +646,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("conv_oracle", check_conv_oracle)
     run("upsample_phases", check_upsample_phases)
     run("bilinear_sample", check_bilinear_sample)
+    run("cost_slice", check_cost_slice)
     run("texture_oracle", check_texture_oracle)
     run("streaming_softmax", check_streaming_softmax)
     run("consistency_values", check_consistency_values)

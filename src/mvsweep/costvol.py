@@ -11,9 +11,10 @@ Each slice costs, per source view, one closed-form warp
 (:func:`~mvsweep.geometry.warp_grid`), one bilinear sample written as a
 sparse product (a CSR matrix holding four corner weights per valid query
 times the flattened feature map), and one update of the running sums of
-``s - ref`` and ``(s - ref)^2``.  The variance is computed in one pass
-from those sums; shifting every sample by the reference value leaves it
-unchanged and keeps the sums well conditioned.
+``s - ref`` and ``(s - ref)^2``.  The sums start as the first source's
+shifted sample and its square, not as zero-filled arrays.  The variance
+is computed in one pass from those sums; shifting every sample by the
+reference value leaves it unchanged and keeps the sums well conditioned.
 
 Slices are produced lazily by :func:`cost_volume_stream` so downstream
 consumers never hold the full depth dimension in memory.
@@ -118,9 +119,8 @@ def build_cost_slice(
     # contributes exactly zero to S1 = sum(s - ref) and S2 = sum((s - ref)^2),
     # and since S1^2 <= (n - 1) * S2, S2 - S1^2 / n keeps a margin of S2 / n
     # over rounding and cannot go negative.
-    s1 = np.zeros((height, width, channels))
-    s2 = np.zeros((height, width, channels))
     count = np.ones((height, width), dtype=np.int64)
+    s1 = s2 = None
     for feat, cam in zip(src_feats, src_cams):
         # Landings behind the source are NaN, so the sampler's mask also
         # covers the warp's.
@@ -129,13 +129,24 @@ def build_cost_slice(
         # Invalid samples contribute nothing: zero them after the shift.
         sampled -= ref
         sampled[~ok] = 0.0
-        s1 += sampled
-        sampled *= sampled
-        s2 += sampled
+        if s1 is None:
+            # The sums start as the first source's terms.  Adding them to
+            # zeros would give the same bits: 0.0 + x == x for every x but
+            # -0.0, whose sign the s1 *= s1 below erases, and S2 holds
+            # only squares.
+            s1 = sampled
+            s2 = sampled * sampled
+        else:
+            s1 += sampled
+            sampled *= sampled
+            s2 += sampled
         count += ok
         # Freed before the next source's warp, so its buffers take over
         # these chunks instead of faulting in fresh pages.
         del coords, sampled, ok
+    if s1 is None:
+        return CostSlice(index=index, depth=float(depth),
+                         cost=np.zeros((height, width, channels)), valid_views=count)
     n = count[..., None].astype(np.float64)
     s1 *= s1
     s1 /= n

@@ -248,21 +248,44 @@ class TestDepth:
         assert capsys.readouterr().err.startswith("error: --views ")
         assert not out.exists()
 
-    def test_view_without_sources_claims_nothing(self, synth_proj, tmp_path, caplog):
-        # With one view, pair.txt lists no source within --views.
+    def test_view_without_sources_claims_nothing(self, synth_proj, tmp_path, capsys):
+        # With one view, pair.txt lists no source within --views: no view
+        # can be estimated, so the run is an error that writes nothing.
         out = tmp_path / "alone"
         code = cli.main([
             "depth", "--in", str(synth_proj), "--out", str(out),
             "--views", "1", "--num-depths", "4",
         ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no estimated view has a source view")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_only_the_view_without_sources_is_masked(self, synth_proj, tmp_path, caplog):
+        # A hand-written pair.txt leaves view 0 without sources while
+        # views 1 and 2 match each other: view 0 claims nothing, the
+        # others are estimated.
+        proj = tmp_path / "scene"
+        shutil.copytree(synth_proj, proj)
+        (proj / "pair.txt").write_text("3\n0\n1 2\n2 1\n")
+        out = tmp_path / "partial"
+        code = cli.main([
+            "depth", "--in", str(proj), "--out", str(out),
+            "--views", "3", "--num-depths", "4",
+        ])
         assert code == 0
         layout = formats.ProjectLayout(out)
+        assert layout.read_pairs() == {0: [], 1: [2], 2: [1]}
         depth = formats.read_pfm(layout.depth(0))
         conf = formats.read_pfm(layout.confidence(0))
         assert depth.shape == conf.shape == (24, 32)
         assert np.isnan(depth).all()
         assert np.all(conf == 0.0)
         assert "view 0 has no source views" in caplog.text
+        for view in (1, 2):
+            assert np.isfinite(formats.read_pfm(layout.depth(view))).any()
+            assert f"view {view} has no source views" not in caplog.text
 
     def test_untrained_network_path_runs(self, tmp_path):
         # drenet features + recurrent regularizer with seeded weights:
@@ -495,6 +518,7 @@ class TestCheck:
         assert len(lines) >= 5
         assert all(line.endswith(": ok") for line in lines)
         assert "depth_lookup: ok" in lines
+        assert "cost_slice: ok" in lines
 
 
 class TestOutOfRangeArguments:
@@ -530,6 +554,8 @@ class TestOutOfRangeArguments:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+        if command == "depth":
+            assert not (tmp_path / "est").exists()
 
 
 def _set_cam_token(path, line, column, value):

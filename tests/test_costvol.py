@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep import costvol, geometry
+from mvsweep import costvol, features, geometry
 from mvsweep.errors import SizeMismatchError
 
 
@@ -76,6 +76,35 @@ def _einsum_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
         np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
                   out=sampled[lo:hi])
     return sampled.reshape(*coords.shape[:-1], channels)
+
+
+def _zero_start_cost_slice(ref_feat, src_feats, ref_cam, src_cams, depth):
+    """The cost slice with zero-filled running sums, kept as an oracle.
+
+    This is the loop :func:`costvol.build_cost_slice` ran before its sums
+    started from the first source: S1 and S2 begin as zeros and every
+    source adds into both.  Returns ``(cost, valid_views)``.
+    """
+    height, width, channels = ref_feat.shape
+    ref = np.asarray(ref_feat, dtype=np.float64)
+    s1 = np.zeros((height, width, channels))
+    s2 = np.zeros((height, width, channels))
+    count = np.ones((height, width), dtype=np.int64)
+    for feat, cam in zip(src_feats, src_cams):
+        coords, _ = geometry.warp_grid(ref_cam, cam, depth, width, height)
+        sampled, ok = costvol.bilinear_sample(feat, coords)
+        sampled -= ref
+        sampled[~ok] = 0.0
+        s1 += sampled
+        sampled *= sampled
+        s2 += sampled
+        count += ok
+    n = count[..., None].astype(np.float64)
+    s1 *= s1
+    s1 /= n
+    s2 -= s1
+    s2 /= n
+    return s2, count
 
 
 class TestBilinearSample:
@@ -298,6 +327,68 @@ class TestBuildCostSlice:
         assert sl.index == 3
         assert sl.depth == 7.5
         assert sl.valid_views.min() == 1
+
+
+# Six sources that each cover part of the reference at depth 10, so
+# that some pixels see no source; _BLIND sees none of it.
+_SOURCES = [
+    _rotated_cam(0.0, 0.08, [-1.2, 0.1, 0.0]),
+    _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3]),
+    _rotated_cam(0.06, 0.0, [0.4, 1.1, -0.2]),
+    _cam(-1.5),
+    _rotated_cam(-0.04, 0.11, [-0.3, -0.6, 0.5]),
+    _rotated_cam(0.09, -0.07, [1.4, 0.2, -0.4]),
+]
+_BLIND = _cam(500.0)  # every landing is ~1000 px left of the source
+
+
+def _images(count: int, seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(0.0, 1.0, size=(12, 16, 3)) for _ in range(count)]
+
+
+class TestCostSliceOracle:
+    """Sums that start from the first source are bit-identical to zero-filled ones."""
+
+    @staticmethod
+    def _assert_bit_identical(feats, cams, depth=10.0):
+        got = costvol.build_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
+        cost, count = _zero_start_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
+        assert got.cost.dtype == cost.dtype == np.float64
+        assert got.cost.shape == cost.shape
+        assert got.cost.tobytes() == cost.tobytes()
+        assert got.valid_views.dtype == count.dtype
+        assert np.array_equal(got.valid_views, count)
+        return got
+
+    @pytest.mark.parametrize("sources", [0, 1, 2, 6])
+    def test_photometric_features(self, sources):
+        feats = [features.photometric_features(img) for img in _images(sources + 1, 11)]
+        got = self._assert_bit_identical(feats, _SOURCES[:sources])
+        if sources:
+            # Pixels that no source covers fall back to the reference.
+            assert (got.valid_views == 1).any()
+            assert got.valid_views.max() > 1
+        else:
+            assert np.array_equal(got.cost, np.zeros_like(got.cost))
+            assert (got.valid_views == 1).all()
+
+    @pytest.mark.parametrize("sources", [1, 2, 6])
+    def test_float32_features_cast_as_the_stream_casts_them(self, sources):
+        weights = features.random_drenet_weights(3)
+        raw = [features.drenet_forward(img, weights) for img in _images(sources + 1, 12)]
+        assert raw[0].dtype == np.float32
+        feats = [np.asarray(feat, dtype=np.float64) for feat in raw]
+        self._assert_bit_identical(feats, _SOURCES[:sources])
+
+    @pytest.mark.parametrize("sources", [1, 3])
+    def test_first_source_entirely_invalid(self, sources):
+        feats = [features.photometric_features(img) for img in _images(sources + 1, 13)]
+        cams = [_BLIND] + _SOURCES[:sources - 1]
+        coords, _ = geometry.warp_grid(_cam(0.0), _BLIND, 10.0, 16, 12)
+        assert not costvol.bilinear_sample(feats[1], coords)[1].any()
+        got = self._assert_bit_identical(feats, cams)
+        assert (got.valid_views == 1).any()
 
 
 def _peak_bytes(run) -> int:
