@@ -420,8 +420,13 @@ def _battery() -> list[tuple[str, bool]]:
         assert result is not None
         xi_p, xi_d = geometry.reprojection_errors(pixel, result[0], depth, result[1])
         assert xi_p < 1e-9 and xi_d < 1e-12
-        # The vectorized chain against the scalar one over the whole grid,
-        # at depths off the surface so that the trip back does not close.
+        # The closed-form chain against lift-then-project per pixel, at
+        # depths off the surface so that the trip back does not close.
+        def move(cam_from, cam_to, x, y, d):
+            point = cam_from.proj_m_inv @ (d * np.array([x, y, 1.0]) - cam_from.proj_t)
+            w = cam_to.proj_m @ point + cam_to.proj_t
+            return w[0] / w[2], w[1] / w[2], w[2]
+
         ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
         scale = np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
         depths = own.depth_grid(xs, ys) * scale
@@ -429,12 +434,13 @@ def _battery() -> list[tuple[str, bool]]:
             cams[0], cams[1], xs, ys, depths, sampler)
         assert valid.any() and not valid.all()
         for idx in np.ndindex(xs.shape):
-            single = geometry.reproject(cams[0], cams[1], (xs[idx], ys[idx]),
-                                        depths[idx], sampler)
-            assert valid[idx] == (single is not None)
-            if single is not None:
-                assert np.max(np.abs(p2[idx] - single[0])) < 1e-9
-                assert abs(d2[idx] - single[1]) < 1e-9 * single[1]
+            qx, qy, d_fwd = move(cams[0], cams[1], xs[idx], ys[idx], depths[idx])
+            d_src = sampler.depth_at(qx, qy) if d_fwd > 0 else math.nan
+            x2, y2, back = move(cams[1], cams[0], qx, qy, d_src)
+            assert valid[idx] == (0.0 < d_src < math.inf and back > 0)
+            if valid[idx]:
+                assert max(abs(p2[idx][0] - x2), abs(p2[idx][1] - y2)) < 1e-9
+                assert abs(d2[idx] - back) < 1e-9 * back
 
     def check_depth_lookup():
         # The nearest-pixel gather against a plain loop on a non-square

@@ -46,17 +46,11 @@ class DepthMap:
         return int(self.mask.sum())
 
     def depth_at(self, x: float, y: float) -> float:
-        """Nearest-pixel depth at a continuous coordinate, NaN if invalid."""
-        if not (0.0 <= x <= self.width - 1.0 and 0.0 <= y <= self.height - 1.0):
-            return float("nan")
-        ix = int(np.floor(x + 0.5))
-        iy = int(np.floor(y + 0.5))
-        if not self.mask[iy, ix]:
-            return float("nan")
-        return float(self.data[iy, ix])
+        """One element of :meth:`depth_grid`: nearest-pixel depth, NaN if invalid."""
+        return float(self.depth_grid(x, y))
 
     def depth_grid(self, xs, ys) -> np.ndarray:
-        """Vectorized :meth:`depth_at`; NaN where invalid.
+        """Nearest-pixel depth at each ``(xs, ys)``; NaN where invalid.
 
         ``xs`` and ``ys`` broadcast against each other.  Each query
         becomes one flat index ``iy * width + ix`` of its nearest pixel,

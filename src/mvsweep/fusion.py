@@ -28,9 +28,7 @@ from .errors import InvalidArgumentError
 from .geometry import (
     Camera,
     back_project_grid,
-    reproject,
     reproject_chain_map,
-    reprojection_errors,
     reprojection_errors_map,
 )
 
@@ -132,22 +130,18 @@ def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
                          lam: float = 200.0) -> float:
     """Matching score of one reference pixel against one source view.
 
-    The reference depth is ``ref.depth.depth_at(pixel)``, the nearest
-    pixel that :meth:`~mvsweep.depthmap.DepthMap.depth_grid` reads too.
-    Returns 0.0 when that lookup is off the image, masked or not a
-    positive finite depth, or when the round trip through the source
-    depth map fails.
+    One element of :func:`_round_trips` and :func:`_scores` at the
+    reference depth ``ref.depth.depth_at(pixel)``.  Returns 0.0 when that
+    lookup is off the image, masked or not a positive finite depth, or
+    when the round trip through the source depth map fails.
     """
     x, y = float(pixel[0]), float(pixel[1])
     depth = ref.depth.depth_at(x, y)
     if not 0.0 < depth < np.inf:
         return 0.0
-    result = reproject(ref.camera, src.camera, (x, y), depth, src.depth)
-    if result is None:
-        return 0.0
-    pixel2, depth2 = result
-    xi_p, xi_d = reprojection_errors((x, y), pixel2, depth, depth2)
-    return float(consistency_from_errors(xi_p, xi_d, lam))
+    _, _, xi_p, xi_d, valid = _round_trips(
+        ref, src, (np.array([x]), np.array([y]), np.array([depth])))
+    return float(_scores(xi_p, xi_d, valid, lam)[0])
 
 
 def _reference_pixels(ref: ViewEstimate, active: np.ndarray):

@@ -17,11 +17,11 @@ Conventions used throughout the package:
   and both legs of the consistency round trip
   (:func:`reproject_chain_map`) share it.
 
-Functions that look up stored depth (:func:`reproject`,
-:func:`reproject_chain_map`) accept any sampler object exposing
-``depth_at(x, y) -> float`` and ``depth_grid(xs, ys) -> ndarray`` that
-return NaN for out-of-bounds or invalid queries; ``depth_grid`` returns
-a new array, which :func:`reproject_chain_map` overwrites in place.
+Each scalar function is a one-element call of its map form.  Functions
+that look up stored depth (:func:`reproject`, :func:`reproject_chain_map`)
+accept any sampler object exposing ``depth_grid(xs, ys) -> ndarray`` that
+returns a new array, NaN for out-of-bounds or invalid queries, which
+:func:`reproject_chain_map` overwrites in place.
 :class:`mvsweep.depthmap.DepthMap` implements the nearest-pixel lookup
 used by the fusion pipeline; analytic samplers can be substituted when
 exact surface depth is available.
@@ -102,15 +102,21 @@ class Camera:
         return -self.rotation.T @ self.translation
 
 
-def back_project(cam: Camera, pixel, depth: float) -> np.ndarray:
-    """Lift a pixel at a given depth to a world point.
+def _check_depth(depth: float, action: str) -> None:
+    """Raise unless ``depth`` is positive and finite."""
+    if not -np.inf < depth < np.inf:
+        raise InvalidArgumentError(f"cannot {action} depth {depth}: not finite")
+    if not depth > 0:
+        raise BehindCameraError(f"cannot {action} non-positive depth {depth}")
 
-    ``X = M^-1 (d * (x, y, 1) - p_t)``; requires ``depth > 0``.
-    """
-    if depth <= 0:
-        raise BehindCameraError(f"cannot back-project non-positive depth {depth}")
-    ph = np.array([pixel[0], pixel[1], 1.0], dtype=np.float64)
-    return cam.proj_m_inv @ (depth * ph - cam.proj_t)
+
+def back_project(cam: Camera, pixel, depth: float) -> np.ndarray:
+    """Lift a pixel at a given depth to a world point; one element of
+    :func:`back_project_grid`.  A non-positive depth raises
+    :class:`BehindCameraError`, a NaN or infinite one
+    :class:`InvalidArgumentError`."""
+    _check_depth(depth, "back-project")
+    return back_project_grid(cam, pixel[0], pixel[1], depth)
 
 
 def back_project_grid(cam: Camera, xs, ys, depths) -> np.ndarray:
@@ -125,16 +131,17 @@ def back_project_grid(cam: Camera, xs, ys, depths) -> np.ndarray:
 
 
 def project(cam: Camera, point) -> tuple[np.ndarray, float]:
-    """Project a world point; returns ``(pixel, depth)``.
-
-    Raises :class:`BehindCameraError` when the point has non-positive
-    camera-frame depth.
-    """
-    w = cam.proj_m @ np.asarray(point, dtype=np.float64) + cam.proj_t
-    depth = float(w[2])
-    if depth <= 0:
+    """Project a world point to ``(pixel, depth)``; one element of
+    :func:`project_points`.  A NaN or infinite coordinate raises
+    :class:`InvalidArgumentError`, a non-positive camera-frame depth
+    :class:`BehindCameraError`."""
+    point = np.asarray(point, dtype=np.float64)
+    if not np.isfinite(point).all():
+        raise InvalidArgumentError(f"cannot project point {point}: not finite")
+    pixel, depth = project_points(cam, point)
+    if not depth > 0:
         raise BehindCameraError(f"point projects behind the camera (depth {depth})")
-    return w[:2] / depth, depth
+    return pixel, float(depth)
 
 
 def project_points(cam: Camera, points) -> tuple[np.ndarray, np.ndarray]:
@@ -155,25 +162,14 @@ def project_points(cam: Camera, points) -> tuple[np.ndarray, np.ndarray]:
 def reproject(ref: Camera, src: Camera, pixel, depth: float, src_depth):
     """Round-trip a reference pixel through a source view's depth.
 
-    Lifts ``pixel`` at ``depth`` into the source view, looks up the
-    source's stored depth at the landing point ``q`` via
-    ``src_depth.depth_at``, and projects that source-side point back into
-    the reference view.  Returns ``(pixel', depth')`` or ``None`` when
-    any step is invalid (behind a camera, ``q`` out of bounds, or the
-    lookup masked).
+    One element of :func:`reproject_chain_map`: ``(pixel', depth')``, or
+    ``None`` where its ``valid`` is False (behind a camera, landing out
+    of bounds, or the lookup masked).  ``depth`` raises as in
+    :func:`back_project`.
     """
-    point = back_project(ref, pixel, depth)
-    try:
-        q, _ = project(src, point)
-    except BehindCameraError:
-        return None
-    d_src = src_depth.depth_at(float(q[0]), float(q[1]))
-    if not np.isfinite(d_src) or d_src <= 0:
-        return None
-    try:
-        return project(ref, back_project(src, q, d_src))
-    except BehindCameraError:
-        return None
+    _check_depth(depth, "back-project")
+    _, p2, d2, valid = reproject_chain_map(ref, src, pixel[0], pixel[1], depth, src_depth)
+    return (p2, float(d2)) if valid else None
 
 
 def _pair_transform(ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +244,13 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
 def reprojection_errors(pixel, pixel2, depth: float, depth2: float) -> tuple[float, float]:
     """Spatial and relative depth error of a reprojection round trip.
 
-    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``.
+    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``; one element of
+    :func:`reprojection_errors_map`.
     """
-    dx = float(pixel2[0]) - float(pixel[0])
-    dy = float(pixel2[1]) - float(pixel[1])
-    xi_p = float(np.hypot(dx, dy))
-    xi_d = abs(float(depth2) - float(depth)) / float(depth)
-    return xi_p, xi_d
+    px, py = np.asarray(pixel, dtype=np.float64)
+    xi_p, xi_d = reprojection_errors_map(px, py, np.asarray(pixel2, dtype=np.float64),
+                                         depth, depth2)
+    return float(xi_p), float(xi_d)
 
 
 def reprojection_errors_map(px, py, p2, depths, depths2):
@@ -325,8 +321,7 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     separable: a ``(height, 3)`` row term plus a ``(width, 3)`` column
     term, so no per-pixel 3x3 product is formed.
     """
-    if depth <= 0:
-        raise BehindCameraError(f"cannot sweep non-positive depth {depth}")
+    _check_depth(depth, "sweep")
     a, b = _pair_transform(ref, src)
     rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
     rows += depth * a[:, 2] + b

@@ -262,15 +262,11 @@ class SceneSpec:
     contrast: float = 0.8
 
 
-def _ray_grid(cam: Camera, width: int, height: int):
-    """Per-pixel world rays ``X = origin + t * dir`` with t = depth."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    # Direction scaled so the ray parameter equals camera-frame depth:
-    # X(t) = C + t * M^-1 p~, since M (X - C) = d p~.
-    ph = np.stack([xs, ys, np.ones_like(xs)], axis=-1)
-    dirs = ph @ cam.proj_m_inv.T
-    origin = cam.center
-    return origin, dirs
+def _ray_dirs(cam: Camera, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """World directions of the rays ``X = cam.center + t * dir`` through
+    pixels ``(xs, ys)``, scaled so that t is the camera-frame depth:
+    ``X(t) = C + t * M^-1 p~``, since ``M (X - C) = d p~``."""
+    return np.stack([xs, ys, np.ones_like(xs)], axis=-1) @ cam.proj_m_inv.T
 
 
 def _shade(points: np.ndarray, scene: SceneSpec) -> np.ndarray:
@@ -290,8 +286,9 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
     no surface at all raises :class:`NoIntersectionError`.
     """
     out = []
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     for index, cam in enumerate(cams):
-        origin, dirs = _ray_grid(cam, width, height)
+        origin, dirs = cam.center, _ray_dirs(cam, xs, ys)
         t = scene.surface.intersect(origin[None, None, :], dirs)
         hit = np.isfinite(t)
         if not hit.any():
@@ -306,7 +303,7 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
 class AnalyticDepth:
     """Exact surface depth for one camera, queryable at continuous pixels.
 
-    Implements the same ``depth_at`` / ``depth_grid`` interface as
+    Implements the same ``depth_grid`` / ``depth_at`` interface as
     :class:`DepthMap`, returning the true ray-intersection depth instead
     of a stored nearest-pixel value.  Queries outside the image domain
     or missing the surface return NaN.
@@ -326,13 +323,12 @@ class AnalyticDepth:
             (xs >= 0.0) & (xs <= self.width - 1.0)
             & (ys >= 0.0) & (ys <= self.height - 1.0)
         )
-        ph = np.stack([xs, ys, np.ones_like(xs)], axis=-1)
-        dirs = ph @ self.cam.proj_m_inv.T
-        t = self.surface.intersect(self.cam.center, dirs)
+        t = self.surface.intersect(self.cam.center, _ray_dirs(self.cam, xs, ys))
         return np.where(inside, t, np.nan)
 
     def depth_at(self, x: float, y: float) -> float:
-        return float(self.depth_grid(np.float64(x), np.float64(y)))
+        """One element of :meth:`depth_grid`."""
+        return float(self.depth_grid(x, y))
 
 
 def perturb_depths(depth: DepthMap, sigma: float = 0.0,

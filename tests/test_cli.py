@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mvsweep import cli, formats
+from mvsweep import cli, formats, geometry
 from mvsweep.fusion import PointCloud
 
 
@@ -519,6 +519,22 @@ class TestCheck:
         assert all(line.endswith(": ok") for line in lines)
         assert "depth_lookup: ok" in lines
         assert "cost_slice: ok" in lines
+
+    def test_perturbed_pair_map_fails_the_chain_row(self, monkeypatch, capsys):
+        # The row compares the map against lift-then-project written out,
+        # so a closed-form pair transform that drifts is caught.
+        pair_map = geometry._pair_map
+
+        def drifted(*args):
+            pixels, depths = pair_map(*args)
+            return pixels + 1e-6, depths
+
+        monkeypatch.setattr(geometry, "_pair_map", drifted)
+        code = cli.main(["check"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "reprojection_chain: FAIL" in lines
+        assert "depth_lookup: ok" in lines
 
 
 class TestOutOfRangeArguments:

@@ -6,9 +6,12 @@ matching scores are exact in floating point: a camera 8 units to the
 right at focal 64 shifts a depth-512 pixel by exactly 64*8/512 = 1 px.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import geometry_oracles as oracle
 from mvsweep import fusion, geometry, synth
 from mvsweep.depthmap import DepthMap
 
@@ -20,6 +23,18 @@ W, H = 64, 48
 def _cam(center_x: float) -> geometry.Camera:
     k = np.array([[F, 0.0, 32.0], [0.0, F, 24.0], [0.0, 0.0, 1.0]])
     return geometry.Camera(k, np.eye(3), np.array([-center_x, 0.0, 0.0]))
+
+
+def _pairwise_score(ref, src, pixel, lam):
+    """Oracle for ``pairwise_consistency`` on the scalar geometry oracles."""
+    depth = oracle.nearest_depth(ref.depth, *pixel)
+    if not 0.0 < depth < np.inf:
+        return 0.0
+    out = oracle.reproject(ref.camera, src.camera, pixel, depth, src.depth)
+    if out is None:
+        return 0.0
+    xi_p, xi_d = oracle.reprojection_errors(pixel, out[0], depth, out[1])
+    return math.exp(-(xi_p + lam * xi_d))
 
 
 def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
@@ -197,14 +212,13 @@ class TestPairwiseConsistencyBounds:
     def test_half_pixel_reads_the_depth_at_pixel(self, pair):
         ref, src = pair
         # floor(10.5 + 0.5) = 11, where round() would pick 10.
-        depth = ref.depth.depth_at(10.5, 11.0)
+        depth = oracle.nearest_depth(ref.depth, 10.5, 11.0)
         assert depth == ref.depth.data[11, 11] != ref.depth.data[11, 10]
-        pixel2, depth2 = geometry.reproject(ref.camera, src.camera, (10.5, 11.0),
-                                            depth, src.depth)
-        xi_p, xi_d = geometry.reprojection_errors((10.5, 11.0), pixel2, depth, depth2)
-        want = float(fusion.consistency_from_errors(xi_p, xi_d, 200.0))
+        assert ref.depth.depth_at(10.5, 11.0) == depth
+        want = _pairwise_score(ref, src, (10.5, 11.0), 200.0)
         assert 0.0 < want < 1.0
-        assert fusion.pairwise_consistency(ref, src, (10.5, 11.0)) == want
+        got = fusion.pairwise_consistency(ref, src, (10.5, 11.0))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestDynamicConsistency:
@@ -342,7 +356,8 @@ class TestFusePointCloud:
 
 
 class TestSparsePathOracle:
-    """Both filters against per-pixel scalar round trips on real geometry.
+    """Both filters against per-pixel round trips of the scalar geometry
+    oracles on real geometry.
 
     Three ring cameras look at a sphere, so every pair is rotated.  The
     stored depths carry noise and outliers, and the reference mask also
@@ -375,10 +390,13 @@ class TestSparsePathOracle:
         assert 0 < mask.sum() < mask.size
         assert np.all(total[~mask] == 0.0)
         ys, xs = np.nonzero(mask)
-        want = np.array([
-            sum(fusion.pairwise_consistency(ref, src, (x, y), lam=200.0) for src in srcs)
-            for x, y in zip(xs, ys)])
+        pixels = list(zip(xs.tolist(), ys.tolist()))
+        want = np.array([sum(_pairwise_score(ref, src, p, 200.0) for src in srcs)
+                         for p in pixels])
         np.testing.assert_allclose(total[ys, xs], want, rtol=1e-9, atol=1e-12)
+        pairwise = [sum(fusion.pairwise_consistency(ref, src, p, lam=200.0) for src in srcs)
+                    for p in pixels]
+        np.testing.assert_allclose(pairwise, want, rtol=1e-9, atol=1e-12)
         # Non-trivial scores: some partial, some above one, some failed.
         assert np.any((want > 0.0) & (want < 1.0)) and np.any(want > 1.0)
         assert np.any(want == 0.0)
@@ -393,9 +411,9 @@ class TestSparsePathOracle:
             depth = ref.depth.data[y, x]
             support = 0
             for src in srcs:
-                out = geometry.reproject(ref.camera, src.camera, (x, y), depth, src.depth)
+                out = oracle.reproject(ref.camera, src.camera, (x, y), depth, src.depth)
                 if out is not None:
-                    xi_p, xi_d = geometry.reprojection_errors((x, y), out[0], depth, out[1])
+                    xi_p, xi_d = oracle.reprojection_errors((x, y), out[0], depth, out[1])
                     support += xi_p < params.tau1 and xi_d < params.tau2
             want[y, x] = support >= min_views
         np.testing.assert_array_equal(kept, want)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import geometry_oracles as oracle
 from mvsweep import geometry
 from mvsweep.depthmap import DepthMap
 from mvsweep.errors import BehindCameraError, InvalidArgumentError
@@ -158,6 +159,23 @@ class TestProjectBackProject:
         with pytest.raises(BehindCameraError):
             geometry.back_project(cam, [32.0, 24.0], 0.0)
 
+    @pytest.mark.parametrize("depth, error", [
+        (np.nan, InvalidArgumentError), (np.inf, InvalidArgumentError),
+        (-np.inf, InvalidArgumentError), (0.0, BehindCameraError), (-1.0, BehindCameraError),
+    ])
+    def test_depth_must_be_positive_and_finite(self, depth, error):
+        # A NaN depth used to come back as a NaN point, pixel or warp.
+        cam = _identity_cam()
+        src_depth = DepthMap(np.full((48, 64), 512.0))
+        with pytest.raises(error):
+            geometry.back_project(cam, [32.0, 24.0], depth)
+        with pytest.raises(error):
+            geometry.project(cam, [0.0, 0.0, depth])
+        with pytest.raises(error):
+            geometry.reproject(cam, cam, [32.0, 24.0], depth, src_depth)
+        with pytest.raises(error):
+            geometry.warp_grid(cam, cam, depth, 8, 8)
+
     def test_project_points_masks_behind(self):
         cam = _identity_cam()
         pts = np.array([[0.0, 0.0, 100.0], [0.0, 0.0, -100.0]])
@@ -174,8 +192,10 @@ class TestProjectBackProject:
         grid = geometry.back_project_grid(cam, xs, ys, ds)
         for i in range(2):
             for j in range(2):
+                want = oracle.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
+                np.testing.assert_allclose(grid[i, j], want, atol=1e-12)
                 single = geometry.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
-                np.testing.assert_allclose(grid[i, j], single, atol=1e-12)
+                np.testing.assert_allclose(single, want, atol=1e-12)
 
 
 def _composed_chain_map(ref, src, xs, ys, depths, src_depth):
@@ -284,15 +304,17 @@ class TestReproject:
             ref, src, xs, ys, depths, src_depth)
         for i in range(xs.shape[0]):
             for j in range(xs.shape[1]):
-                single = geometry.reproject(
-                    ref, src, [xs[i, j], ys[i, j]], depths[i, j], src_depth
-                )
-                if single is None:
-                    assert not valid[i, j]
+                pixel = [xs[i, j], ys[i, j]]
+                want = oracle.reproject(ref, src, pixel, depths[i, j], src_depth)
+                single = geometry.reproject(ref, src, pixel, depths[i, j], src_depth)
+                if want is None:
+                    assert not valid[i, j] and single is None
                 else:
                     assert valid[i, j]
-                    np.testing.assert_allclose(p2[i, j], single[0], atol=1e-9)
-                    assert d2[i, j] == pytest.approx(single[1], rel=1e-12)
+                    np.testing.assert_allclose(p2[i, j], want[0], atol=1e-9)
+                    assert d2[i, j] == pytest.approx(want[1], rel=1e-12)
+                    # The scalar call is one element of the map.
+                    assert np.array_equal(single[0], p2[i, j]) and single[1] == d2[i, j]
 
     @pytest.mark.parametrize("angle, shift", [(0.15, -1.0), (0.6, -5.0), (1.4, -9.8)])
     def test_closed_form_matches_composed_chain(self, angle, shift):
@@ -547,12 +569,13 @@ class TestDepthMap:
         rows = np.array(data.draw(st.lists(coords(h), min_size=m, max_size=m),
                                   label="rows ys"))[:, None]
 
-        want = np.array([dm.depth_at(x, y) for x, y in zip(xs, ys)])
+        want = np.array([oracle.nearest_depth(dm, x, y) for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(dm.depth_grid(xs, ys), want)
+        np.testing.assert_array_equal([dm.depth_at(x, y) for x, y in zip(xs, ys)], want)
         # An (m, 1) column of ys against a row of n xs gives an (m, n) grid.
         grid = dm.depth_grid(xs, rows)
         assert grid.shape == (m, n)
-        want = np.array([[dm.depth_at(x, y) for x in xs] for y in rows[:, 0]])
+        want = np.array([[oracle.nearest_depth(dm, x, y) for x in xs] for y in rows[:, 0]])
         np.testing.assert_array_equal(grid, want)
 
     def test_depth_grid_matches_scalar(self):
@@ -563,9 +586,6 @@ class TestDepthMap:
         xs = rng.uniform(-1.0, 8.0, size=20)
         ys = rng.uniform(-1.0, 7.0, size=20)
         grid = dm.depth_grid(xs, ys)
-        for k in range(20):
-            single = dm.depth_at(xs[k], ys[k])
-            if np.isnan(single):
-                assert np.isnan(grid[k])
-            else:
-                assert grid[k] == pytest.approx(single)
+        want = [oracle.nearest_depth(dm, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_array_equal(grid, want)

@@ -6,6 +6,8 @@ depth maps can be checked exactly.  The noise field is checked for its
 contract: deterministic, seed-dependent, [0, 1], and continuous.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,8 +247,9 @@ def _reference_value_noise(points, seed, scale, octaves):
 def _reference_render(scene, cams, width, height):
     """Images as first rendered: every pixel shaded, misses at t = 1, then masked."""
     images = []
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     for cam in cams:
-        origin, dirs = synth._ray_grid(cam, width, height)
+        origin, dirs = cam.center, synth._ray_dirs(cam, xs, ys)
         t = scene.surface.intersect(origin[None, None, :], dirs)
         hit = np.isfinite(t)
         points = origin + np.where(hit, t, 1.0)[..., None] * dirs
@@ -295,6 +298,35 @@ class TestRendererOracle:
             assert np.array_equal(got, want)
 
 
+def _ray_depth(cam, surface, width, height, x, y):
+    """Closed-form depth of the ray through pixel ``(x, y)``, in plain
+    Python: the camera-frame direction ``K^-1 (x, y, 1)`` has z = 1, so
+    the ray parameter of the nearest positive hit is the depth."""
+    if not (0.0 <= x <= width - 1.0 and 0.0 <= y <= height - 1.0):
+        return math.nan
+    (fx, skew, cx), (_, fy, cy), _ = cam.intrinsic.tolist()
+    v = (y - cy) / fy
+    ray = ((x - cx - skew * v) / fx, v, 1.0)
+    rot = cam.rotation.tolist()
+    d = [sum(rot[r][i] * ray[r] for r in range(3)) for i in range(3)]  # R^T ray
+    o = cam.center.tolist()
+    if isinstance(surface, synth.Plane):
+        denom = sum(n * di for n, di in zip(surface.normal, d))
+        if denom == 0.0:
+            return math.nan
+        t = (surface.offset - sum(n * oi for n, oi in zip(surface.normal, o))) / denom
+        return t if t > 0.0 else math.nan
+    oc = [oi - ci for oi, ci in zip(o, surface.center)]
+    a = sum(di * di for di in d)
+    b = 2.0 * sum(p * di for p, di in zip(oc, d))
+    c = sum(p * p for p in oc) - surface.radius ** 2
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return math.nan
+    roots = ((-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a))
+    return next((t for t in roots if t > 0.0), math.nan)
+
+
 class TestAnalyticDepth:
     """Continuous-pixel exact depth lookups."""
 
@@ -313,17 +345,24 @@ class TestAnalyticDepth:
         assert abs(d0 - d_eps) < 0.1
 
     def test_grid_matches_scalar(self):
-        cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=1))
-        sampler = synth.AnalyticDepth(cams[0], synth.Sphere(radius=100.0), 64, 48)
-        xs = np.array([10.25, 31.5, 60.0])
-        ys = np.array([5.75, 23.5, 40.0])
-        grid = sampler.depth_grid(xs, ys)
-        for k in range(3):
-            single = sampler.depth_at(xs[k], ys[k])
-            if np.isnan(single):
-                assert np.isnan(grid[k])
-            else:
-                assert grid[k] == pytest.approx(single, rel=1e-12)
+        cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=2))
+        # Sphere hits and misses, the domain corners and two queries outside.
+        xs = np.array([31.5, 10.25, 60.0, 0.0, 63.0, -0.5, 20.0])
+        ys = np.array([23.5, 5.75, 40.0, 0.0, 47.0, 10.0, 47.5])
+        tilted = synth.Plane(normal=(0.1, -0.2, 1.0), offset=15.0)
+        for surface in (synth.Sphere(radius=100.0), tilted):
+            for cam in cams:
+                sampler = synth.AnalyticDepth(cam, surface, 64, 48)
+                grid = sampler.depth_grid(xs, ys)
+                want = [_ray_depth(cam, surface, 64, 48, x, y)
+                        for x, y in zip(xs.tolist(), ys.tolist())]
+                np.testing.assert_allclose(grid, want, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose([sampler.depth_at(x, y) for x, y in zip(xs, ys)],
+                                           want, rtol=1e-12, atol=0.0)
+                # The plane fills the view; the sphere misses some queries.
+                hits = np.isfinite(want)
+                assert hits[0] and not hits[5:].any()
+                assert hits[:5].all() == isinstance(surface, synth.Plane)
 
 
 class TestPerturbDepths:
