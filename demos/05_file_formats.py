@@ -17,7 +17,11 @@ from mvsweep import formats, fusion, geometry
 
 
 def main() -> None:
-    root = Path(tempfile.mkdtemp(prefix="mvsweep_formats_"))
+    with tempfile.TemporaryDirectory(prefix="mvsweep_formats_") as tmp:
+        show_formats(Path(tmp))
+
+
+def show_formats(root: Path) -> None:
     print(f"writing under {root}")
 
     print()

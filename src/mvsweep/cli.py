@@ -626,6 +626,22 @@ def _battery() -> list[tuple[str, bool]]:
         assert abs(fusion.consistency_from_errors(1.0, 0.01, 200.0)
                    - np.exp(-3.0)) < 1e-12
 
+    def check_nearest_distance():
+        # The tree-ordered query against a pairwise scan, in the caller's
+        # order.  Repeated rows in both clouds, and queries that sit on
+        # reference points, make ties and zero distances.
+        rng = np.random.default_rng(10)
+        ref = rng.normal(size=(200, 3))
+        ref[150:] = ref[:50]
+        query = rng.normal(size=(200, 3))
+        query[100:120] = query[:20]
+        query[120:140] = ref[:20]
+        got = metrics.nearest_distance(fusion.PointCloud(query), fusion.PointCloud(ref))
+        assert got.shape == (200,)
+        for point, value in zip(query.tolist(), got.tolist()):
+            want = min(math.dist(point, other) for other in ref.tolist())
+            assert abs(value - want) < 1e-12
+
     def check_formats_round_trip():
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -656,6 +672,7 @@ def _battery() -> list[tuple[str, bool]]:
     run("texture_oracle", check_texture_oracle)
     run("streaming_softmax", check_streaming_softmax)
     run("consistency_values", check_consistency_values)
+    run("nearest_distance", check_nearest_distance)
     run("formats_round_trip", check_formats_round_trip)
     return results
 

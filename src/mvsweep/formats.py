@@ -432,8 +432,8 @@ def read_ply(path) -> PointCloud:
         dtype.append(("rgb", "u1", 3))
     record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
                            dtype=dtype)
-    rgb = record["rgb"].copy() if has_rgb else None
-    return PointCloud(record["xyz"].astype(np.float64), rgb)
+    return PointCloud(record["xyz"].astype(np.float64),
+                      record["rgb"] if has_rgb else None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ consumed so overlapping views do not duplicate the same surface sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .depthmap import DepthMap
 from .errors import InvalidArgumentError
@@ -92,22 +94,41 @@ class FusionParams:
             raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 
 
-@dataclass(eq=False)
+def _read_only_rows(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``(n, 3)`` array that no caller can write
+    through: copied only where ``np.asarray`` would alias the input."""
+    rows = np.asarray(values, dtype=dtype)
+    if rows is values or rows.base is not None:
+        rows = rows.copy()
+    rows.flags.writeable = False
+    return rows.reshape(-1, 3)
+
+
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Fused 3-d points with optional per-point colors."""
+    """Fused 3-d points with optional per-point colors.
+
+    The coordinates and colors are read-only, so the k-d tree that
+    :attr:`tree` builds on first use never goes stale.
+    """
 
     xyz: np.ndarray
     rgb: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
+        object.__setattr__(self, "xyz", _read_only_rows(self.xyz, np.float64))
         if self.rgb is not None:
-            self.rgb = np.asarray(self.rgb, dtype=np.uint8).reshape(-1, 3)
+            object.__setattr__(self, "rgb", _read_only_rows(self.rgb, np.uint8))
             if len(self.rgb) != len(self.xyz):
                 raise ValueError("rgb count must match point count")
 
     def __len__(self) -> int:
         return len(self.xyz)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over :attr:`xyz`, built once and shared by every query."""
+        return cKDTree(self.xyz)
 
     @classmethod
     def empty(cls, with_rgb: bool = False) -> "PointCloud":

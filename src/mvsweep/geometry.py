@@ -112,9 +112,11 @@ def _check_depth(depth: float, action: str) -> None:
 
 def back_project(cam: Camera, pixel, depth: float) -> np.ndarray:
     """Lift a pixel at a given depth to a world point; one element of
-    :func:`back_project_grid`.  A non-positive depth raises
-    :class:`BehindCameraError`, a NaN or infinite one
-    :class:`InvalidArgumentError`."""
+    :func:`back_project_grid`.  The last bits can differ from the same
+    pixel inside a larger call, because one row of the ``(..., 3) @ (3, 3)``
+    product rounds differently from many; the two agree within rel 1e-12.
+    A non-positive depth raises :class:`BehindCameraError`, a NaN or
+    infinite one :class:`InvalidArgumentError`."""
     _check_depth(depth, "back-project")
     return back_project_grid(cam, pixel[0], pixel[1], depth)
 

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyCloudError, EmptyReferenceError, InvalidArgumentError
 from .fusion import PointCloud
@@ -31,13 +30,22 @@ __all__ = [
 
 
 def nearest_distance(query: PointCloud, reference: PointCloud) -> np.ndarray:
-    """Distance from each query point to its nearest reference point (k-d tree)."""
+    """Distance from each query point to its nearest reference point.
+
+    The query points descend ``reference.tree`` in the leaf order of the
+    query cloud's own tree, so consecutive queries visit neighbouring
+    leaves; the distances come back in the caller's order.  A nearest
+    distance does not depend on that order.
+    """
     if len(reference) == 0:
         raise EmptyReferenceError("nearest-distance query against an empty cloud")
     if len(query) == 0:
         return np.zeros(0, dtype=np.float64)
-    dists, _ = cKDTree(reference.xyz).query(query.xyz)
-    return np.asarray(dists, dtype=np.float64)
+    order = query.tree.indices
+    found, _ = reference.tree.query(query.xyz[order])
+    dists = np.empty(len(query), dtype=np.float64)
+    dists[order] = found
+    return dists
 
 
 def _check_threshold(threshold: float) -> None:

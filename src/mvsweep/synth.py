@@ -327,7 +327,10 @@ class AnalyticDepth:
         return np.where(inside, t, np.nan)
 
     def depth_at(self, x: float, y: float) -> float:
-        """One element of :meth:`depth_grid`."""
+        """One element of :meth:`depth_grid`.  The last bits can differ from
+        the same query inside a larger call, because one row of the ray
+        directions' ``(..., 3) @ (3, 3)`` product rounds differently from
+        many; the two agree within rel 1e-12."""
         return float(self.depth_grid(x, y))
 
 

@@ -519,6 +519,7 @@ class TestCheck:
         assert all(line.endswith(": ok") for line in lines)
         assert "depth_lookup: ok" in lines
         assert "cost_slice: ok" in lines
+        assert "nearest_distance: ok" in lines
 
     def test_perturbed_pair_map_fails_the_chain_row(self, monkeypatch, capsys):
         # The row compares the map against lift-then-project written out,

@@ -8,8 +8,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from mvsweep import metrics
+from mvsweep import fusion, metrics
 from mvsweep.errors import EmptyCloudError, EmptyReferenceError, InvalidArgumentError
 from mvsweep.fusion import PointCloud
 
@@ -61,6 +64,93 @@ class TestNearestDistance:
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.normal(size=(50, 3)))
         np.testing.assert_array_equal(metrics.nearest_distance(cloud, cloud), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(queries=st.integers(1, 300), references=st.integers(1, 300),
+           lattice=st.sampled_from([0, 1, 3]), same=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(queries=1, references=1, lattice=0, same=False, seed=0)
+    @example(queries=200, references=1, lattice=1, same=False, seed=1)
+    @example(queries=1, references=200, lattice=3, same=False, seed=2)
+    @example(queries=1, references=120, lattice=1, same=True, seed=3)
+    @example(queries=1, references=300, lattice=3, same=True, seed=4)
+    def test_tree_order_matches_a_file_order_query(self, queries, references,
+                                                   lattice, same, seed):
+        # Points on a small integer lattice repeat, and queries on the
+        # half-integer lattice sit at equal distances from several of them.
+        rng = np.random.default_rng(seed)
+        if lattice:
+            ref_xyz = rng.integers(0, lattice + 1, (references, 3)).astype(np.float64)
+            query_xyz = rng.integers(0, 2 * lattice + 1, (queries, 3)) / 2.0
+        else:
+            ref_xyz = rng.normal(size=(references, 3))
+            query_xyz = rng.normal(size=(queries, 3))
+        reference = PointCloud(ref_xyz)
+        query = reference if same else PointCloud(query_xyz)
+        want, _ = cKDTree(reference.xyz).query(query.xyz)
+        got = metrics.nearest_distance(query, reference)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_clouds_checked_before_any_tree(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("k-d tree built for an empty comparison")
+
+        monkeypatch.setattr(fusion, "cKDTree", no_tree)
+        one = _cloud([[0.0, 0.0, 0.0]])
+        assert metrics.nearest_distance(PointCloud.empty(), one).shape == (0,)
+        with pytest.raises(EmptyReferenceError):
+            metrics.nearest_distance(one, PointCloud.empty())
+        with pytest.raises(EmptyCloudError):
+            metrics.accuracy_completeness(PointCloud.empty(), one, 1.0)
+        with pytest.raises(EmptyCloudError):
+            metrics.fscore(one, PointCloud.empty(), 1.0)
+        with pytest.raises(EmptyCloudError):
+            metrics.evaluate_clouds(PointCloud.empty(), one, threshold=1.0)
+
+
+class TestCloudIndex:
+    """Each cloud owns one k-d tree over coordinates no one can change."""
+
+    def test_evaluate_builds_one_tree_per_cloud(self, monkeypatch):
+        built = []
+        queried = []
+        nearest_distance = metrics.nearest_distance
+
+        def counting_tree(xyz):
+            built.append(len(xyz))
+            return cKDTree(xyz)
+
+        def counting_query(query, reference):
+            queried.append(len(query))
+            return nearest_distance(query, reference)
+
+        monkeypatch.setattr(fusion, "cKDTree", counting_tree)
+        monkeypatch.setattr(metrics, "nearest_distance", counting_query)
+        rng = np.random.default_rng(6)
+        recon = PointCloud(rng.normal(size=(70, 3)))
+        truth = PointCloud(rng.normal(size=(90, 3)))
+        metrics.evaluate_clouds(recon, truth, threshold=0.3)
+        assert sorted(built) == [70, 90]
+        # Both directions, once for the f-score and once for the truncated means.
+        assert sorted(queried) == [70, 70, 90, 90]
+
+    def test_coordinates_are_read_only(self):
+        rows = np.zeros((2, 3))
+        colors = np.zeros((2, 3), dtype=np.uint8)
+        cloud = PointCloud(rows, colors)
+        with pytest.raises(ValueError):
+            cloud.xyz[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cloud.rgb[0, 0] = 1
+        with pytest.raises(ValueError):
+            cloud.xyz.flags.writeable = True
+        with pytest.raises(AttributeError):
+            cloud.xyz = rows
+        # The caller's arrays stay theirs: writing to them leaves the cloud alone.
+        rows[0, 0] = 5.0
+        colors[0, 0] = 5
+        assert cloud.xyz[0, 0] == 0.0 and cloud.rgb[0, 0] == 0
 
 
 class TestAccuracyCompleteness:
