@@ -181,7 +181,7 @@ def cmd_synth(args) -> int:
         gt_points.append(geometry.back_project_grid(
             cam, xs.astype(float), ys.astype(float), depth.data[ys, xs]))
     layout.write_pairs(_ring_pairs(args.views))
-    formats.write_ply(layout.gt_cloud, fusion.PointCloud(np.concatenate(gt_points)))
+    formats.write_ply(layout.gt_cloud, fusion.PointCloud._adopt(np.concatenate(gt_points)))
     log.info("wrote %d views to %s (depth range %.1f..%.1f)",
              args.views, args.out, d_lo, d_hi)
     return 0
@@ -514,20 +514,42 @@ def _battery() -> list[tuple[str, bool]]:
             assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
 
     def check_bilinear_sample():
+        def bilinear(values, x, y):
+            h, w, _ = values.shape
+            x0, y0 = min(int(x), max(w - 2, 0)), min(int(y), max(h - 2, 0))
+            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+            fx, fy = x - x0, y - y0
+            return ((1 - fy) * ((1 - fx) * values[y0, x0] + fx * values[y0, x1])
+                    + fy * ((1 - fx) * values[y1, x0] + fx * values[y1, x1]))
+
+        def agrees(values, xs, ys, want_valid):
+            sampled, valid = costvol.bilinear_sample(values, np.stack([xs, ys], axis=-1))
+            assert valid.tolist() == want_valid
+            assert np.array_equal(sampled[~valid], np.zeros((len(xs) - valid.sum(), 4)))
+            for x, y, got in zip(xs[valid], ys[valid], sampled[valid]):
+                assert np.max(np.abs(got - bilinear(values, x, y))) < 1e-12
+
         rng = np.random.default_rng(5)
         values = rng.normal(size=(5, 7, 4))
         values[0, 0] = np.inf  # the sampler must never read it for an invalid query
         xs = np.concatenate([rng.uniform(0.0, 6.0, 40), [6.0, 0.0, -0.5, 7.5, np.nan]])
         ys = np.concatenate([rng.uniform(1.0, 4.0, 40), [4.0, 2.5, 1.0, 1.0, 1.0]])
-        sampled, valid = costvol.bilinear_sample(values, np.stack([xs, ys], axis=-1))
-        assert valid.tolist() == [True] * 42 + [False] * 3
-        assert np.array_equal(sampled[~valid], np.zeros((3, 4)))
-        for x, y, got in zip(xs[valid], ys[valid], sampled[valid]):
-            x0, y0 = min(int(x), 5), min(int(y), 3)
-            fx, fy = x - x0, y - y0
-            want = ((1 - fy) * ((1 - fx) * values[y0, x0] + fx * values[y0, x0 + 1])
-                    + fy * ((1 - fx) * values[y0 + 1, x0] + fx * values[y0 + 1, x0 + 1]))
-            assert np.max(np.abs(got - want)) < 1e-12
+        agrees(values, xs, ys, [True] * 42 + [False] * 3)
+        # A one-pixel-tall map, queried up to and onto its far end.
+        row = rng.normal(size=(1, 6, 4))
+        xs = np.concatenate([rng.uniform(0.0, 5.0, 20), [5.0, 0.0, 5.5]])
+        agrees(row, xs, np.zeros(23), [True] * 22 + [False])
+        # A one-pixel-wide map: every query sits on x = width - 1, so its
+        # right tap must stay on its own pixel.  One step right in the
+        # flat map is the next row, and only such a step reaches the inf.
+        column = rng.normal(size=(6, 1, 4))
+        column[5] = np.inf
+        ys = np.concatenate([rng.uniform(0.0, 4.0, 20), [3.5, 0.0, 6.0]])
+        agrees(column, np.zeros(23), ys, [True] * 22 + [False])
+        # A batch with no valid query is an empty sparse matrix.
+        xs = np.array([-1.0, 7.0, np.inf, np.nan, 3.0])
+        ys = np.array([2.0, 2.0, 2.0, 2.0, -np.inf])
+        agrees(values, xs, ys, [False] * 5)
 
     def check_cost_slice():
         # The streamed variance against a population variance written out

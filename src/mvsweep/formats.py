@@ -421,19 +421,19 @@ def read_ply(path) -> PointCloud:
                 f"expected {count * stride} values, found {len(values)}", path)
         table = values.reshape(count, stride)
         if not has_rgb:
-            return PointCloud(table[:, :3])
+            return PointCloud._adopt(table[:, :3])
         rgb = table[:, 3:6]
         if not np.all((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))):
             raise ParseError("colors must be integers in [0, 255]", path)
-        return PointCloud(table[:, :3], rgb.astype(np.uint8))
+        return PointCloud._adopt(table[:, :3], rgb.astype(np.uint8))
     _check_binary_layout(props, path)
     dtype = [("xyz", "<f4", 3)]
     if has_rgb:
         dtype.append(("rgb", "u1", 3))
     record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
                            dtype=dtype)
-    return PointCloud(record["xyz"].astype(np.float64),
-                      record["rgb"] if has_rgb else None)
+    return PointCloud._adopt(record["xyz"].astype(np.float64),
+                             record["rgb"] if has_rgb else None)
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,24 @@ class FusionParams:
             raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 
 
-def _read_only_rows(values, dtype) -> np.ndarray:
-    """``values`` as a read-only ``(n, 3)`` array that no caller can write
-    through: copied only where ``np.asarray`` would alias the input."""
-    rows = np.asarray(values, dtype=dtype)
-    if rows is values or rows.base is not None:
-        rows = rows.copy()
-    rows.flags.writeable = False
-    return rows.reshape(-1, 3)
+def _read_only_rows(values, dtype, adopt: bool = False) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous ``(n, 3)`` array that no
+    caller can write through.  It is copied where ``np.asarray`` would
+    alias the input, unless ``adopt`` says that nobody else holds the
+    input; then it is copied only to change its dtype or layout."""
+    if adopt:
+        rows = np.ascontiguousarray(values, dtype=dtype)
+    else:
+        rows = np.asarray(values, dtype=dtype)
+        if rows is values or rows.base is not None:
+            rows = rows.copy()
+    rows = rows.reshape(-1, 3)
+    # A view's base is the array that owns its memory, so locking both
+    # leaves no writeable path to the rows.
+    for array in (rows, rows.base):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +126,24 @@ class PointCloud:
     rgb: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xyz", _read_only_rows(self.xyz, np.float64))
+        self._own(adopt=False)
+
+    def _own(self, adopt: bool) -> None:
+        object.__setattr__(self, "xyz", _read_only_rows(self.xyz, np.float64, adopt))
         if self.rgb is not None:
-            object.__setattr__(self, "rgb", _read_only_rows(self.rgb, np.uint8))
+            object.__setattr__(self, "rgb", _read_only_rows(self.rgb, np.uint8, adopt))
             if len(self.rgb) != len(self.xyz):
                 raise ValueError("rgb count must match point count")
+
+    @classmethod
+    def _adopt(cls, xyz: np.ndarray, rgb: np.ndarray | None = None) -> "PointCloud":
+        """A cloud that takes arrays nobody else holds, such as a fresh
+        ``np.concatenate`` result, and marks them read-only in place."""
+        cloud = cls.__new__(cls)
+        object.__setattr__(cloud, "xyz", xyz)
+        object.__setattr__(cloud, "rgb", rgb)
+        cloud._own(adopt=True)
+        return cloud
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -307,4 +330,4 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
         return PointCloud.empty(want_rgb)
     xyz = np.concatenate(points)
     rgb = np.concatenate(colors) if want_rgb else None
-    return PointCloud(xyz, rgb)
+    return PointCloud._adopt(xyz, rgb)

@@ -321,21 +321,26 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
 
     At one depth the pair transform ``w = d * A @ (x, y, 1) + b`` is
     separable: a ``(height, 3)`` row term plus a ``(width, 3)`` column
-    term, so no per-pixel 3x3 product is formed.
+    term, so no per-pixel 3x3 product is formed.  ``x``, ``y`` and the
+    landing depth are each built as one contiguous ``(height, width)``
+    plane from those terms; ``valid`` is read off the ``x`` and ``y``
+    planes, which are then interleaved into ``coords`` once.
     """
     _check_depth(depth, "sweep")
     a, b = _pair_transform(ref, src)
     rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
     rows += depth * a[:, 2] + b
     cols = np.arange(width, dtype=np.float64)[:, None] * (depth * a[:, 0])
-    depths = rows[:, None, 2] + cols[None, :, 2]
-    coords = rows[:, None, :2] + cols[None, :, :2]
-    coords /= np.where(depths > 0, depths, np.nan)[..., None]
+    (row_x, row_y, row_z), (col_x, col_y, col_z) = rows.T[:, :, None], cols.T
+    z = row_z + col_z
+    np.copyto(z, np.nan, where=~(z > 0))
+    x = row_x + col_x
+    x /= z
+    y = row_y + col_y
+    y /= z
     # NaN fails every comparison, so points behind the source are invalid.
-    valid = (
-        (coords[..., 0] >= 0.0)
-        & (coords[..., 0] <= width - 1.0)
-        & (coords[..., 1] >= 0.0)
-        & (coords[..., 1] <= height - 1.0)
-    )
-    return coords, valid
+    valid = x >= 0.0
+    valid &= x <= width - 1.0
+    valid &= y >= 0.0
+    valid &= y <= height - 1.0
+    return np.stack((x, y), axis=-1), valid

@@ -276,10 +276,15 @@ def hu_lstm_step(cost_slice: CostSlice, state: Sequence[tuple[np.ndarray, np.nda
 
 def regularize_stream(slices: Iterable[CostSlice],
                       weights: HuLstmWeights) -> Iterator[ScoreSlice]:
-    """Map a cost-slice stream to a score-slice stream, threading state."""
+    """Map a cost-slice stream to a score-slice stream, threading state.
+
+    Each cost slice is released before its score is yielded, so the next
+    slice is built while no earlier one is alive.
+    """
     state = None
     for cost_slice in slices:
         score, state = hu_lstm_step(cost_slice, state, weights)
+        del cost_slice
         yield score
 
 
@@ -287,8 +292,11 @@ def passthrough_regularizer(slices: Iterable[CostSlice]) -> Iterator[ScoreSlice]
     """Weight-free fallback: score is the negated channel-mean cost.
 
     Low variance means high photo-consistency, so negation makes larger
-    scores better, matching the learned head's orientation.
+    scores better, matching the learned head's orientation.  As in
+    :func:`regularize_stream`, each cost slice is released before its
+    score is yielded.
     """
     for cost_slice in slices:
-        yield ScoreSlice(index=cost_slice.index,
-                         score=-cost_slice.cost.mean(axis=2))
+        score = ScoreSlice(index=cost_slice.index, score=-cost_slice.cost.mean(axis=2))
+        del cost_slice
+        yield score

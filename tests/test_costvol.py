@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mvsweep import costvol, features, geometry
 from mvsweep.errors import SizeMismatchError
@@ -76,6 +77,40 @@ def _einsum_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
         np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
                   out=sampled[lo:hi])
     return sampled.reshape(*coords.shape[:-1], channels)
+
+
+def _stack_sample(values: np.ndarray, coords: np.ndarray):
+    """The sampler's body before it wrote its arrays in place, kept as an oracle.
+
+    Corners are floored to intp and converted back to float for the
+    fractions; weights and taps are each one ``np.stack`` of four int64
+    or float64 columns and ``indptr`` a concatenated cumulative sum, so
+    scipy converts the index arrays to int32 itself.
+    """
+    height, width, channels = values.shape
+    xs = coords[..., 0].ravel()
+    ys = coords[..., 1].ravel()
+    valid = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
+    rows = np.flatnonzero(valid)
+    x = xs[rows]
+    y = ys[rows]
+    x0 = np.floor(x).astype(np.intp)
+    y0 = np.floor(y).astype(np.intp)
+    fx = x - x0
+    fy = y - y0
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
+    taps = np.stack([y0 * width + x0, y0 * width + x1,
+                     y1 * width + x0, y1 * width + x1], axis=1)
+    indptr = np.concatenate(([0], 4 * np.cumsum(valid)))
+    matrix = sparse.csr_array((weights.ravel(), taps.ravel(), indptr),
+                              shape=(xs.size, height * width))
+    sampled = matrix @ values.reshape(height * width, channels)
+    shape = coords.shape[:-1]
+    return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
 def _zero_start_cost_slice(ref_feat, src_feats, ref_cam, src_cams, depth):
@@ -226,6 +261,105 @@ class TestBilinearSample:
         for ch in range(4):
             single, _ = costvol.bilinear_sample(values[..., ch:ch + 1], coords)
             assert sampled[0, ch] == pytest.approx(single[0, 0])
+
+
+def _oracle_queries(rng, height, width, queries, all_invalid):
+    """Coordinates that hit every branch of the sampler.
+
+    Uniform draws around the map, integer centres, the far edges
+    ``x = width - 1`` and ``y = height - 1`` exactly, signed zeros and
+    NaN / +-inf; with ``all_invalid`` every query falls outside.
+    """
+    xs = rng.uniform(-1.5, width + 0.5, queries)
+    ys = rng.uniform(-1.5, height + 0.5, queries)
+    specials = np.array([0.0, -0.0, -1e-12, np.nan, np.inf, -np.inf])
+    for axis, extent in ((xs, width), (ys, height)):
+        edge = rng.uniform(size=queries) < 0.3
+        axis[edge] = extent - 1.0
+        snap = rng.uniform(size=queries) < 0.2
+        axis[snap] = rng.integers(0, extent, snap.sum())
+        odd = rng.uniform(size=queries) < 0.15
+        axis[odd] = rng.choice(specials, odd.sum())
+    if all_invalid:
+        outside = rng.choice([-0.5, np.nan, np.inf, -np.inf, width + 0.25], queries)
+        xs = np.where(rng.uniform(size=queries) < 0.5, outside, xs)
+        ys = np.where(np.isnan(xs) | (xs < 0.0) | (xs > width - 1.0), ys, height)
+    return np.stack([xs, ys], axis=-1)
+
+
+class TestSamplerOracle:
+    """The in-place sampler is bit-identical to its np.stack / intp body."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(height=st.integers(1, 9), width=st.integers(1, 9),
+           channels=st.integers(1, 4), queries=st.integers(0, 120),
+           all_invalid=st.booleans(), grid=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(height=1, width=7, channels=2, queries=60, all_invalid=False,
+             grid=False, seed=0)
+    @example(height=7, width=1, channels=2, queries=60, all_invalid=False,
+             grid=False, seed=1)
+    @example(height=1, width=1, channels=1, queries=30, all_invalid=False,
+             grid=True, seed=2)
+    @example(height=4, width=6, channels=3, queries=50, all_invalid=True,
+             grid=False, seed=3)
+    def test_bit_identical_to_stack_body(self, height, width, channels, queries,
+                                         all_invalid, grid, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(height, width, channels))
+        # Non-finite and signed-zero entries: a zero weight on one of them
+        # still shows in the output (0 * inf is NaN), so a tap that moved
+        # by one pixel cannot hide behind a zero weight.
+        odd = rng.uniform(size=values.shape) < 0.2
+        values[odd] = rng.choice([np.inf, -np.inf, np.nan, -0.0], odd.sum())
+        coords = _oracle_queries(rng, height, width, queries, all_invalid)
+        if grid and queries % 2 == 0:
+            coords = coords.reshape(2, queries // 2, 2)
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        want, want_valid = _stack_sample(values, coords)
+        assert sampled.dtype == want.dtype == np.float64
+        assert sampled.shape == want.shape == (*coords.shape[:-1], channels)
+        assert valid.dtype == want_valid.dtype == np.bool_
+        assert np.array_equal(valid, want_valid)
+        assert sampled.tobytes() == want.tobytes()
+        if all_invalid:
+            assert not valid.any()
+            assert not sampled.any()
+
+    def test_far_edges_keep_their_taps_on_the_corner(self):
+        # Every query sits on x = width - 1 or y = height - 1 of a map
+        # whose only finite pixels are the ones the clamped taps read.
+        values = np.full((3, 4, 1), np.inf)
+        values[1, 3] = 2.0
+        values[2, 1:4, 0] = [5.0, 7.0, 11.0]
+        coords = np.array([[3.0, 1.0], [1.5, 2.0], [3.0, 2.0], [3.0, 1.5]])
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        want, _ = _stack_sample(values, coords)
+        assert valid.all()
+        assert sampled.tobytes() == want.tobytes()
+        assert sampled[:, 0].tolist() == [2.0, 6.0, 11.0, 6.5]
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+    def test_one_pixel_wide_and_tall_maps(self, shape):
+        height, width = shape
+        values = np.arange(height * width * 2, dtype=np.float64).reshape(height, width, 2)
+        xs = np.linspace(-0.5, width - 0.5, 9)
+        ys = np.linspace(-0.5, height - 0.5, 9)
+        coords = np.stack(np.meshgrid(xs, ys), axis=-1)
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        want, want_valid = _stack_sample(values, coords)
+        assert np.array_equal(valid, want_valid)
+        assert sampled.tobytes() == want.tobytes()
+
+    def test_every_query_invalid_is_an_empty_matrix(self):
+        values = np.full((3, 4, 2), np.nan)
+        coords = np.array([[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0],
+                           [4.0, 1.0], [1.0, -0.5]])
+        sampled, valid = costvol.bilinear_sample(values, coords)
+        assert not valid.any()
+        assert sampled.tobytes() == np.zeros((5, 2)).tobytes()
+        sampled, valid = costvol.bilinear_sample(values, np.zeros((0, 2)))
+        assert sampled.shape == (0, 2) and valid.shape == (0,)
 
 
 class TestBuildCostSlice:
@@ -389,6 +523,23 @@ class TestCostSliceOracle:
         assert not costvol.bilinear_sample(feats[1], coords)[1].any()
         got = self._assert_bit_identical(feats, cams)
         assert (got.valid_views == 1).any()
+
+
+    @pytest.mark.parametrize("sources", [1, 2, 6])
+    def test_stream_slices_match_the_oracle(self, sources):
+        # A stream sums every slice in one reused buffer and hands out
+        # each cost in its last sample's buffer.  Slices collected before
+        # any is compared must each still equal the oracle at its depth.
+        feats = [features.photometric_features(img) for img in _images(sources + 1, 14)]
+        cams = ([_BLIND] + _SOURCES)[:sources]
+        space = geometry.HypothesisSpace(6.0, 40.0, 5)
+        slices = list(costvol.cost_volume_stream(feats[0], feats[1:], _cam(0.0), cams, space))
+        assert len(slices) == 5
+        for sl, depth in zip(slices, geometry.sample_hypotheses(space)):
+            cost, count = _zero_start_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
+            assert sl.depth == depth
+            assert sl.cost.tobytes() == cost.tobytes()
+            assert np.array_equal(sl.valid_views, count)
 
 
 def _peak_bytes(run) -> int:

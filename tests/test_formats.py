@@ -424,6 +424,23 @@ class TestPly:
             formats.write_ply(path, PointCloud.empty(), mode=mode)
             assert len(formats.read_ply(path)) == 0
 
+    @pytest.mark.parametrize("mode", ["ascii", "binary"])
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_read_cloud_is_locked(self, tmp_path, mode, colored):
+        # read_ply hands its own arrays to the cloud without a copy, so
+        # the cloud must still refuse writes and a writeable flag.
+        cloud = _rgb_cloud(n=5) if colored else PointCloud(np.eye(3))
+        path = tmp_path / "c.ply"
+        formats.write_ply(path, cloud, mode=mode)
+        back = formats.read_ply(path)
+        arrays = (back.xyz, back.rgb) if colored else (back.xyz,)
+        for array in arrays:
+            assert array.flags.c_contiguous
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
     def test_header_contents(self, tmp_path):
         path = tmp_path / "c.ply"
         formats.write_ply(path, _rgb_cloud(n=7), mode="binary")

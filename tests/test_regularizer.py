@@ -7,6 +7,7 @@ outputs, zero-forget amnesia, saturation limits).
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -398,3 +399,32 @@ class TestPassthroughRegularizer:
         sl = costvol.CostSlice(0, 1.0, cost, np.full((3, 3), 2, dtype=np.int64))
         out = next(regularizer.passthrough_regularizer(iter([sl])))
         assert out.score[1, 1] == out.score.max()
+
+
+def _released_stream(count: int, channels: int):
+    """Cost slices that check, before building each one, that the
+    consumer no longer holds the previous slice's cost."""
+    rng = np.random.default_rng(12)
+    alive = []
+
+    def make(index):
+        cost = np.abs(rng.normal(size=(6, 8, channels)))
+        alive.append(weakref.ref(cost))
+        return costvol.CostSlice(index, 1.0 + index, cost,
+                                 np.full((6, 8), 2, dtype=np.int64))
+
+    for index in range(count):
+        assert all(ref() is None for ref in alive)
+        yield make(index)
+
+
+@pytest.mark.parametrize("regularize", [
+    regularizer.passthrough_regularizer,
+    lambda stream: regularizer.regularize_stream(
+        stream, regularizer.random_hulstm_weights(seed=3, in_channels=4)),
+], ids=["passthrough", "hulstm"])
+def test_each_cost_slice_is_released_before_the_next(regularize):
+    # A stream keeps at most one cost slice alive, however the scores
+    # downstream are held.
+    scores = list(regularize(_released_stream(4, 4)))
+    assert [s.index for s in scores] == [0, 1, 2, 3]
