@@ -4,8 +4,8 @@ Subcommands operate on a project directory laid out per
 :class:`~mvsweep.formats.ProjectLayout`.  ``synth`` fabricates a ground
 truth scene, ``depth`` estimates per-view depth maps by plane sweep,
 ``fuse`` filters and merges them into a point cloud, ``eval`` scores a
-cloud against a reference, and ``check`` runs a quick built-in oracle
-battery.
+cloud against a reference, and ``check`` runs the reference battery
+of :mod:`mvsweep.oracles`.
 
 Reference views in ``depth`` are independent; set ``MVSWEEP_JOBS`` to
 process several concurrently (results are identical regardless).
@@ -14,20 +14,17 @@ process several concurrently (results are identical regardless).
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
-import math
 import os
 import shutil
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import costvol, estimator, features, formats, fusion, geometry, metrics
-from . import regularizer, synth
+from . import oracles, regularizer, synth
 from .depthmap import DepthMap
 from .errors import InvalidArgumentError, MvsweepError, ParseError
 
@@ -382,325 +379,8 @@ def cmd_eval(args) -> int:
 # check
 
 
-def _battery() -> list[tuple[str, bool]]:
-    results = []
-
-    def run(name, fn):
-        try:
-            fn()
-            results.append((name, True))
-        except Exception:  # deliberate: any failure marks the check
-            log.exception("check %s failed", name)
-            results.append((name, False))
-
-    def check_camera_round_trip():
-        rng = np.random.default_rng(1)
-        rig = synth.CameraRigSpec(n_views=5)
-        for cam in synth.make_camera_ring(rig):
-            point = rng.uniform(-50, 50, 3)
-            pixel, depth = geometry.project(cam, point)
-            back = geometry.back_project(cam, pixel, depth)
-            assert np.max(np.abs(back - point)) < 1e-8
-
-    def check_hypothesis_sampling():
-        space = geometry.HypothesisSpace(425.0, 745.0, 128)
-        depths = geometry.sample_hypotheses(space)
-        assert depths[0] == 425.0 and depths[-1] == 745.0
-        assert abs(np.diff(depths).max() - 320.0 / 127.0) < 1e-12
-
-    def check_reprojection_chain():
-        rig = synth.CameraRigSpec(n_views=3, width=32, height=24, focal=70.0)
-        cams = synth.make_camera_ring(rig)
-        surface = synth.Plane()
-        sampler = synth.AnalyticDepth(cams[1], surface, 32, 24)
-        own = synth.AnalyticDepth(cams[0], surface, 32, 24)
-        pixel = (15.0, 11.0)
-        depth = own.depth_at(*pixel)
-        result = geometry.reproject(cams[0], cams[1], pixel, depth, sampler)
-        assert result is not None
-        xi_p, xi_d = geometry.reprojection_errors(pixel, result[0], depth, result[1])
-        assert xi_p < 1e-9 and xi_d < 1e-12
-        # The closed-form chain against lift-then-project per pixel, at
-        # depths off the surface so that the trip back does not close.
-        def move(cam_from, cam_to, x, y, d):
-            point = cam_from.proj_m_inv @ (d * np.array([x, y, 1.0]) - cam_from.proj_t)
-            w = cam_to.proj_m @ point + cam_to.proj_t
-            return w[0] / w[2], w[1] / w[2], w[2]
-
-        ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
-        scale = np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
-        depths = own.depth_grid(xs, ys) * scale
-        _, p2, d2, valid = geometry.reproject_chain_map(
-            cams[0], cams[1], xs, ys, depths, sampler)
-        assert valid.any() and not valid.all()
-        for idx in np.ndindex(xs.shape):
-            qx, qy, d_fwd = move(cams[0], cams[1], xs[idx], ys[idx], depths[idx])
-            d_src = sampler.depth_at(qx, qy) if d_fwd > 0 else math.nan
-            x2, y2, back = move(cams[1], cams[0], qx, qy, d_src)
-            assert valid[idx] == (0.0 < d_src < math.inf and back > 0)
-            if valid[idx]:
-                assert max(abs(p2[idx][0] - x2), abs(p2[idx][1] - y2)) < 1e-9
-                assert abs(d2[idx] - back) < 1e-9 * back
-
-    def check_depth_lookup():
-        # The nearest-pixel gather against a plain loop on a non-square
-        # map, so that a swapped width and height reads the wrong pixel.
-        rng = np.random.default_rng(7)
-        h, w = 5, 8
-        data = rng.uniform(1.0, 9.0, (h, w))
-        mask = rng.random((h, w)) > 0.25
-        dm = DepthMap(data, mask)
-        xs = np.concatenate([rng.uniform(-1.0, w, 80),
-                             [0.0, w - 1.0, 2.5, -0.0, w - 0.5, np.nan, np.inf]])
-        ys = np.concatenate([rng.uniform(-1.0, h, 80),
-                             [h - 1.0, 0.0, 3.5, 1.5, 1.0, 1.0, -np.inf]])
-        got = dm.depth_grid(xs, ys)
-        for x, y, value in zip(xs.tolist(), ys.tolist(), got.tolist()):
-            want = math.nan
-            if 0.0 <= x <= w - 1.0 and 0.0 <= y <= h - 1.0:
-                ix, iy = math.floor(x + 0.5), math.floor(y + 0.5)
-                if mask[iy, ix]:
-                    want = float(data[iy, ix])
-            assert value == want or (math.isnan(value) and math.isnan(want))
-        # Every pixel center, as an (h, 1) column against a (w,) row.
-        grid = dm.depth_grid(np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None])
-        assert np.array_equal(grid, np.where(mask, data, np.nan), equal_nan=True)
-
-    def check_conv_oracle():
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 6, 3))
-        x32 = x.astype(np.float32)
-        # One map, the same map as two channel blocks, a one-output-channel
-        # kernel (a score head), and the map in float32, whose products run
-        # in single precision and are held to float32 rounding.
-        for blocks, out_ch in ((x, 2), ((x[:, :, :1], x[:, :, 1:]), 2), (x, 1),
-                               (x32, 2), (x32, 1)):
-            kernel = rng.normal(size=(out_ch, 3, 3, 3))
-            bias = rng.normal(size=out_ch)
-            for dilation in (1, 2, 3):
-                got = features.conv3x3(blocks, kernel, bias, dilation=dilation)
-                want = np.zeros((5, 6, out_ch))
-                for y in range(5):
-                    for xx in range(6):
-                        for o in range(out_ch):
-                            acc = bias[o]
-                            for ky in range(3):
-                                for kx in range(3):
-                                    yy = y + (ky - 1) * dilation
-                                    xc = xx + (kx - 1) * dilation
-                                    if 0 <= yy < 5 and 0 <= xc < 6:
-                                        acc += kernel[o, :, ky, kx] @ x[yy, xc]
-                            want[y, xx, o] = acc
-                single = blocks is x32
-                assert got.dtype == (np.float32 if single else np.float64)
-                bound = 1e-5 * np.max(np.abs(want)) if single else 1e-9
-                assert np.max(np.abs(got - want)) < bound
-
-    def check_upsample_phases():
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 5, 3))
-        kernel = rng.normal(size=(2, 3, 3, 3))
-        bias = rng.normal(size=2)
-        stuffed = np.zeros((8, 10, 3))
-        stuffed[::2, ::2] = x
-        full = features.conv3x3(stuffed, kernel, bias)
-        for out_hw in ((8, 10), (7, 9)):
-            got = regularizer._upsample_conv(x, kernel, bias, out_hw)
-            want = full[:out_hw[0], :out_hw[1]]
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) < 1e-9
-            got = regularizer._upsample_conv(x.astype(np.float32), kernel, bias, out_hw)
-            assert got.dtype == np.float32
-            assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
-
-    def check_bilinear_sample():
-        def bilinear(values, x, y):
-            h, w, _ = values.shape
-            x0, y0 = min(int(x), max(w - 2, 0)), min(int(y), max(h - 2, 0))
-            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-            fx, fy = x - x0, y - y0
-            return ((1 - fy) * ((1 - fx) * values[y0, x0] + fx * values[y0, x1])
-                    + fy * ((1 - fx) * values[y1, x0] + fx * values[y1, x1]))
-
-        def agrees(values, xs, ys, want_valid):
-            sampled, valid = costvol.bilinear_sample(values, np.stack([xs, ys], axis=-1))
-            assert valid.tolist() == want_valid
-            assert np.array_equal(sampled[~valid], np.zeros((len(xs) - valid.sum(), 4)))
-            for x, y, got in zip(xs[valid], ys[valid], sampled[valid]):
-                assert np.max(np.abs(got - bilinear(values, x, y))) < 1e-12
-
-        rng = np.random.default_rng(5)
-        values = rng.normal(size=(5, 7, 4))
-        values[0, 0] = np.inf  # the sampler must never read it for an invalid query
-        xs = np.concatenate([rng.uniform(0.0, 6.0, 40), [6.0, 0.0, -0.5, 7.5, np.nan]])
-        ys = np.concatenate([rng.uniform(1.0, 4.0, 40), [4.0, 2.5, 1.0, 1.0, 1.0]])
-        agrees(values, xs, ys, [True] * 42 + [False] * 3)
-        # A one-pixel-tall map, queried up to and onto its far end.
-        row = rng.normal(size=(1, 6, 4))
-        xs = np.concatenate([rng.uniform(0.0, 5.0, 20), [5.0, 0.0, 5.5]])
-        agrees(row, xs, np.zeros(23), [True] * 22 + [False])
-        # A one-pixel-wide map: every query sits on x = width - 1, so its
-        # right tap must stay on its own pixel.  One step right in the
-        # flat map is the next row, and only such a step reaches the inf.
-        column = rng.normal(size=(6, 1, 4))
-        column[5] = np.inf
-        ys = np.concatenate([rng.uniform(0.0, 4.0, 20), [3.5, 0.0, 6.0]])
-        agrees(column, np.zeros(23), ys, [True] * 22 + [False])
-        # A batch with no valid query is an empty sparse matrix.
-        xs = np.array([-1.0, 7.0, np.inf, np.nan, 3.0])
-        ys = np.array([2.0, 2.0, 2.0, 2.0, -np.inf])
-        agrees(values, xs, ys, [False] * 5)
-
-    def check_cost_slice():
-        # The streamed variance against a population variance written out
-        # in Python over the reference and the source sample, where the
-        # point at the swept depth lands inside the source; the rotated
-        # source leaves some reference pixels uncovered.
-        h, w, depth = 4, 6, 8.0
-        k = np.array([[6.0, 0.0, 2.5], [0.0, 6.0, 1.5], [0.0, 0.0, 1.0]])
-        c, s = math.cos(0.1), math.sin(0.1)
-        rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-        ref_cam = geometry.Camera(k, np.eye(3), np.zeros(3))
-        src_cam = geometry.Camera(k, rot, np.array([-2.0, 0.3, 0.0]))
-        rng = np.random.default_rng(9)
-        ref, src = rng.normal(size=(2, h, w, 2))
-        sl = costvol.build_cost_slice(ref, [src], ref_cam, [src_cam], depth)
-        uncovered = 0
-        for y, x in itertools.product(range(h), range(w)):
-            point = geometry.back_project(ref_cam, (x, y), depth)
-            (sx, sy), _ = geometry.project(src_cam, point)
-            samples = [ref[y, x].tolist()]
-            if 0.0 <= sx <= w - 1.0 and 0.0 <= sy <= h - 1.0:
-                x0, y0 = min(int(sx), w - 2), min(int(sy), h - 2)
-                fx, fy = sx - x0, sy - y0
-                samples.append([
-                    (1 - fy) * ((1 - fx) * src[y0, x0, ch] + fx * src[y0, x0 + 1, ch])
-                    + fy * ((1 - fx) * src[y0 + 1, x0, ch] + fx * src[y0 + 1, x0 + 1, ch])
-                    for ch in range(2)])
-            else:
-                uncovered += 1
-            assert sl.valid_views[y, x] == len(samples)
-            for ch in range(2):
-                column = [sample[ch] for sample in samples]
-                mean = sum(column) / len(column)
-                want = sum((v - mean) ** 2 for v in column) / len(column)
-                assert abs(sl.cost[y, x, ch] - want) < 1e-12
-        assert 0 < uncovered < h * w
-
-    def check_texture_oracle():
-        # The shared-lattice noise routine against a per-point formula:
-        # the hash in Python integers and an eight-corner weighted sum.
-        def lattice(ix, iy, iz, seed):
-            h = (ix * 0x8DA6B343 ^ iy * 0xD8163841 ^ iz * 0xCB1AB31F
-                 ^ seed * 0x9E3779B9) & 0xFFFFFFFF
-            h ^= h >> 13
-            h = (h * 0x85EBCA6B) & 0xFFFFFFFF
-            return (h ^ h >> 16) / 4294967296.0
-
-        def noise(point, seed, scale, octaves):
-            total = norm = 0.0
-            amp, cell = 1.0, scale
-            for octave in range(octaves):
-                base = [math.floor(c / cell) for c in point]
-                frac = [c / cell - b for c, b in zip(point, base)]
-                t = [f * f * (3.0 - 2.0 * f) for f in frac]
-                value = 0.0
-                for offset in itertools.product((0, 1), repeat=3):
-                    weight = math.prod(w if o else 1.0 - w for o, w in zip(offset, t))
-                    value += weight * lattice(*(b + o for b, o in zip(base, offset)),
-                                              seed + 7919 * octave)
-                total += amp * value
-                norm += amp
-                amp *= 0.5
-                cell *= 0.5
-            return total / norm
-
-        points = np.random.default_rng(8).uniform(-300.0, 300.0, (6, 3))
-        points[-1] = (-4.1e10, 7.3e10, -2.2e10)  # lattice products wrap
-        seeds = (0, 131, 262)
-        for scale, octaves in ((60.0, 2), (17.0, 3)):
-            got = synth._noise_fields(points, seeds, scale, octaves)
-            assert got.shape == (len(points), len(seeds))
-            for point, row in zip(points.tolist(), got):
-                for seed, value in zip(seeds, row):
-                    assert abs(value - noise(point, seed, scale, octaves)) < 1e-12
-
-    def check_streaming_softmax():
-        rng = np.random.default_rng(3)
-        scores = rng.normal(size=(16, 4, 5))
-        space = geometry.HypothesisSpace(1.0, 2.0, 16)
-        stream = (regularizer.ScoreSlice(index=i, score=scores[i])
-                  for i in range(16))
-        depth, conf = estimator.online_softmax_wta(stream, space)
-        prob = estimator.softmax_volume(scores)
-        argmax = scores.argmax(axis=0)
-        depths = geometry.sample_hypotheses(space)
-        assert np.array_equal(depth.data, depths[argmax])
-        # Confidence is the probability mass of the winner and the
-        # neighbors on either side that exist.
-        taps = argmax + np.arange(-1, 2)[:, None, None]
-        inside = (taps >= 0) & (taps < 16)
-        picked = np.take_along_axis(prob, np.clip(taps, 0, 15), axis=0)
-        assert np.allclose(conf, np.where(inside, picked, 0.0).sum(axis=0),
-                           rtol=1e-9, atol=0.0)
-
-    def check_consistency_values():
-        assert abs(fusion.consistency_from_errors(1.0, 0.01, 200.0)
-                   - np.exp(-3.0)) < 1e-12
-
-    def check_nearest_distance():
-        # The tree-ordered query against a pairwise scan, in the caller's
-        # order.  Repeated rows in both clouds, and queries that sit on
-        # reference points, make ties and zero distances.
-        rng = np.random.default_rng(10)
-        ref = rng.normal(size=(200, 3))
-        ref[150:] = ref[:50]
-        query = rng.normal(size=(200, 3))
-        query[100:120] = query[:20]
-        query[120:140] = ref[:20]
-        got = metrics.nearest_distance(fusion.PointCloud(query), fusion.PointCloud(ref))
-        assert got.shape == (200,)
-        for point, value in zip(query.tolist(), got.tolist()):
-            want = min(math.dist(point, other) for other in ref.tolist())
-            assert abs(value - want) < 1e-12
-
-    def check_formats_round_trip():
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            rig = synth.CameraRigSpec(n_views=1)
-            cam = synth.make_camera_ring(rig)[0]
-            formats.write_cam(tmp / "c.txt", cam, formats.DepthRange(1.0, 0.5, 4, 2.5))
-            cam2, dr = formats.read_cam(tmp / "c.txt")
-            assert np.max(np.abs(cam2.rotation - cam.rotation)) < 1e-9
-            assert dr.count == 4
-            data = np.array([[1.5, np.nan], [0.25, 8.0]], dtype=np.float32)
-            formats.write_pfm(tmp / "d.pfm", data)
-            back = formats.read_pfm(tmp / "d.pfm")
-            assert np.array_equal(back, data, equal_nan=True)
-            cloud = fusion.PointCloud(np.array([[1.0, 2.0, 3.0]]),
-                                      np.array([[9, 8, 7]], dtype=np.uint8))
-            formats.write_ply(tmp / "p.ply", cloud)
-            back_cloud = formats.read_ply(tmp / "p.ply")
-            assert np.allclose(back_cloud.xyz, cloud.xyz)
-
-    run("camera_round_trip", check_camera_round_trip)
-    run("hypothesis_sampling", check_hypothesis_sampling)
-    run("reprojection_chain", check_reprojection_chain)
-    run("depth_lookup", check_depth_lookup)
-    run("conv_oracle", check_conv_oracle)
-    run("upsample_phases", check_upsample_phases)
-    run("bilinear_sample", check_bilinear_sample)
-    run("cost_slice", check_cost_slice)
-    run("texture_oracle", check_texture_oracle)
-    run("streaming_softmax", check_streaming_softmax)
-    run("consistency_values", check_consistency_values)
-    run("nearest_distance", check_nearest_distance)
-    run("formats_round_trip", check_formats_round_trip)
-    return results
-
-
 def cmd_check(args) -> int:
-    results = _battery()
+    results = oracles.battery()
     for name, ok in results:
         print(f"{name}: {'ok' if ok else 'FAIL'}")
     return 0 if all(ok for _, ok in results) else 1

@@ -3,9 +3,12 @@
 Each test prints a single ``[acceptance] criterion N: PASS/FAIL`` line
 (run with ``pytest -s`` to see them live) and then asserts, so a failing
 run still reports every criterion's verdict.  The quantitative checks
-use desk-scale synthetic scenes with frozen seeds; independent reference
-implementations (loop convolutions, two-pass softmax) live inside this
-file so the library is never graded against itself.
+use desk-scale synthetic scenes with frozen seeds.  Their references
+(the ConvLSTM cell, the two-pass softmax) live in ``mvsweep.oracles``,
+shared with ``mvsweep check`` and the unit tests, and never call the code
+they check.  Every CLI output's sha256 is pinned in ``output_manifest.json``;
+a change that alters outputs by design regenerates it with ``PYTHONPATH=src
+python tests/test_output_manifest.py --write`` and says so in CHANGES.md.
 """
 
 import gc
@@ -25,6 +28,7 @@ from mvsweep import (
     fusion,
     geometry,
     metrics,
+    oracles,
     regularizer,
     synth,
 )
@@ -153,22 +157,6 @@ def test_criterion_2_consistency_values():
 # Criterion 3: ConvLSTM cell versus gate-by-gate reference
 
 
-def _conv_reference(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    height, width, in_ch = x.shape
-    out_ch = kernel.shape[0]
-    padded = np.zeros((height + 2, width + 2, in_ch))
-    padded[1:-1, 1:-1] = x
-    out = np.empty((height, width, out_ch))
-    for o in range(out_ch):
-        acc = np.full((height, width), bias[o])
-        for ky in range(3):
-            for kx in range(3):
-                for c in range(in_ch):
-                    acc += kernel[o, c, ky, kx] * padded[ky:ky + height, kx:kx + width, c]
-        out[..., o] = acc
-    return out
-
-
 def _random_cell(rng: np.random.Generator, in_ch: int, hidden: int,
                  scale: float = 0.5) -> features.ConvLayerWeights:
     """A stacked gate conv, drawn gate by gate (kernel, then bias) in gate order."""
@@ -189,15 +177,7 @@ def test_criterion_3_convlstm_oracle():
 
     h_got, (_, c_got) = regularizer.conv_lstm_cell(x, (h_prev, c_prev), weights)
 
-    z = np.concatenate([x, h_prev], axis=2)
-    w_in, w_forget, w_out, w_cand = np.split(weights.kernel, 4)
-    b_in, b_forget, b_out, b_cand = np.split(weights.bias, 4)
-    gate_in = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_in, b_in)))
-    gate_forget = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_forget, b_forget)))
-    gate_out = 1.0 / (1.0 + np.exp(-_conv_reference(z, w_out, b_out)))
-    candidate = np.tanh(_conv_reference(z, w_cand, b_cand))
-    c_ref = gate_forget * c_prev + gate_in * candidate
-    h_ref = gate_out * np.tanh(c_ref)
+    h_ref, c_ref = oracles.conv_lstm_cell(x, h_prev, c_prev, weights.kernel, weights.bias)
 
     h_diff = np.abs(h_got - h_ref).max()
     c_diff = np.abs(c_got - c_ref).max()
@@ -240,19 +220,8 @@ def test_criterion_4_streaming_equivalence():
         slices = [regularizer.ScoreSlice(index=i, score=volume[i])
                   for i in range(depth_count)]
         est_depth, est_conf = estimator.online_softmax_wta(iter(slices), space)
-
-        shifted = np.exp(volume - volume.max(axis=0))
-        probs = shifted / shifted.sum(axis=0)
-        argmax = volume.argmax(axis=0)  # first max, matching the tie rule
-        conf = np.zeros((height, width))
-        for offset in (-1, 0, 1):
-            idx = argmax + offset
-            ok = (idx >= 0) & (idx < depth_count)
-            picked = np.take_along_axis(
-                probs, np.clip(idx, 0, depth_count - 1)[None], axis=0)[0]
-            conf += np.where(ok, picked, 0.0)
-
-        if not (est_depth.data == depths[argmax]).all():
+        winner, conf = oracles.softmax_wta(volume)
+        if not (est_depth.data == depths[winner]).all():
             failures.append(f"seed {seed}: argmax mismatch")
         diff = np.abs(est_conf - conf).max()
         if diff >= 1e-6:

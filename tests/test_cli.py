@@ -2,17 +2,20 @@
 
 Commands run in-process through main(argv) so exit codes and stdout are
 asserted directly.  A small 5-view plane project is generated once per
-module and reused; depth estimation is repeated into fresh directories
-to check determinism and the thread-pool parity.
+module and reused.  Byte identity of every output across reruns and
+``MVSWEEP_JOBS`` settings is checked by ``test_output_manifest.py``.
 """
 
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from mvsweep import cli, formats, geometry
+from mvsweep import cli, costvol, estimator, features, formats, fusion, geometry, metrics
+from mvsweep import regularizer, synth
+from mvsweep.depthmap import DepthMap
 from mvsweep.fusion import PointCloud
 
 
@@ -128,49 +131,6 @@ class TestDepth:
             assert depth.shape == (24, 32)
             assert np.isfinite(depth).all()
             assert np.nanmin(conf) >= 0.0 and np.nanmax(conf) <= 1.0 + 1e-6
-
-    def test_deterministic(self, synth_proj, depth_proj, tmp_path):
-        out = tmp_path / "again"
-        code = cli.main([
-            "depth", "--in", str(synth_proj), "--out", str(out),
-            "--num-depths", "12",
-        ])
-        assert code == 0
-        a = formats.ProjectLayout(depth_proj)
-        b = formats.ProjectLayout(out)
-        for i in range(5):
-            assert a.depth(i).read_bytes() == b.depth(i).read_bytes()
-            assert a.confidence(i).read_bytes() == b.confidence(i).read_bytes()
-
-    def test_thread_pool_parity(self, synth_proj, depth_proj, tmp_path, monkeypatch):
-        monkeypatch.setenv("MVSWEEP_JOBS", "3")
-        out = tmp_path / "parallel"
-        code = cli.main([
-            "depth", "--in", str(synth_proj), "--out", str(out),
-            "--num-depths", "12",
-        ])
-        assert code == 0
-        serial = formats.ProjectLayout(depth_proj)
-        parallel = formats.ProjectLayout(out)
-        for i in range(5):
-            assert serial.depth(i).read_bytes() == parallel.depth(i).read_bytes()
-            assert serial.confidence(i).read_bytes() == parallel.confidence(i).read_bytes()
-
-    def test_thread_pool_parity_networks(self, synth_proj, tmp_path, monkeypatch):
-        # Both networks run float32 products (sgemm) on the worker threads.
-        layouts = []
-        for jobs in ("1", "3"):
-            monkeypatch.setenv("MVSWEEP_JOBS", jobs)
-            out = tmp_path / f"jobs{jobs}"
-            assert cli.main([
-                "depth", "--in", str(synth_proj), "--out", str(out), "--num-depths", "6",
-                "--features", "drenet", "--regularizer", "hulstm",
-            ]) == 0
-            layouts.append(formats.ProjectLayout(out))
-        serial, parallel = layouts
-        for i in range(5):
-            assert serial.depth(i).read_bytes() == parallel.depth(i).read_bytes()
-            assert serial.confidence(i).read_bytes() == parallel.confidence(i).read_bytes()
 
     @pytest.mark.parametrize("views", [None, 2])
     def test_out_directory_can_be_fused(self, synth_proj, tmp_path, views):
@@ -507,35 +467,59 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+def _after(change):
+    """A mutation that passes the patched function's result through ``change``."""
+    return lambda fn: lambda *args, **kwargs: change(fn(*args, **kwargs))
+
+
+# Every row of ``mvsweep check`` in its order: (row, owner, attribute the
+# row checks, mutation, other rows that call it).
+MUTATIONS = [
+    ("camera_round_trip", geometry, "project", _after(lambda r: (r[0] + 1e-6, r[1])), ()),
+    ("hypothesis_sampling", geometry, "sample_hypotheses",
+     _after(lambda d: np.concatenate([d[:1], d[1:-1] * (1 + 1e-9), d[-1:]])), ()),
+    ("reprojection_chain", geometry, "reproject_chain_map",
+     _after(lambda r: (r[0], r[1] + 1e-6, *r[2:])), ()),
+    ("depth_lookup", DepthMap, "depth_grid",
+     lambda fn: lambda self, xs, ys: fn(self, np.asarray(xs) - 1e-9, ys), ()),
+    ("conv_oracle", features, "conv3x3",
+     lambda fn: lambda x, kernel, bias=None, dilation=1: fn(x, kernel, None, dilation), ()),
+    ("upsample_phases", regularizer, "_upsample_conv",
+     lambda fn: lambda x, kernel, bias, out_hw: fn(x, kernel, 0 * bias, out_hw), ()),
+    ("bilinear_sample", costvol, "bilinear_sample", _after(lambda r: (r[0] + 1e-9, r[1])),
+     ("cost_slice",)),
+    ("cost_slice", costvol, "build_cost_slice",
+     _after(lambda sl: dataclasses.replace(sl, cost=sl.cost + 1e-9)), ()),
+    ("texture_oracle", synth, "_noise_fields", _after(lambda v: v + 1e-9), ()),
+    ("streaming_softmax", estimator, "online_softmax_wta",
+     _after(lambda r: (r[0], r[1] * 1.001)), ()),
+    ("consistency_values", fusion, "consistency_from_errors", _after(lambda c: c * 1.001), ()),
+    ("nearest_distance", metrics, "nearest_distance", _after(lambda d: d + 1e-9), ()),
+    ("formats_round_trip", formats, "read_ply", _after(lambda c: PointCloud(c.xyz)), ()),
+]
+ROWS = [row for row, *_ in MUTATIONS]
+
+
 class TestCheck:
-    """Built-in oracle battery."""
+    """The reference battery of ``mvsweep.oracles``."""
 
     def test_all_ok(self, capsys):
-        code = cli.main(["check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) >= 5
-        assert all(line.endswith(": ok") for line in lines)
-        assert "depth_lookup: ok" in lines
-        assert "cost_slice: ok" in lines
-        assert "nearest_distance: ok" in lines
+        assert cli.main(["check"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"{row}: ok" for row in ROWS]
 
-    def test_perturbed_pair_map_fails_the_chain_row(self, monkeypatch, capsys):
-        # The row compares the map against lift-then-project written out,
-        # so a closed-form pair transform that drifts is caught.
-        pair_map = geometry._pair_map
-
-        def drifted(*args):
-            pixels, depths = pair_map(*args)
-            return pixels + 1e-6, depths
-
-        monkeypatch.setattr(geometry, "_pair_map", drifted)
+    @pytest.mark.parametrize("row, owner, name, mutate, also", MUTATIONS,
+                             ids=[m[0] for m in MUTATIONS])
+    def test_mutation_fails_its_row(self, row, owner, name, mutate, also,
+                                    monkeypatch, capsys):
+        # A small drift in the checked function fails its row, and only
+        # the rows that call that function.
+        monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
         code = cli.main(["check"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert "reprojection_chain: FAIL" in lines
-        assert "depth_lookup: ok" in lines
+        assert [line.split(": ")[0] for line in lines] == ROWS
+        failed = [line.split(": ")[0] for line in lines if line.endswith(": FAIL")]
+        assert failed == [r for r in ROWS if r in (row, *also)]
 
 
 class TestOutOfRangeArguments:

@@ -5,7 +5,6 @@ pure shift u' = u - f*b/d, so expected warped features and variances can
 be written down directly with numpy on shifted arrays.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from mvsweep import costvol, features, geometry
+from mvsweep import costvol, features, geometry, oracles
 from mvsweep.errors import SizeMismatchError
 
 
@@ -29,54 +28,6 @@ def _rotated_cam(rx: float, ry: float, translation) -> geometry.Camera:
     rot_x = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
     rot_y = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
     return geometry.Camera(_cam().intrinsic, rot_y @ rot_x, np.asarray(translation))
-
-
-def _scalar_sample(values: np.ndarray, x: float, y: float):
-    """One bilinear query, written out: the reference for the sampler."""
-    height, width, channels = values.shape
-    if not (0.0 <= x <= width - 1.0 and 0.0 <= y <= height - 1.0):
-        return np.zeros(channels), False
-    x0 = min(math.floor(x), max(width - 2, 0))
-    y0 = min(math.floor(y), max(height - 2, 0))
-    x1 = min(x0 + 1, width - 1)
-    y1 = min(y0 + 1, height - 1)
-    fx, fy = x - x0, y - y0
-    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
-    bottom = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
-    return top * (1.0 - fy) + bottom * fy, True
-
-
-def _einsum_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The blocked 4-tap gather the sampler used to run, kept as an oracle.
-
-    Weights carry the valid mask, taps of invalid queries point at pixel
-    (0, 0), and each block of 512 queries is one ``einsum("pk,pkc->pc")``.
-    """
-    height, width, channels = values.shape
-    xs = coords[..., 0].ravel()
-    ys = coords[..., 1].ravel()
-    valid = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
-    xc = np.where(valid, xs, 0.0)
-    yc = np.where(valid, ys, 0.0)
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
-    weights *= valid[:, None]
-    taps = np.stack([y0 * width + x0, y0 * width + x1,
-                     y1 * width + x0, y1 * width + x1], axis=1)
-    flat = values.reshape(height * width, channels)
-    sampled = np.empty((xs.size, channels))
-    for lo in range(0, xs.size, 512):
-        hi = lo + 512
-        np.einsum("pk,pkc->pc", weights[lo:hi], flat.take(taps[lo:hi], axis=0),
-                  out=sampled[lo:hi])
-    return sampled.reshape(*coords.shape[:-1], channels)
 
 
 def _stack_sample(values: np.ndarray, coords: np.ndarray):
@@ -142,6 +93,30 @@ def _zero_start_cost_slice(ref_feat, src_feats, ref_cam, src_cams, depth):
     return s2, count
 
 
+def _oracle_queries(rng, height, width, queries, all_invalid):
+    """Coordinates that hit every branch of the sampler.
+
+    Uniform draws around the map, integer centres, the far edges
+    ``x = width - 1`` and ``y = height - 1`` exactly and just past them,
+    signed zeros and NaN / +-inf; with ``all_invalid`` every query falls outside.
+    """
+    xs = rng.uniform(-1.5, width + 0.5, queries)
+    ys = rng.uniform(-1.5, height + 0.5, queries)
+    specials = np.array([0.0, -0.0, -1e-12, np.nan, np.inf, -np.inf])
+    for axis, extent in ((xs, width), (ys, height)):
+        edge = rng.uniform(size=queries) < 0.3
+        axis[edge] = extent - 1.0
+        snap = rng.uniform(size=queries) < 0.2
+        axis[snap] = rng.integers(0, extent, snap.sum())
+        odd = rng.uniform(size=queries) < 0.15
+        axis[odd] = rng.choice(np.append(specials, extent - 1.0 + 1e-12), odd.sum())
+    if all_invalid:
+        outside = rng.choice([-0.5, np.nan, np.inf, -np.inf, width + 0.25], queries)
+        xs = np.where(rng.uniform(size=queries) < 0.5, outside, xs)
+        ys = np.where(np.isnan(xs) | (xs < 0.0) | (xs > width - 1.0), ys, height)
+    return np.stack([xs, ys], axis=-1)
+
+
 class TestBilinearSample:
     """Interpolation weights and validity of the sampler."""
 
@@ -157,45 +132,13 @@ class TestBilinearSample:
         # of valid and invalid rows; one-pixel-wide and -tall maps included.
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(height, width, channels))
-        xs = rng.uniform(-1.5, width + 0.5, queries)
-        ys = rng.uniform(-1.5, height + 0.5, queries)
-        # Exact borders, integer centres and non-finite values.
-        specials = np.array([0.0, -0.0, -1e-12, np.nan, np.inf, -np.inf])
-        for axis, extent in ((xs, width), (ys, height)):
-            pick = rng.uniform(size=queries) < 0.3
-            choices = np.concatenate([specials, [extent - 1.0, extent - 1.0 + 1e-12]])
-            axis[pick] = rng.choice(choices, pick.sum())
-            snap = rng.uniform(size=queries) < 0.2
-            axis[snap] = rng.integers(0, extent, snap.sum())
-        coords = np.stack([xs, ys], axis=-1)
+        coords = _oracle_queries(rng, height, width, queries, all_invalid=False)
         sampled, valid = costvol.bilinear_sample(values, coords)
         assert sampled.shape == (queries, channels)
-        for i in range(queries):
-            want, ok = _scalar_sample(values, xs[i], ys[i])
+        for i, (x, y) in enumerate(coords):
+            want, ok = oracles.bilinear_sample(values, x, y)
             assert valid[i] == ok
             np.testing.assert_allclose(sampled[i], want, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("depth", [6.0, 10.0, 17.5, 40.0])
-    def test_bit_identical_to_einsum_gather(self, depth):
-        # Swept grids of rotated, translated sources (6-86% of queries
-        # valid), plus far-edge, corner and NaN queries.  Each output is
-        # 0 + w00*v00 + w10*v10 + w01*v01 + w11*v11 in that order either
-        # way, so finite maps must agree bit for bit.
-        height, width = 12, 16
-        ref_cam = _cam(0.0)
-        rng = np.random.default_rng(int(depth * 10))
-        values = rng.normal(size=(height, width, 32))
-        edges = np.array([[15.0, 11.0], [15.0, 3.5], [2.25, 11.0], [0.0, 0.0],
-                          [np.nan, 1.0], [-0.0, 5.5]])
-        for cam in (_rotated_cam(0.0, 0.08, [-1.2, 0.1, 0.0]),
-                    _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3]),
-                    _rotated_cam(0.3, -0.4, [4.0, 2.0, -3.0])):
-            grid, _ = geometry.warp_grid(ref_cam, cam, depth, width, height)
-            for coords in (grid, edges):
-                sampled, _ = costvol.bilinear_sample(values, coords)
-                assert sampled.dtype == np.float64
-                assert sampled.shape == (*coords.shape[:-1], 32)
-                assert np.array_equal(sampled, _einsum_sample(values, coords))
 
     def test_invalid_queries_are_zero_on_non_finite_maps(self):
         # Invalid queries read nothing, so inf and NaN in the map, here at
@@ -263,30 +206,6 @@ class TestBilinearSample:
             assert sampled[0, ch] == pytest.approx(single[0, 0])
 
 
-def _oracle_queries(rng, height, width, queries, all_invalid):
-    """Coordinates that hit every branch of the sampler.
-
-    Uniform draws around the map, integer centres, the far edges
-    ``x = width - 1`` and ``y = height - 1`` exactly, signed zeros and
-    NaN / +-inf; with ``all_invalid`` every query falls outside.
-    """
-    xs = rng.uniform(-1.5, width + 0.5, queries)
-    ys = rng.uniform(-1.5, height + 0.5, queries)
-    specials = np.array([0.0, -0.0, -1e-12, np.nan, np.inf, -np.inf])
-    for axis, extent in ((xs, width), (ys, height)):
-        edge = rng.uniform(size=queries) < 0.3
-        axis[edge] = extent - 1.0
-        snap = rng.uniform(size=queries) < 0.2
-        axis[snap] = rng.integers(0, extent, snap.sum())
-        odd = rng.uniform(size=queries) < 0.15
-        axis[odd] = rng.choice(specials, odd.sum())
-    if all_invalid:
-        outside = rng.choice([-0.5, np.nan, np.inf, -np.inf, width + 0.25], queries)
-        xs = np.where(rng.uniform(size=queries) < 0.5, outside, xs)
-        ys = np.where(np.isnan(xs) | (xs < 0.0) | (xs > width - 1.0), ys, height)
-    return np.stack([xs, ys], axis=-1)
-
-
 class TestSamplerOracle:
     """The in-place sampler is bit-identical to its np.stack / intp body."""
 
@@ -325,6 +244,27 @@ class TestSamplerOracle:
         if all_invalid:
             assert not valid.any()
             assert not sampled.any()
+
+    @pytest.mark.parametrize("depth", [6.0, 10.0, 17.5, 40.0])
+    def test_bit_identical_on_swept_grids(self, depth):
+        # Swept grids of rotated, translated sources (6-86% of queries
+        # valid), plus far-edge, corner and NaN queries, 32 channels.
+        height, width = 12, 16
+        ref_cam = _cam(0.0)
+        rng = np.random.default_rng(int(depth * 10))
+        values = rng.normal(size=(height, width, 32))
+        edges = np.array([[15.0, 11.0], [15.0, 3.5], [2.25, 11.0], [0.0, 0.0],
+                          [np.nan, 1.0], [-0.0, 5.5]])
+        for cam in (_rotated_cam(0.0, 0.08, [-1.2, 0.1, 0.0]),
+                    _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3]),
+                    _rotated_cam(0.3, -0.4, [4.0, 2.0, -3.0])):
+            grid, _ = geometry.warp_grid(ref_cam, cam, depth, width, height)
+            for coords in (grid, edges):
+                sampled, valid = costvol.bilinear_sample(values, coords)
+                want, want_valid = _stack_sample(values, coords)
+                assert sampled.shape == (*coords.shape[:-1], 32)
+                assert np.array_equal(valid, want_valid)
+                assert sampled.tobytes() == want.tobytes()
 
     def test_far_edges_keep_their_taps_on_the_corner(self):
         # Every query sits on x = width - 1 or y = height - 1 of a map

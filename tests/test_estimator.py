@@ -1,8 +1,8 @@
 """Streaming winner-take-all selection and the classification-style loss.
 
-online_softmax_wta must agree with the obvious two-pass evaluation
-(materialize all scores, softmax, argmax, sum the winner's 3-tap mass),
-which the tests compute directly on small volumes.  Loss oracles are
+online_softmax_wta must agree with the two-pass evaluation
+``oracles.softmax_wta`` (materialize all scores, softmax, argmax, sum the
+winner's 3-tap mass) on small volumes.  Loss oracles are
 closed-form: uniform probabilities give ln D per pixel, and the softmax
 cross-entropy gradient is probability minus one-hot.
 """
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep import estimator, geometry
+from mvsweep import estimator, geometry, oracles
 from mvsweep.depthmap import DepthMap
 from mvsweep.errors import EmptyValidSetError, StreamLengthMismatchError
 from mvsweep.regularizer import ScoreSlice
@@ -23,21 +23,13 @@ def _stream(volume):
         yield ScoreSlice(index=i, score=volume[i])
 
 
-def _two_pass(volume, space):
-    """Reference: full-volume softmax, argmax, 3-tap neighborhood mass."""
-    depths = geometry.sample_hypotheses(space)
-    prob = estimator.softmax_volume(volume)
-    arg = volume.argmax(axis=0)
-    count = volume.shape[0]
-    height, width = arg.shape
-    conf = np.empty((height, width))
-    for y in range(height):
-        for x in range(width):
-            a = arg[y, x]
-            lo = max(a - 1, 0)
-            hi = min(a + 1, count - 1)
-            conf[y, x] = prob[lo:hi + 1, y, x].sum()
-    return depths[arg], arg, conf
+def _wta_against_reference(volume, space, atol):
+    """The streaming pass, checked against ``oracles.softmax_wta``."""
+    depth, conf = estimator.online_softmax_wta(_stream(volume), space)
+    winner, want_conf = oracles.softmax_wta(volume)
+    np.testing.assert_array_equal(depth.data, geometry.sample_hypotheses(space)[winner])
+    np.testing.assert_allclose(conf, want_conf, rtol=0.0, atol=atol)
+    return depth, conf
 
 
 class TestOnlineSoftmaxWta:
@@ -47,10 +39,7 @@ class TestOnlineSoftmaxWta:
         rng = np.random.default_rng(0)
         space = geometry.HypothesisSpace(1.0, 4.0, 24)
         volume = rng.normal(size=(24, 3, 5))
-        depth, conf = estimator.online_softmax_wta(_stream(volume), space)
-        want_depth, want_arg, want_conf = _two_pass(volume, space)
-        np.testing.assert_array_equal(depth.data, want_depth)
-        np.testing.assert_allclose(conf, want_conf, atol=1e-12)
+        depth, _ = _wta_against_reference(volume, space, atol=1e-12)
         assert depth.mask.all()
 
     def test_large_magnitude_scores_stable(self):
@@ -59,10 +48,7 @@ class TestOnlineSoftmaxWta:
         rng = np.random.default_rng(1)
         space = geometry.HypothesisSpace(1.0, 2.0, 16)
         volume = rng.normal(scale=1000.0, size=(16, 2, 3))
-        depth, conf = estimator.online_softmax_wta(_stream(volume), space)
-        _, want_arg, want_conf = _two_pass(volume, space)
-        np.testing.assert_array_equal(depth.data, geometry.sample_hypotheses(space)[want_arg])
-        np.testing.assert_allclose(conf, want_conf, atol=1e-9)
+        _, conf = _wta_against_reference(volume, space, atol=1e-9)
         assert np.all(np.isfinite(conf))
 
     def test_shift_invariance(self):
@@ -123,10 +109,7 @@ class TestOnlineSoftmaxWta:
         else:
             volume = rng.normal(scale=10.0, size=shape)
         volume += offset
-        depth, conf = estimator.online_softmax_wta(_stream(volume), space)
-        want_depth, _, want_conf = _two_pass(volume, space)
-        np.testing.assert_array_equal(depth.data, want_depth)
-        np.testing.assert_allclose(conf, want_conf, rtol=0.0, atol=1e-12)
+        _wta_against_reference(volume, space, atol=1e-12)
 
     def test_short_stream_raises(self):
         space = geometry.HypothesisSpace(1.0, 2.0, 8)
@@ -154,6 +137,12 @@ class TestSoftmaxVolume:
         # softmax([0, ln 3]) = [1/4, 3/4].
         prob = estimator.softmax_volume(np.array([[[0.0]], [[np.log(3.0)]]]))
         np.testing.assert_allclose(prob[:, 0, 0], [0.25, 0.75], atol=1e-12)
+
+    def test_matches_reference(self):
+        # Scores near 1000, where an unshifted exp would overflow.
+        volume = np.random.default_rng(5).normal(scale=10.0, size=(9, 3, 4)) + 1000.0
+        np.testing.assert_allclose(estimator.softmax_volume(volume), oracles.softmax(volume),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestOneHotIndex:

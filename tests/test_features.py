@@ -2,8 +2,8 @@
 
 conv3x3 is cross-correlation with zero padding, out[y, x, o] =
 bias[o] + sum kernel[o, c, ky, kx] * in[y + (ky-1)*d, x + (kx-1)*d, c].
-The tests pin that contract with delta kernels and an independent
-quadruple-loop reference, then cover the weight container plumbing and
+The tests pin that contract with delta kernels and the tap-by-tap
+reference ``oracles.conv3x3``, then cover the weight container plumbing and
 the fixed photometric descriptor's channel layout.
 """
 
@@ -15,27 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep import features, formats, regularizer
+from mvsweep import features, formats, oracles, regularizer
 from mvsweep.errors import ChannelMismatchError, SizeMismatchError, WeightGraphMismatchError
-
-
-def _conv_reference(x, kernel, bias=None, dilation=1):
-    """Literal per-pixel evaluation of the conv3x3 contract."""
-    height, width, _ = x.shape
-    out_ch = kernel.shape[0]
-    out = np.zeros((height, width, out_ch))
-    for y in range(height):
-        for xc in range(width):
-            for o in range(out_ch):
-                acc = 0.0 if bias is None else float(bias[o])
-                for ky in range(3):
-                    for kx in range(3):
-                        yy = y + (ky - 1) * dilation
-                        xx = xc + (kx - 1) * dilation
-                        if 0 <= yy < height and 0 <= xx < width:
-                            acc += float(kernel[o, :, ky, kx] @ x[yy, xx, :])
-                out[y, xc, o] = acc
-    return out
 
 
 def _conv_by_windows(x, kernel, bias=None, dilation=1):
@@ -57,7 +38,7 @@ def _conv_by_windows(x, kernel, bias=None, dilation=1):
 
 
 class TestConv3x3:
-    """Delta-kernel identities and a brute-force reference comparison."""
+    """Delta-kernel identities and a comparison with the reference."""
 
     def test_center_delta_is_identity(self):
         rng = np.random.default_rng(0)
@@ -101,7 +82,7 @@ class TestConv3x3:
             kernel = rng.normal(size=(4, 3, 3, 3))
             bias = rng.normal(size=4)
             got = features.conv3x3(x, kernel, bias, dilation)
-            want = _conv_reference(x, kernel, bias, dilation)
+            want = oracles.conv3x3(x, kernel, bias, dilation)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_channel_mismatch(self):

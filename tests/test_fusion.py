@@ -7,12 +7,12 @@ right at focal 64 shifts a depth-512 pixel by exactly 64*8/512 = 1 px.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-import geometry_oracles as oracle
-from mvsweep import fusion, geometry, synth
+from mvsweep import fusion, geometry, oracles, synth
 from mvsweep.depthmap import DepthMap
 
 F = 64.0
@@ -25,16 +25,18 @@ def _cam(center_x: float) -> geometry.Camera:
     return geometry.Camera(k, np.eye(3), np.array([-center_x, 0.0, 0.0]))
 
 
+def _trip_errors(ref, src, pixel, depth):
+    """``(xi_p, xi_d)`` of a round trip on the scalar references, or None."""
+    out = oracles.reproject(ref.camera, src.camera, pixel, depth,
+                            partial(oracles.nearest_depth, src.depth))
+    return None if out is None else oracles.reprojection_errors(pixel, out[0], depth, out[1])
+
+
 def _pairwise_score(ref, src, pixel, lam):
-    """Oracle for ``pairwise_consistency`` on the scalar geometry oracles."""
-    depth = oracle.nearest_depth(ref.depth, *pixel)
-    if not 0.0 < depth < np.inf:
-        return 0.0
-    out = oracle.reproject(ref.camera, src.camera, pixel, depth, src.depth)
-    if out is None:
-        return 0.0
-    xi_p, xi_d = oracle.reprojection_errors(pixel, out[0], depth, out[1])
-    return math.exp(-(xi_p + lam * xi_d))
+    """Oracle for ``pairwise_consistency`` on the scalar references."""
+    depth = oracles.nearest_depth(ref.depth, *pixel)
+    errors = _trip_errors(ref, src, pixel, depth) if 0.0 < depth < np.inf else None
+    return 0.0 if errors is None else math.exp(-(errors[0] + lam * errors[1]))
 
 
 def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
@@ -212,7 +214,7 @@ class TestPairwiseConsistencyBounds:
     def test_half_pixel_reads_the_depth_at_pixel(self, pair):
         ref, src = pair
         # floor(10.5 + 0.5) = 11, where round() would pick 10.
-        depth = oracle.nearest_depth(ref.depth, 10.5, 11.0)
+        depth = oracles.nearest_depth(ref.depth, 10.5, 11.0)
         assert depth == ref.depth.data[11, 11] != ref.depth.data[11, 10]
         assert ref.depth.depth_at(10.5, 11.0) == depth
         want = _pairwise_score(ref, src, (10.5, 11.0), 200.0)
@@ -408,13 +410,9 @@ class TestSparsePathOracle:
         kept = fusion.fixed_threshold_filter(ref, srcs, params).depth.mask
         want = np.zeros_like(kept)
         for y, x in zip(*np.nonzero(ref.depth.mask)):
-            depth = ref.depth.data[y, x]
-            support = 0
-            for src in srcs:
-                out = oracle.reproject(ref.camera, src.camera, (x, y), depth, src.depth)
-                if out is not None:
-                    xi_p, xi_d = oracle.reprojection_errors((x, y), out[0], depth, out[1])
-                    support += xi_p < params.tau1 and xi_d < params.tau2
+            trips = [_trip_errors(ref, src, (x, y), ref.depth.data[y, x]) for src in srcs]
+            support = sum(e is not None and e[0] < params.tau1 and e[1] < params.tau2
+                          for e in trips)
             want[y, x] = support >= min_views
         np.testing.assert_array_equal(kept, want)
         assert 0 < kept.sum() < ref.depth.mask.sum()

@@ -5,14 +5,16 @@ with depth = x_cam[2].  Back-projection inverts it exactly, so hand-computed
 fixtures below are checked to near machine precision.
 """
 
+import contextlib
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import geometry_oracles as oracle
-from mvsweep import geometry
+from mvsweep import geometry, oracles
 from mvsweep.depthmap import DepthMap
 from mvsweep.errors import BehindCameraError, InvalidArgumentError
 
@@ -192,32 +194,10 @@ class TestProjectBackProject:
         grid = geometry.back_project_grid(cam, xs, ys, ds)
         for i in range(2):
             for j in range(2):
-                want = oracle.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
+                want = oracles.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
                 np.testing.assert_allclose(grid[i, j], want, atol=1e-12)
                 single = geometry.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
                 np.testing.assert_allclose(single, want, atol=1e-12)
-
-
-def _composed_chain_map(ref, src, xs, ys, depths, src_depth):
-    """Oracle for ``reproject_chain_map``: the composed projection chain.
-
-    Each leg lifts to world points with ``back_project_grid`` and projects
-    them with ``project_points``, the chain the closed form collapses.
-    """
-    points = geometry.back_project_grid(ref, xs, ys, depths)
-    q, d_fwd = geometry.project_points(src, points)
-    valid = d_fwd > 0
-    qx = np.where(valid, q[..., 0], -1.0)
-    qy = np.where(valid, q[..., 1], -1.0)
-    d_src = src_depth.depth_grid(qx, qy)
-    valid &= np.isfinite(d_src) & (d_src > 0)
-    d_safe = np.where(valid, d_src, 1.0)
-    back = geometry.back_project_grid(src, qx, qy, d_safe)
-    p2, d2 = geometry.project_points(ref, back)
-    valid &= d2 > 0
-    p2 = np.where(valid[..., None], p2, np.nan)
-    d2 = np.where(valid, d2, np.nan)
-    return q, p2, d2, valid
 
 
 def _warp_grid_formula(ref, src, depth, width, height):
@@ -305,7 +285,8 @@ class TestReproject:
         for i in range(xs.shape[0]):
             for j in range(xs.shape[1]):
                 pixel = [xs[i, j], ys[i, j]]
-                want = oracle.reproject(ref, src, pixel, depths[i, j], src_depth)
+                want = oracles.reproject(ref, src, pixel, depths[i, j],
+                                         partial(oracles.nearest_depth, src_depth))
                 single = geometry.reproject(ref, src, pixel, depths[i, j], src_depth)
                 if want is None:
                     assert not valid[i, j] and single is None
@@ -325,17 +306,25 @@ class TestReproject:
         src_depth = DepthMap(data, mask)
         ys, xs = np.mgrid[0:48, 0:64].astype(float)
         depths = rng.uniform(4.0, 25.0, size=xs.shape)
-        got = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
-        want = _composed_chain_map(ref, src, xs, ys, depths, src_depth)
-        q, p2, d2, valid = got
-        np.testing.assert_array_equal(valid, want[3])
-        for g, w in zip(got[:3], want[:3]):
-            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
-        # Pixels carry roundoff of the image scale, so a landing near
-        # x = 0 agrees only absolutely; depths agree relatively.
-        np.testing.assert_allclose(q, want[0], rtol=1e-12, atol=1e-9)
-        np.testing.assert_allclose(p2, want[1], rtol=1e-12, atol=1e-9)
-        np.testing.assert_allclose(d2, want[2], rtol=1e-12, atol=0.0)
+        q, p2, d2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
+        # The chain composed per pixel: lift, project, look up, and back.
+        want_q, want_p2 = np.full(q.shape, np.nan), np.full(p2.shape, np.nan)
+        want_d2 = np.full(d2.shape, np.nan)
+        for idx in np.ndindex(xs.shape):
+            pixel = (xs[idx], ys[idx])
+            with contextlib.suppress(BehindCameraError):
+                want_q[idx] = oracles.project(src, oracles.back_project(ref, pixel, depths[idx]))[0]
+            trip = oracles.reproject(ref, src, pixel, depths[idx],
+                                     partial(oracles.nearest_depth, src_depth))
+            if trip is not None:
+                want_p2[idx], want_d2[idx] = trip
+        np.testing.assert_array_equal(valid, ~np.isnan(want_d2))
+        # NaN entries must coincide.  Pixels carry roundoff of the image
+        # scale, so a landing near x = 0 agrees only absolutely; depths
+        # agree relatively.
+        np.testing.assert_allclose(q, want_q, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(p2, want_p2, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(d2, want_d2, rtol=1e-12, atol=0.0)
         # The pairs reach every branch: behind the source, out of bounds,
         # masked in the source, and valid.
         in_front = ~np.isnan(q[..., 0])
@@ -496,7 +485,7 @@ class TestWarpGrid:
         in_bounds = ((want[..., 0] >= 0.0) & (want[..., 0] <= 63.0)
                      & (want[..., 1] >= 0.0) & (want[..., 1] <= 47.0))
         np.testing.assert_array_equal(valid, (depths > 0) & in_bounds)
-        # Bit for bit the separable formula written out in the oracle.
+        # Bit for bit the separable formula written out in the oracles.
         want_coords, want_valid = _warp_grid_formula(ref, src, depth, 64, 48)
         assert np.array_equal(coords, want_coords, equal_nan=True)
         assert np.array_equal(valid, want_valid)
@@ -569,13 +558,13 @@ class TestDepthMap:
         rows = np.array(data.draw(st.lists(coords(h), min_size=m, max_size=m),
                                   label="rows ys"))[:, None]
 
-        want = np.array([oracle.nearest_depth(dm, x, y) for x, y in zip(xs, ys)])
+        want = np.array([oracles.nearest_depth(dm, x, y) for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(dm.depth_grid(xs, ys), want)
         np.testing.assert_array_equal([dm.depth_at(x, y) for x, y in zip(xs, ys)], want)
         # An (m, 1) column of ys against a row of n xs gives an (m, n) grid.
         grid = dm.depth_grid(xs, rows)
         assert grid.shape == (m, n)
-        want = np.array([[oracle.nearest_depth(dm, x, y) for x in xs] for y in rows[:, 0]])
+        want = np.array([[oracles.nearest_depth(dm, x, y) for x in xs] for y in rows[:, 0]])
         np.testing.assert_array_equal(grid, want)
 
     def test_depth_grid_matches_scalar(self):
@@ -586,6 +575,6 @@ class TestDepthMap:
         xs = rng.uniform(-1.0, 8.0, size=20)
         ys = rng.uniform(-1.0, 7.0, size=20)
         grid = dm.depth_grid(xs, ys)
-        want = [oracle.nearest_depth(dm, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        want = [oracles.nearest_depth(dm, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         assert np.isnan(want).any() and not np.isnan(want).all()
         np.testing.assert_array_equal(grid, want)

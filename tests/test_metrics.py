@@ -12,26 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from mvsweep import fusion, metrics
+from mvsweep import fusion, metrics, oracles
 from mvsweep.errors import EmptyCloudError, EmptyReferenceError, InvalidArgumentError
 from mvsweep.fusion import PointCloud
 
 
 def _cloud(rows) -> PointCloud:
     return PointCloud(np.asarray(rows, dtype=np.float64))
-
-
-def _brute_nearest(query: PointCloud, reference: PointCloud) -> np.ndarray:
-    """Pairwise-scan oracle for :func:`metrics.nearest_distance`."""
-    out = np.empty(len(query), dtype=np.float64)
-    # Chunked so the pairwise matrix stays small.
-    step = 512
-    for start in range(0, len(query), step):
-        block = query.xyz[start:start + step]
-        diff = block[:, None, :] - reference.xyz[None, :, :]
-        out[start:start + len(block)] = np.sqrt(
-            np.square(diff).sum(axis=2)).min(axis=1)
-    return out
 
 
 class TestNearestDistance:
@@ -50,7 +37,7 @@ class TestNearestDistance:
         query = PointCloud(rng.normal(size=(700, 3)))
         ref = PointCloud(rng.normal(size=(400, 3)))
         kd = metrics.nearest_distance(query, ref)
-        np.testing.assert_allclose(kd, _brute_nearest(query, ref), atol=1e-10)
+        np.testing.assert_allclose(kd, oracles.nearest_distance(query.xyz, ref.xyz), atol=1e-10)
 
     def test_empty_query_allowed(self):
         out = metrics.nearest_distance(PointCloud.empty(), _cloud([[0, 0, 0]]))

@@ -1,8 +1,7 @@
 """Recurrent cost regularization: ConvLSTM cell, pooling, and the U pipeline.
 
-The ConvLSTM contract is checked against an independent gate-by-gate
-evaluation written here with nothing but conv3x3 and explicit sigmoids,
-plus the algebraic identities that hold regardless of weights (bounded
+The ConvLSTM contract is checked against the gate-by-gate reference
+``oracles.conv_lstm_cell``, plus the algebraic identities that hold regardless of weights (bounded
 outputs, zero-forget amnesia, saturation limits).
 """
 
@@ -15,13 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from mvsweep import costvol, regularizer
+from mvsweep import costvol, oracles, regularizer
 from mvsweep.errors import SizeMismatchError, WeightGraphMismatchError
 from mvsweep.features import ConvLayerWeights, conv3x3
-
-
-def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
 
 
 def _random_cell(rng, in_ch, hidden_ch, scale=0.5):
@@ -38,20 +33,6 @@ def _gates(w):
     return list(zip(np.split(w.kernel, 4), np.split(w.bias, 4)))
 
 
-def _reference_cell(x, state, w):
-    """Gate-by-gate evaluation with separate convolutions per gate."""
-    h_prev, c_prev = state
-    z = np.concatenate([x, h_prev], axis=2)
-    (wi, bi), (wf, bf), (wo, bo), (wc, bc) = _gates(w)
-    gi = _sigmoid(conv3x3(z, wi, bi))
-    gf = _sigmoid(conv3x3(z, wf, bf))
-    go = _sigmoid(conv3x3(z, wo, bo))
-    gc = np.tanh(conv3x3(z, wc, bc))
-    c_new = gf * c_prev + gi * gc
-    h_new = go * np.tanh(c_new)
-    return h_new, c_new
-
-
 class TestConvLstmCell:
     """Update equations, state threading, and bounds."""
 
@@ -62,7 +43,7 @@ class TestConvLstmCell:
             x = rng.normal(size=(5, 5, 3))
             state = (rng.normal(size=(5, 5, 2)), rng.normal(size=(5, 5, 2)))
             h, (h2, c2) = regularizer.conv_lstm_cell(x, state, w)
-            ref_h, ref_c = _reference_cell(x, state, w)
+            ref_h, ref_c = oracles.conv_lstm_cell(x, *state, w.kernel, w.bias)
             np.testing.assert_allclose(h, ref_h, atol=1e-12)
             np.testing.assert_allclose(c2, ref_c, atol=1e-12)
             assert h is h2
@@ -81,7 +62,7 @@ class TestConvLstmCell:
         w_input[...] = 0.0
         b_forget[:] *= -1.0
         h, (_, c) = regularizer.conv_lstm_cell(x, state, w)
-        ref_h, ref_c = _reference_cell(x, state, w)
+        ref_h, ref_c = oracles.conv_lstm_cell(x, *state, w.kernel, w.bias)
         np.testing.assert_allclose(h, ref_h, atol=1e-12)
         np.testing.assert_allclose(c, ref_c, atol=1e-12)
 
@@ -191,14 +172,6 @@ class TestMaxPool2:
         assert regularizer.max_pool2(np.zeros((4, 4, 1))).shape == (2, 2, 1)
 
 
-def _stuffed_conv(x, kernel, bias, out_hw):
-    """The transposed convolution as a 3x3 conv of the zero-stuffed map."""
-    height, width, channels = x.shape
-    stuffed = np.zeros((2 * height, 2 * width, channels))
-    stuffed[::2, ::2] = x
-    return conv3x3(stuffed, kernel, bias)[:out_hw[0], :out_hw[1]]
-
-
 class TestUpsampleConv:
     """Phase convolutions against the zero-stuffed convolution."""
 
@@ -213,7 +186,9 @@ class TestUpsampleConv:
         x = rng.normal(size=in_hw + (regularizer.HIDDEN_CH,))
         bias = rng.normal(size=regularizer.HIDDEN_CH)
         got = regularizer._upsample_conv(x, w.up_full.kernel, bias, out_hw)
-        assert np.array_equal(got, _stuffed_conv(x, w.up_full.kernel, bias, out_hw))
+        # The phases leave out only all-zero terms of the full convolution.
+        full = conv3x3(oracles.stuff_zeros(x), w.up_full.kernel, bias)
+        assert np.array_equal(got, full[:out_hw[0], :out_hw[1]])
 
     @settings(max_examples=60, deadline=None)
     @given(height=st.integers(1, 7), width=st.integers(1, 7),
@@ -231,9 +206,9 @@ class TestUpsampleConv:
         bias = rng.normal(size=out_ch)
         out_hw = (2 * height - crop[0], 2 * width - crop[1])
         got = regularizer._upsample_conv(x, kernel, bias, out_hw)
-        want = _stuffed_conv(x, kernel, bias, out_hw)
+        want = oracles.stuffed_upsample(x, kernel, bias, out_hw)
         assert got.shape == want.shape == out_hw + (out_ch,)
-        terms = _stuffed_conv(np.abs(x), np.abs(kernel), np.abs(bias), out_hw)
+        terms = oracles.stuffed_upsample(np.abs(x), np.abs(kernel), np.abs(bias), out_hw)
         n = 4 * in_ch + 1
         assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * terms)
 
