@@ -8,7 +8,9 @@ cloud against a reference, and ``check`` runs the reference battery
 of :mod:`mvsweep.oracles`.
 
 Reference views in ``depth`` are independent; set ``MVSWEEP_JOBS`` to
-process several concurrently (results are identical regardless).
+process several concurrently (results are identical regardless).  It
+sets only those view threads: BLAS chooses its own, and ``eval``'s
+nearest-distance queries run on every CPU.
 """
 
 from __future__ import annotations

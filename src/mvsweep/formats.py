@@ -373,7 +373,13 @@ def _ply_bad_token(body: str, first_line: int, path) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    """Read the subset of PLY written by :func:`write_ply`."""
+    """Read the subset of PLY written by :func:`write_ply`.
+
+    Coordinates are float32 in both encodings: ascii ones are rounded
+    to float32 as they are parsed, so a cloud reads back the same
+    ``xyz`` whichever way it was written.  A coordinate that is not
+    finite in float32 is a parse error.
+    """
     path = Path(path)
     raw = path.read_bytes()
     end = raw.find(b"end_header\n")
@@ -420,20 +426,26 @@ def read_ply(path) -> PointCloud:
             raise ParseError(
                 f"expected {count * stride} values, found {len(values)}", path)
         table = values.reshape(count, stride)
-        if not has_rgb:
-            return PointCloud._adopt(table[:, :3])
-        rgb = table[:, 3:6]
-        if not np.all((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))):
-            raise ParseError("colors must be integers in [0, 255]", path)
-        return PointCloud._adopt(table[:, :3], rgb.astype(np.uint8))
-    _check_binary_layout(props, path)
-    dtype = [("xyz", "<f4", 3)]
-    if has_rgb:
-        dtype.append(("rgb", "u1", 3))
-    record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
-                           dtype=dtype)
-    return PointCloud._adopt(record["xyz"].astype(np.float64),
-                             record["rgb"] if has_rgb else None)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, rejected below
+            xyz = table[:, :3].astype(np.float32).astype(np.float64)
+        rgb = None
+        if has_rgb:
+            rgb = table[:, 3:6]
+            if not np.all((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))):
+                raise ParseError("colors must be integers in [0, 255]", path)
+            rgb = rgb.astype(np.uint8)
+    else:
+        _check_binary_layout(props, path)
+        dtype = [("xyz", "<f4", 3)]
+        if has_rgb:
+            dtype.append(("rgb", "u1", 3))
+        record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
+                               dtype=dtype)
+        xyz = record["xyz"].astype(np.float64)
+        rgb = record["rgb"] if has_rgb else None
+    if not np.isfinite(xyz).all():
+        raise ParseError("vertex coordinates must be finite", path)
+    return PointCloud._adopt(xyz, rgb)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ Two complementary families:
   dominate, and their mean as a single overall number;
 * threshold-based: precision/recall as the fraction of points within a
   distance threshold of the other cloud, combined into an f-score.
+
+Every nearest distance comes from the sliding-midpoint k-d tree that
+each :class:`~mvsweep.fusion.PointCloud` builds once, with 32-point
+leaves, and each query runs on every CPU that ``os.cpu_count()``
+reports.  The distances depend on neither the trees' shape nor how the
+queries are split.
 """
 
 from __future__ import annotations
@@ -34,15 +40,17 @@ def nearest_distance(query: PointCloud, reference: PointCloud) -> np.ndarray:
 
     The query points descend ``reference.tree`` in the leaf order of the
     query cloud's own tree, so consecutive queries visit neighbouring
-    leaves; the distances come back in the caller's order.  A nearest
-    distance does not depend on that order.
+    leaves, and scipy splits them into one contiguous run per CPU that
+    ``os.cpu_count()`` reports; the distances come back in the caller's
+    order.  A nearest distance depends neither on that order, nor on the
+    split, nor on the shape of either tree.
     """
     if len(reference) == 0:
         raise EmptyReferenceError("nearest-distance query against an empty cloud")
     if len(query) == 0:
         return np.zeros(0, dtype=np.float64)
     order = query.tree.indices
-    found, _ = reference.tree.query(query.xyz[order])
+    found, _ = reference.tree.query(query.xyz[order], workers=-1)
     dists = np.empty(len(query), dtype=np.float64)
     dists[order] = found
     return dists

@@ -224,23 +224,30 @@ def value_noise(point, seed, scale, octaves):
 # The battery: one row per checked quantity, each on small frozen inputs.
 
 
+def _check(ok) -> None:
+    """Fail the row unless ``ok``; unlike ``assert``, it still checks
+    under ``python -O``."""
+    if not ok:
+        raise AssertionError("check failed")
+
+
 def _camera_round_trip():
     rng = np.random.default_rng(1)
     for cam in synth.make_camera_ring(synth.CameraRigSpec(n_views=5)):
         point = rng.uniform(-50, 50, 3)
         pixel, depth = geometry.project(cam, point)
         want_pixel, want_depth = project(cam, point)
-        assert np.max(np.abs(pixel - want_pixel)) < 1e-9
-        assert abs(depth - want_depth) < 1e-12 * want_depth
+        _check(np.max(np.abs(pixel - want_pixel)) < 1e-9)
+        _check(abs(depth - want_depth) < 1e-12 * want_depth)
         back = geometry.back_project(cam, want_pixel, want_depth)
-        assert np.max(np.abs(back - back_project(cam, want_pixel, want_depth))) < 1e-9
+        _check(np.max(np.abs(back - back_project(cam, want_pixel, want_depth))) < 1e-9)
 
 
 def _hypothesis_sampling():
     for mode in ("uniform", "inverse"):
         depths = geometry.sample_hypotheses(geometry.HypothesisSpace(425.0, 745.0, 128, mode))
-        assert depths[0] == 425.0 and depths[-1] == 745.0
-        assert np.allclose(depths, hypotheses(425.0, 745.0, 128, mode), rtol=1e-12, atol=0.0)
+        _check(depths[0] == 425.0 and depths[-1] == 745.0)
+        _check(np.allclose(depths, hypotheses(425.0, 745.0, 128, mode), rtol=1e-12, atol=0.0))
 
 
 def _reprojection_chain():
@@ -252,24 +259,24 @@ def _reprojection_chain():
     pixel = (15.0, 11.0)
     depth = own.depth_at(*pixel)
     result = geometry.reproject(ref, src, pixel, depth, sampler)
-    assert result is not None
+    _check(result is not None)
     xi_p, xi_d = geometry.reprojection_errors(pixel, result[0], depth, result[1])
-    assert xi_p < 1e-9 and xi_d < 1e-12
+    _check(xi_p < 1e-9 and xi_d < 1e-12)
     # Off the surface it does not: the map against the trip per pixel.
     ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
     depths = own.depth_grid(xs, ys) * np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
     _, p2, d2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, sampler)
     xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, p2, depths, d2)
-    assert valid.any() and not valid.all()
+    _check(valid.any() and not valid.all())
     for idx in np.ndindex(xs.shape):
         pixel = (xs[idx], ys[idx])
         want = reproject(ref, src, pixel, depths[idx], sampler.depth_at)
-        assert valid[idx] == (want is not None)
+        _check(valid[idx] == (want is not None))
         if want is not None:
-            assert np.max(np.abs(p2[idx] - want[0])) < 1e-9
-            assert abs(d2[idx] - want[1]) < 1e-9 * want[1]
+            _check(np.max(np.abs(p2[idx] - want[0])) < 1e-9)
+            _check(abs(d2[idx] - want[1]) < 1e-9 * want[1])
             want_p, want_d = reprojection_errors(pixel, want[0], depths[idx], want[1])
-            assert abs(xi_p[idx] - want_p) < 1e-9 and abs(xi_d[idx] - want_d) < 1e-9
+            _check(abs(xi_p[idx] - want_p) < 1e-9 and abs(xi_d[idx] - want_d) < 1e-9)
 
 
 def _depth_lookup():
@@ -285,10 +292,10 @@ def _depth_lookup():
     ys = np.concatenate([rng.uniform(-1.0, h, 80),
                          [h - 1.0, 0.0, 3.5, 1.5, 1.0, 1.0, -np.inf]])
     want = [nearest_depth(dm, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-    assert np.array_equal(dm.depth_grid(xs, ys), want, equal_nan=True)
+    _check(np.array_equal(dm.depth_grid(xs, ys), want, equal_nan=True))
     # Every pixel center, as an (h, 1) column against a (w,) row.
     grid = dm.depth_grid(np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None])
-    assert np.array_equal(grid, np.where(mask, data, np.nan), equal_nan=True)
+    _check(np.array_equal(grid, np.where(mask, data, np.nan), equal_nan=True))
 
 
 def _conv_oracle():
@@ -306,9 +313,9 @@ def _conv_oracle():
             got = features.conv3x3(blocks, kernel, bias, dilation=dilation)
             want = conv3x3(x, kernel, bias, dilation)
             single = blocks is x32
-            assert got.dtype == (np.float32 if single else np.float64)
+            _check(got.dtype == (np.float32 if single else np.float64))
             bound = 1e-5 * np.max(np.abs(want)) if single else 1e-9
-            assert np.max(np.abs(got - want)) < bound
+            _check(np.max(np.abs(got - want)) < bound)
 
 
 def _upsample_phases():
@@ -320,15 +327,15 @@ def _upsample_phases():
         want = stuffed_upsample(x, kernel, bias, out_hw)
         for dtype, bound in ((np.float64, 1e-9), (np.float32, 1e-5 * np.max(np.abs(want)))):
             got = regularizer._upsample_conv(x.astype(dtype), kernel, bias, out_hw)
-            assert got.dtype == dtype and got.shape == want.shape
-            assert np.max(np.abs(got - want)) < bound
+            _check(got.dtype == dtype and got.shape == want.shape)
+            _check(np.max(np.abs(got - want)) < bound)
 
 
 def _bilinear_sample():
     def agrees(values, xs, ys, want_valid):
         sampled, valid = costvol.bilinear_sample(values, np.stack([xs, ys], axis=-1))
         want = [bilinear_sample(values, x, y)[0] for x, y in zip(xs, ys)]
-        assert valid.tolist() == want_valid and np.max(np.abs(sampled - want)) < 1e-12
+        _check(valid.tolist() == want_valid and np.max(np.abs(sampled - want)) < 1e-12)
 
     rng = np.random.default_rng(5)
     values = rng.normal(size=(5, 7, 4))
@@ -363,9 +370,9 @@ def _cost_slice():
     ref, src = np.random.default_rng(9).normal(size=(2, 4, 6, 2))
     sl = costvol.build_cost_slice(ref, [src], ref_cam, [src_cam], 8.0)
     cost, count = cost_slice(ref, [src], ref_cam, [src_cam], 8.0)
-    assert np.array_equal(sl.valid_views, count)
-    assert 1 in count and 2 in count
-    assert np.max(np.abs(sl.cost - cost)) < 1e-12
+    _check(np.array_equal(sl.valid_views, count))
+    _check(1 in count and 2 in count)
+    _check(np.max(np.abs(sl.cost - cost)) < 1e-12)
 
 
 def _texture_oracle():
@@ -376,8 +383,8 @@ def _texture_oracle():
         got = synth._noise_fields(points, seeds, scale, octaves)
         want = [[value_noise(p, seed, scale, octaves) for seed in seeds]
                 for p in points.tolist()]
-        assert got.shape == (len(points), len(seeds))
-        assert np.max(np.abs(got - want)) < 1e-12
+        _check(got.shape == (len(points), len(seeds)))
+        _check(np.max(np.abs(got - want)) < 1e-12)
 
 
 def _streaming_softmax():
@@ -388,14 +395,14 @@ def _streaming_softmax():
         stream = (regularizer.ScoreSlice(index=i, score=s) for i, s in enumerate(volume))
         depth, conf = estimator.online_softmax_wta(stream, space)
         winner, want = softmax_wta(volume)
-        assert np.allclose(depth.data, hypotheses(1.0, 2.0, 16)[winner], rtol=1e-12, atol=0.0)
-        assert np.allclose(conf, want, rtol=1e-9, atol=0.0)
+        _check(np.allclose(depth.data, hypotheses(1.0, 2.0, 16)[winner], rtol=1e-12, atol=0.0))
+        _check(np.allclose(conf, want, rtol=1e-9, atol=0.0))
 
 
 def _consistency_values():
     for xi_p, xi_d, lam in ((1.0, 0.01, 200.0), (0.0, 0.0, 200.0), (0.3, 0.002, 50.0)):
         want = math.exp(-(xi_p + lam * xi_d))
-        assert abs(fusion.consistency_from_errors(xi_p, xi_d, lam) - want) < 1e-12
+        _check(abs(fusion.consistency_from_errors(xi_p, xi_d, lam) - want) < 1e-12)
 
 
 def _nearest_distance():
@@ -408,8 +415,8 @@ def _nearest_distance():
     query[100:120] = query[:20]
     query[120:140] = ref[:20]
     got = metrics.nearest_distance(fusion.PointCloud(query), fusion.PointCloud(ref))
-    assert got.shape == (200,)
-    assert np.max(np.abs(got - nearest_distance(query, ref))) < 1e-12
+    _check(got.shape == (200,))
+    _check(np.max(np.abs(got - nearest_distance(query, ref))) < 1e-12)
 
 
 def _formats_round_trip():
@@ -423,19 +430,20 @@ def _formats_round_trip():
         formats.write_cam(tmp / "c.txt", cam, depth_range)
         cam2, dr = formats.read_cam(tmp / "c.txt")
         for field in ("intrinsic", "rotation", "translation"):
-            assert np.array_equal(getattr(cam2, field), np.vectorize(text)(getattr(cam, field)))
-        assert dr == formats.DepthRange(text(depth_range.d_min), text(depth_range.d_interval),
-                                        4, text(depth_range.d_max))
+            _check(np.array_equal(getattr(cam2, field), np.vectorize(text)(getattr(cam, field))))
+        _check(dr == formats.DepthRange(text(depth_range.d_min), text(depth_range.d_interval),
+                                        4, text(depth_range.d_max)))
         data = np.array([[1.5, np.nan], [0.25, 8.0]], dtype=np.float32)
         formats.write_pfm(tmp / "d.pfm", data)
-        assert np.array_equal(formats.read_pfm(tmp / "d.pfm"), data, equal_nan=True)
+        _check(np.array_equal(formats.read_pfm(tmp / "d.pfm"), data, equal_nan=True))
         xyz = np.array([[1.0, 2.0, 3.0], [0.1, -2.0 / 3.0, 1e3 / 7.0]])
+        stored = xyz.astype(np.float32).astype(np.float64)  # a PLY holds float32
         rgb = np.array([[9, 8, 7], [255, 0, 128]], dtype=np.uint8)
         for mode in ("binary", "ascii"):
             formats.write_ply(tmp / "p.ply", fusion.PointCloud(xyz, rgb), mode=mode)
             back = formats.read_ply(tmp / "p.ply")
-            assert np.array_equal(back.xyz.astype(np.float32), xyz.astype(np.float32))
-            assert back.rgb is not None and np.array_equal(back.rgb, rgb)
+            _check(back.xyz.tobytes() == stored.tobytes())
+            _check(back.rgb is not None and np.array_equal(back.rgb, rgb))
 
 
 ROWS = (

@@ -33,6 +33,7 @@ from mvsweep import (
     synth,
 )
 from mvsweep.depthmap import DepthMap
+from test_regularizer import _random_cell
 
 
 def _verdict(number: int, failures: list) -> None:
@@ -155,15 +156,6 @@ def test_criterion_2_consistency_values():
 
 # ---------------------------------------------------------------------------
 # Criterion 3: ConvLSTM cell versus gate-by-gate reference
-
-
-def _random_cell(rng: np.random.Generator, in_ch: int, hidden: int,
-                 scale: float = 0.5) -> features.ConvLayerWeights:
-    """A stacked gate conv, drawn gate by gate (kernel, then bias) in gate order."""
-    kernels, biases = zip(*[(rng.standard_normal((hidden, in_ch + hidden, 3, 3)) * scale,
-                             rng.standard_normal(hidden) * scale)
-                            for _ in range(4)])
-    return features.ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
 
 
 def test_criterion_3_convlstm_oracle():

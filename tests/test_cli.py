@@ -1,14 +1,19 @@
 """Command line driver: project generation, depth, fusion, eval, check.
 
 Commands run in-process through main(argv) so exit codes and stdout are
-asserted directly.  A small 5-view plane project is generated once per
-module and reused.  Byte identity of every output across reruns and
-``MVSWEEP_JOBS`` settings is checked by ``test_output_manifest.py``.
+asserted directly; only the ``python -O`` check runs in a subprocess.  A
+small 5-view plane project is generated once per module and reused.
+Byte identity of every output across reruns and ``MVSWEEP_JOBS``
+settings is checked by ``test_output_manifest.py``.
 """
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +525,27 @@ class TestCheck:
         assert [line.split(": ")[0] for line in lines] == ROWS
         failed = [line.split(": ")[0] for line in lines if line.endswith(": FAIL")]
         assert failed == [r for r in ROWS if r in (row, *also)]
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_optimized_interpreter_still_checks(self, shifted, tmp_path):
+        # ``python -O`` strips asserts, so the rows must fail by raising.
+        shift = ("nearest_distance = metrics.nearest_distance\n"
+                 "metrics.nearest_distance = lambda q, r: nearest_distance(q, r) + 1.0\n")
+        script = ("import sys\n"
+                  "from mvsweep import cli, metrics\n"
+                  "if not sys.flags.optimize:\n"
+                  "    sys.exit('not optimized')\n"
+                  + (shift if shifted else "")
+                  + "sys.exit(cli.main(['check']))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        want = [f"{r}: {'FAIL' if shifted and r == 'nearest_distance' else 'ok'}"
+                for r in ROWS]
+        assert done.stdout.splitlines() == want, done.stderr[-2000:]
+        assert done.returncode == (1 if shifted else 0)
 
 
 class TestOutOfRangeArguments:

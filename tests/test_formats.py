@@ -410,6 +410,39 @@ class TestPly:
         back = formats.read_ply(path)
         np.testing.assert_array_equal(back.xyz, cloud.xyz)  # float32 in, float32 out
 
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_both_encodings_read_back_the_same_xyz(self, tmp_path, colored):
+        # float64 coordinates that float32 cannot hold, so the ascii text
+        # carries digits that a float64 parse would keep.
+        rng = np.random.default_rng(11)
+        xyz = np.concatenate([rng.normal(scale=300.0, size=(200, 3)),
+                              [[0.1, -2.0 / 3.0, 1e3 / 7.0]]])
+        rgb = rng.integers(0, 256, size=(201, 3), dtype=np.uint8) if colored else None
+        backs = []
+        for mode in ("ascii", "binary"):
+            path = tmp_path / f"{mode}.ply"
+            formats.write_ply(path, PointCloud(xyz, rgb), mode=mode)
+            backs.append(formats.read_ply(path).xyz)
+        stored = xyz.astype(np.float32).astype(np.float64)
+        assert backs[0].dtype == backs[1].dtype == np.float64
+        assert backs[0].tobytes() == backs[1].tobytes() == stored.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["ascii", "binary"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_coordinates(self, tmp_path, mode, bad):
+        # 1e39 is finite in float64 but beyond float32's range.
+        path = tmp_path / "c.ply"
+        if mode == "ascii":
+            path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 2\n"
+                             b"property float x\nproperty float y\nproperty float z\n"
+                             b"end_header\n0 1 2\n3 %r 5\n" % bad)
+        else:
+            with np.errstate(over="ignore"):
+                formats.write_ply(path, PointCloud([[0.0, 1.0, 2.0], [3.0, bad, 5.0]]))
+        with pytest.raises(ParseError, match="coordinates must be finite"):
+            formats.read_ply(path)
+
     def test_no_rgb(self, tmp_path):
         cloud = PointCloud(np.eye(3))
         path = tmp_path / "c.ply"

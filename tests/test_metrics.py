@@ -79,8 +79,19 @@ class TestNearestDistance:
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("same", [False, True])
+    def test_split_query_matches_one_balanced_tree(self, same):
+        # Enough points that the query is split across workers; lattice
+        # points repeat, and half-lattice queries tie between neighbours.
+        rng = np.random.default_rng(12)
+        reference = PointCloud(rng.integers(0, 9, (24_000, 3)).astype(np.float64))
+        query = reference if same else PointCloud(rng.integers(0, 17, (21_000, 3)) / 2.0)
+        want, _ = cKDTree(reference.xyz).query(query.xyz)
+        got = metrics.nearest_distance(query, reference)
+        assert got.tobytes() == want.tobytes()
+
     def test_empty_clouds_checked_before_any_tree(self, monkeypatch):
-        def no_tree(*args):
+        def no_tree(*args, **kwargs):
             raise AssertionError("k-d tree built for an empty comparison")
 
         monkeypatch.setattr(fusion, "cKDTree", no_tree)
@@ -104,9 +115,9 @@ class TestCloudIndex:
         queried = []
         nearest_distance = metrics.nearest_distance
 
-        def counting_tree(xyz):
+        def counting_tree(xyz, **kwargs):
             built.append(len(xyz))
-            return cKDTree(xyz)
+            return cKDTree(xyz, **kwargs)
 
         def counting_query(query, reference):
             queried.append(len(query))
