@@ -21,30 +21,32 @@ def main() -> None:
     src = geometry.Camera(k, np.eye(3), -np.array([8.0, 0.0, 0.0]))
 
     print("== Projection round trip ==")
+    # Every geometry function takes whole arrays; one point is a
+    # one-element call.
     point = np.array([40.0, -12.0, 512.0])
-    pixel, depth = geometry.project(ref, point)
+    pixel, depth = geometry.project_points(ref, point)
     print(f"world {point} -> pixel {pixel}, depth {depth}")
-    back = geometry.back_project(ref, pixel, depth)
+    back = geometry.back_project_grid(ref, pixel[0], pixel[1], depth)
     print(f"back-projected -> {back} (max err {np.abs(back - point).max():.2e})")
 
     print()
     print("== Reprojection through a stored depth map ==")
     # The source view stores the true constant depth, so the round trip
     # ref -> src -> ref must land back on the starting pixel.
+    xs, ys, depths = np.array([20.0]), np.array([30.0]), np.array([512.0])
     stored = DepthMap(np.full((48, 64), 512.0), np.ones((48, 64), dtype=bool))
-    result = geometry.reproject(ref, src, (20.0, 30.0), 512.0, stored)
-    assert result is not None
-    pixel2, depth2 = result
-    xi_p, xi_d = geometry.reprojection_errors((20.0, 30.0), pixel2, 512.0, depth2)
-    print(f"landed at {pixel2}, depth {depth2}")
-    print(f"reprojection errors: xi_p={xi_p:.2e} px, xi_d={xi_d:.2e}")
+    _, pixel2, depth2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, stored)
+    assert valid[0]
+    xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, pixel2, depths, depth2)
+    print(f"landed at {pixel2[0]}, depth {depth2[0]}")
+    print(f"reprojection errors: xi_p={xi_p[0]:.2e} px, xi_d={xi_d[0]:.2e}")
 
     # With a wrong stored depth the round trip comes back displaced;
     # this displacement is exactly what the fusion filters threshold.
     wrong = DepthMap(np.full((48, 64), 640.0), np.ones((48, 64), dtype=bool))
-    pixel2, depth2 = geometry.reproject(ref, src, (20.0, 30.0), 512.0, wrong)
-    xi_p, xi_d = geometry.reprojection_errors((20.0, 30.0), pixel2, 512.0, depth2)
-    print(f"with a 25% depth error: xi_p={xi_p:.3f} px, xi_d={xi_d:.3f}")
+    _, pixel2, depth2, _ = geometry.reproject_chain_map(ref, src, xs, ys, depths, wrong)
+    xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, pixel2, depths, depth2)
+    print(f"with a 25% depth error: xi_p={xi_p[0]:.3f} px, xi_d={xi_d[0]:.3f}")
 
     print()
     print("== Hypothesis spacing ==")

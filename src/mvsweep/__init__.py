@@ -7,12 +7,11 @@ weight-free fallback), and taking a per-pixel winner.  Estimates are
 then cross-checked between views and fused into a point cloud.
 """
 
-from .costvol import CostSlice, build_cost_slice, cost_volume_stream
+from .costvol import CostSlice, cost_volume_stream
 from .depthmap import DepthMap
 from .estimator import (
     cross_entropy_loss,
     loss_gradient_logits,
-    one_hot_index,
     online_softmax_wta,
     softmax_volume,
 )
@@ -29,21 +28,15 @@ from .fusion import (
     FusionParams,
     PointCloud,
     ViewEstimate,
-    consistency_from_errors,
     dynamic_consistency_map,
     dynamic_filter,
     fixed_threshold_filter,
     fuse_point_cloud,
-    pairwise_consistency,
     probability_filter,
 )
 from .geometry import (
     Camera,
     HypothesisSpace,
-    back_project,
-    project,
-    reproject,
-    reprojection_errors,
     sample_hypotheses,
     warp_grid,
 )

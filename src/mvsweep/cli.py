@@ -28,7 +28,7 @@ import numpy as np
 from . import costvol, estimator, features, formats, fusion, geometry, metrics
 from . import oracles, regularizer, synth
 from .depthmap import DepthMap
-from .errors import InvalidArgumentError, MvsweepError, ParseError
+from .errors import InvalidArgumentError, MvsweepError, SizeMismatchError
 
 log = logging.getLogger("mvsweep")
 
@@ -130,6 +130,12 @@ def _ring_pairs(n: int) -> dict[int, list[int]]:
     return pairs
 
 
+def _check_seed(seed: int) -> None:
+    """numpy's generators take only non-negative seeds."""
+    if seed < 0:
+        raise InvalidArgumentError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_synth(args) -> int:
     try:
         width, height = (int(v) for v in args.size.lower().split("x"))
@@ -139,6 +145,7 @@ def cmd_synth(args) -> int:
         raise InvalidArgumentError(f"--size must be positive, got {args.size!r}")
     if args.views < 1:
         raise InvalidArgumentError(f"--views must be positive, got {args.views}")
+    _check_seed(args.seed)
     # Written as "not in range" so NaN is rejected too.
     if not 0.0 <= args.noise_sigma < np.inf:
         raise InvalidArgumentError(
@@ -262,6 +269,7 @@ def cmd_depth(args) -> int:
     jobs = _jobs()
     if args.views is not None and args.views < 1:
         raise InvalidArgumentError(f"--views must be positive, got {args.views}")
+    _check_seed(args.seed)
     layout = formats.ProjectLayout(Path(args.input))
     out_layout = formats.ProjectLayout(Path(args.out)) if args.out else layout
     tensors = formats.load_tensors(args.weights) if args.weights else None
@@ -275,6 +283,12 @@ def cmd_depth(args) -> int:
             f"no estimated view has a source view among the {len(views)} "
             "view(s) estimated; depth needs a reference and at least one source")
     feats = [extract(image) for _, _, image in views]
+    for ref, src_ids in pairs.items():
+        for j in src_ids:
+            if feats[j].shape != feats[ref].shape:
+                raise SizeMismatchError(
+                    f"source view {j}'s features {feats[j].shape} do not match "
+                    f"reference view {ref}'s {feats[ref].shape}")
     out_layout.make_dirs()
     if out_layout.root.resolve() != layout.root.resolve():
         # The estimated views' inputs go along unchanged, so that the

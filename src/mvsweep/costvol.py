@@ -19,8 +19,10 @@ shifted sample and its square, not as zero-filled arrays.  The variance
 is computed in one pass from those sums; shifting every sample by the
 reference value leaves it unchanged and keeps the sums well conditioned.
 
-Slices are produced lazily by :func:`cost_volume_stream` so downstream
-consumers never hold the full depth dimension in memory.  A stream keeps
+Slices are produced lazily by :func:`cost_volume_stream`, the one entry
+point, so downstream consumers never hold the full depth dimension in
+memory; one slice at a chosen depth is the first slice of a stream whose
+range starts there.  A stream keeps
 its running sums in one buffer from slice to slice and writes each
 slice's cost into the last source's sample buffer, so that a slice
 allocates no array beyond its samples (and its small view count).
@@ -40,7 +42,6 @@ from .geometry import Camera, HypothesisSpace, sample_hypotheses, warp_grid
 __all__ = [
     "CostSlice",
     "bilinear_sample",
-    "build_cost_slice",
     "cost_volume_stream",
 ]
 
@@ -119,39 +120,15 @@ def bilinear_sample(values: np.ndarray, coords: np.ndarray):
     return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
-def build_cost_slice(
-    ref_feat: np.ndarray,
-    src_feats: Sequence[np.ndarray],
-    ref_cam: Camera,
-    src_cams: Sequence[Camera],
-    depth: float,
-    index: int = 0,
-) -> CostSlice:
+def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index, sums) -> CostSlice:
     """Variance cost of one depth hypothesis across all views.
 
-    All feature maps must share the reference's spatial size and channel
-    count.  The variance at a pixel runs over the reference value plus
-    every source whose warped sample is valid there; the divisor is that
-    per-pixel view count (population variance).
-    """
-    _check_sizes(ref_feat, src_feats)
-    ref = np.asarray(ref_feat, dtype=np.float64)
-    return _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index,
-                        np.empty((2, *ref.shape)))
-
-
-def _check_sizes(ref_feat: np.ndarray, src_feats: Sequence[np.ndarray]) -> None:
-    for feat in src_feats:
-        if feat.shape != ref_feat.shape:
-            raise SizeMismatchError(
-                f"source features {feat.shape} do not match reference {ref_feat.shape}")
-
-
-def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index, sums) -> CostSlice:
-    """:func:`build_cost_slice` with the running sums in ``sums``, a
-    caller-owned ``(2, height, width, channels)`` buffer that a stream
-    reuses from slice to slice.  The returned cost takes over the last
-    source's sample buffer."""
+    The variance at a pixel runs over the reference value plus every
+    source whose warped sample is valid there; the divisor is that
+    per-pixel view count (population variance).  The running sums live
+    in ``sums``, a caller-owned ``(2, height, width, channels)`` buffer
+    that a stream reuses from slice to slice.  The returned cost takes
+    over the last source's sample buffer."""
     height, width, channels = ref.shape
     # Variance is shift-invariant, so accumulate s - ref: the reference
     # contributes exactly zero to S1 = sum(s - ref) and S2 = sum((s - ref)^2),
@@ -204,6 +181,9 @@ def cost_volume_stream(
 ) -> Iterator[CostSlice]:
     """Yield cost slices for every hypothesis in increasing depth order.
 
+    All feature maps must share the reference's spatial size and channel
+    count.
+
     The sweep runs in float64, so float32 features (DRENet's) are cast
     once here rather than once per slice: a fresh 64x48x32 float64 map
     per source and slice cost ~560 page faults and took sampling from
@@ -214,7 +194,10 @@ def cost_volume_stream(
     """
     ref_feat = np.asarray(ref_feat, dtype=np.float64)
     src_feats = [np.asarray(feat, dtype=np.float64) for feat in src_feats]
-    _check_sizes(ref_feat, src_feats)
+    for feat in src_feats:
+        if feat.shape != ref_feat.shape:
+            raise SizeMismatchError(
+                f"source features {feat.shape} do not match reference {ref_feat.shape}")
     sums = np.empty((2, *ref_feat.shape))
     for index, depth in enumerate(sample_hypotheses(space)):
         yield _sweep_slice(ref_feat, src_feats, ref_cam, src_cams, depth, index, sums)

@@ -45,10 +45,6 @@ class DepthMap:
     def valid_count(self) -> int:
         return int(self.mask.sum())
 
-    def depth_at(self, x: float, y: float) -> float:
-        """One element of :meth:`depth_grid`: nearest-pixel depth, NaN if invalid."""
-        return float(self.depth_grid(x, y))
-
     def depth_grid(self, xs, ys) -> np.ndarray:
         """Nearest-pixel depth at each ``(xs, ys)``; NaN where invalid.
 

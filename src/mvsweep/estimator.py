@@ -26,7 +26,6 @@ from .geometry import HypothesisSpace, sample_hypotheses
 __all__ = [
     "cross_entropy_loss",
     "loss_gradient_logits",
-    "one_hot_index",
     "one_hot_index_map",
     "online_softmax_wta",
     "softmax_volume",
@@ -95,26 +94,19 @@ def softmax_volume(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def one_hot_index(depth: float, space: HypothesisSpace) -> int | None:
-    """Index of the hypothesis bin nearest to ``depth``.
+def one_hot_index_map(gt: DepthMap, space: HypothesisSpace):
+    """Index of the hypothesis bin nearest to each ground-truth depth.
 
     Nearest is measured in the sampled metric (depth for uniform
-    spacing, inverse depth otherwise).  Depths outside the swept range
-    by more than half a bin have no target; ``None`` is returned.
+    spacing, inverse depth otherwise).  Returns ``(indices, valid)``;
+    masked, non-finite or non-positive depths, and depths outside the
+    swept range by more than half a bin, have no target and are not
+    ``valid``.
     """
-    if not np.isfinite(depth) or depth <= 0:
-        return None
-    coord = float(space.bin_coordinate(depth))
-    if coord < -0.5 or coord > space.count - 0.5:
-        return None
-    return int(min(np.floor(coord + 0.5), space.count - 1))
-
-
-def one_hot_index_map(gt: DepthMap, space: HypothesisSpace):
-    """Vectorized :func:`one_hot_index`; returns ``(indices, valid)``."""
+    depths = np.where(gt.mask, gt.data, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        coord = space.bin_coordinate(np.where(gt.mask, gt.data, np.nan))
-    valid = gt.mask & np.isfinite(coord) & (coord >= -0.5) & (coord <= space.count - 0.5)
+        coord = space.bin_coordinate(depths)
+    valid = (depths > 0) & np.isfinite(coord) & (coord >= -0.5) & (coord <= space.count - 0.5)
     idx = np.floor(np.where(valid, coord, 0.0) + 0.5).astype(np.intp)
     idx = np.minimum(idx, space.count - 1)
     return idx, valid

@@ -580,7 +580,14 @@ class ProjectLayout:
                 raise ParseError("empty pair line", path, lineno)
             if min(parts) < 0:
                 raise ParseError("negative view index", path, lineno)
-            pairs[parts[0]] = parts[1:]
+            ref, srcs = parts[0], parts[1:]
+            if ref in pairs:
+                raise ParseError(f"view {ref} is listed as a reference twice", path, lineno)
+            if ref in srcs:
+                raise ParseError(f"view {ref} is listed as its own source", path, lineno)
+            if len(set(srcs)) != len(srcs):
+                raise ParseError(f"view {ref} lists a source twice", path, lineno)
+            pairs[ref] = srcs
         if not 0 <= count < len(lines):
             raise ParseError(f"bad view count {count}: {len(lines) - 1} lines follow", path, 1)
         return pairs

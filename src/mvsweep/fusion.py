@@ -9,7 +9,10 @@ when the round trip is invalid.  Summing ``c`` over all source views
 gives a per-pixel consistency total that is thresholded dynamically:
 many mediocre agreements or a few excellent ones both pass.  The
 classical baseline, counting views whose errors beat fixed thresholds,
-is provided for comparison.
+is provided for comparison.  Every score is computed over a whole list
+of reference pixels at once; the score of one pixel against one source
+is that pixel's entry of :func:`dynamic_consistency_map` with that
+source alone.
 
 Fusion walks the views in order, back-projecting surviving pixels at a
 consistency-weighted average depth, and marks matched source pixels as
@@ -38,12 +41,10 @@ __all__ = [
     "FusionParams",
     "PointCloud",
     "ViewEstimate",
-    "consistency_from_errors",
     "dynamic_consistency_map",
     "dynamic_filter",
     "fixed_threshold_filter",
     "fuse_point_cloud",
-    "pairwise_consistency",
     "probability_filter",
 ]
 
@@ -166,33 +167,10 @@ class PointCloud:
         return cls(np.zeros((0, 3)), rgb)
 
 
-def consistency_from_errors(xi_p, xi_d, lam: float = 200.0):
-    """Matching score ``exp(-(xi_p + lam * xi_d))`` of a reprojection."""
-    return np.exp(-(np.asarray(xi_p, dtype=np.float64) + lam * np.asarray(xi_d, dtype=np.float64)))
-
-
 def probability_filter(view: ViewEstimate, phi: float = 0.4) -> ViewEstimate:
     """Mask out pixels whose estimator confidence is below ``phi``."""
     kept = view.depth.mask & (view.confidence >= phi)
     return replace(view, depth=DepthMap(view.depth.data, kept))
-
-
-def pairwise_consistency(ref: ViewEstimate, src: ViewEstimate, pixel,
-                         lam: float = 200.0) -> float:
-    """Matching score of one reference pixel against one source view.
-
-    One element of :func:`_round_trips` and :func:`_scores` at the
-    reference depth ``ref.depth.depth_at(pixel)``.  Returns 0.0 when that
-    lookup is off the image, masked or not a positive finite depth, or
-    when the round trip through the source depth map fails.
-    """
-    x, y = float(pixel[0]), float(pixel[1])
-    depth = ref.depth.depth_at(x, y)
-    if not 0.0 < depth < np.inf:
-        return 0.0
-    _, _, xi_p, xi_d, valid = _round_trips(
-        ref, src, (np.array([x]), np.array([y]), np.array([depth])))
-    return float(_scores(xi_p, xi_d, valid, lam)[0])
 
 
 def _reference_pixels(ref: ViewEstimate, active: np.ndarray):
@@ -222,8 +200,8 @@ def _round_trips(ref: ViewEstimate, src: ViewEstimate, pixels):
 
 def _scores(xi_p: np.ndarray, xi_d: np.ndarray, valid: np.ndarray,
             lam: float) -> np.ndarray:
-    """:func:`consistency_from_errors` of the trips, 0 where ``valid`` is
-    False; the scores overwrite ``xi_d``."""
+    """Matching scores ``exp(-(xi_p + lam * xi_d))`` of the trips, 0 where
+    ``valid`` is False; the scores overwrite ``xi_d``."""
     c = np.multiply(lam, xi_d, out=xi_d)
     c += xi_p
     np.negative(c, out=c)

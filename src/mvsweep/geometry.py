@@ -17,11 +17,11 @@ Conventions used throughout the package:
   and both legs of the consistency round trip
   (:func:`reproject_chain_map`) share it.
 
-Each scalar function is a one-element call of its map form.  Functions
-that look up stored depth (:func:`reproject`, :func:`reproject_chain_map`)
-accept any sampler object exposing ``depth_grid(xs, ys) -> ndarray`` that
-returns a new array, NaN for out-of-bounds or invalid queries, which
-:func:`reproject_chain_map` overwrites in place.
+Every function takes whole arrays of pixels, depths or points; a single
+query is a one-element array.  :func:`reproject_chain_map` looks up
+stored depth through any sampler object exposing
+``depth_grid(xs, ys) -> ndarray`` that returns a new array, NaN for
+out-of-bounds or invalid queries, which it overwrites in place.
 :class:`mvsweep.depthmap.DepthMap` implements the nearest-pixel lookup
 used by the fusion pipeline; analytic samplers can be substituted when
 exact surface depth is available.
@@ -40,13 +40,9 @@ from .errors import BehindCameraError, InvalidArgumentError
 __all__ = [
     "Camera",
     "HypothesisSpace",
-    "back_project",
     "back_project_grid",
-    "project",
     "project_points",
-    "reproject",
     "reproject_chain_map",
-    "reprojection_errors",
     "reprojection_errors_map",
     "sample_hypotheses",
     "warp_grid",
@@ -102,27 +98,9 @@ class Camera:
         return -self.rotation.T @ self.translation
 
 
-def _check_depth(depth: float, action: str) -> None:
-    """Raise unless ``depth`` is positive and finite."""
-    if not -np.inf < depth < np.inf:
-        raise InvalidArgumentError(f"cannot {action} depth {depth}: not finite")
-    if not depth > 0:
-        raise BehindCameraError(f"cannot {action} non-positive depth {depth}")
-
-
-def back_project(cam: Camera, pixel, depth: float) -> np.ndarray:
-    """Lift a pixel at a given depth to a world point; one element of
-    :func:`back_project_grid`.  The last bits can differ from the same
-    pixel inside a larger call, because one row of the ``(..., 3) @ (3, 3)``
-    product rounds differently from many; the two agree within rel 1e-12.
-    A non-positive depth raises :class:`BehindCameraError`, a NaN or
-    infinite one :class:`InvalidArgumentError`."""
-    _check_depth(depth, "back-project")
-    return back_project_grid(cam, pixel[0], pixel[1], depth)
-
-
 def back_project_grid(cam: Camera, xs, ys, depths) -> np.ndarray:
-    """Vectorized :func:`back_project`; broadcasts to shape ``(..., 3)``."""
+    """World points of pixels ``(xs, ys)`` lifted to ``depths``,
+    ``X = M^-1 (d * (x, y, 1) - p_t)``; broadcasts to shape ``(..., 3)``."""
     xs, ys, depths = np.broadcast_arrays(
         np.asarray(xs, dtype=np.float64),
         np.asarray(ys, dtype=np.float64),
@@ -132,22 +110,8 @@ def back_project_grid(cam: Camera, xs, ys, depths) -> np.ndarray:
     return (depths[..., None] * ph - cam.proj_t) @ cam.proj_m_inv.T
 
 
-def project(cam: Camera, point) -> tuple[np.ndarray, float]:
-    """Project a world point to ``(pixel, depth)``; one element of
-    :func:`project_points`.  A NaN or infinite coordinate raises
-    :class:`InvalidArgumentError`, a non-positive camera-frame depth
-    :class:`BehindCameraError`."""
-    point = np.asarray(point, dtype=np.float64)
-    if not np.isfinite(point).all():
-        raise InvalidArgumentError(f"cannot project point {point}: not finite")
-    pixel, depth = project_points(cam, point)
-    if not depth > 0:
-        raise BehindCameraError(f"point projects behind the camera (depth {depth})")
-    return pixel, float(depth)
-
-
 def project_points(cam: Camera, points) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of ``(..., 3)`` points.
+    """Projection of ``(..., 3)`` world points.
 
     Never raises; returns ``(pixels (..., 2), depths (...))`` where
     entries with non-positive depth hold NaN pixels.  Callers mask on
@@ -159,19 +123,6 @@ def project_points(cam: Camera, points) -> tuple[np.ndarray, np.ndarray]:
         pixels = w[..., :2] / depths[..., None]
     pixels = np.where(depths[..., None] > 0, pixels, np.nan)
     return pixels, depths
-
-
-def reproject(ref: Camera, src: Camera, pixel, depth: float, src_depth):
-    """Round-trip a reference pixel through a source view's depth.
-
-    One element of :func:`reproject_chain_map`: ``(pixel', depth')``, or
-    ``None`` where its ``valid`` is False (behind a camera, landing out
-    of bounds, or the lookup masked).  ``depth`` raises as in
-    :func:`back_project`.
-    """
-    _check_depth(depth, "back-project")
-    _, p2, d2, valid = reproject_chain_map(ref, src, pixel[0], pixel[1], depth, src_depth)
-    return (p2, float(d2)) if valid else None
 
 
 def _pair_transform(ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +158,7 @@ def _pair_map(ref: Camera, src: Camera, xs, ys, depths):
 
 
 def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
-    """Vectorized :func:`reproject` exposing the intermediate landing pixel.
+    """Round trip of reference pixels through a source view's depth and back.
 
     Returns ``(q (..., 2), pixels' (..., 2), depths' (...), valid (...))``
     where ``q`` is where each reference pixel lands in the source view
@@ -243,20 +194,11 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     return q, p2, d2, valid
 
 
-def reprojection_errors(pixel, pixel2, depth: float, depth2: float) -> tuple[float, float]:
-    """Spatial and relative depth error of a reprojection round trip.
-
-    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``; one element of
-    :func:`reprojection_errors_map`.
-    """
-    px, py = np.asarray(pixel, dtype=np.float64)
-    xi_p, xi_d = reprojection_errors_map(px, py, np.asarray(pixel2, dtype=np.float64),
-                                         depth, depth2)
-    return float(xi_p), float(xi_d)
-
-
 def reprojection_errors_map(px, py, p2, depths, depths2):
-    """Vectorized :func:`reprojection_errors`; NaN inputs yield NaN."""
+    """Spatial and relative depth error of reprojection round trips.
+
+    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``; NaN inputs yield NaN.
+    """
     xi_p = np.hypot(p2[..., 0] - px, p2[..., 1] - py)
     xi_d = np.abs(depths2 - depths) / depths
     return xi_p, xi_d
@@ -326,7 +268,10 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     plane from those terms; ``valid`` is read off the ``x`` and ``y``
     planes, which are then interleaved into ``coords`` once.
     """
-    _check_depth(depth, "sweep")
+    if not -np.inf < depth < np.inf:
+        raise InvalidArgumentError(f"cannot sweep depth {depth}: not finite")
+    if not depth > 0:
+        raise BehindCameraError(f"cannot sweep non-positive depth {depth}")
     a, b = _pair_transform(ref, src)
     rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
     rows += depth * a[:, 2] + b

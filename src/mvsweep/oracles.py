@@ -64,15 +64,15 @@ def nearest_depth(dm, x, y):
     return math.nan
 
 
-def reproject(ref, src, pixel, depth, depth_at):
+def reproject(ref, src, pixel, depth, source_depth):
     """Round trip ref -> source depth -> ref as ``(pixel', depth')``, or None;
-    ``depth_at(x, y)`` is the source's depth (NaN where it has none)."""
+    ``source_depth(x, y)`` is the source's depth (NaN where it has none)."""
     point = back_project(ref, pixel, depth)
     try:
         q, _ = project(src, point)
     except BehindCameraError:
         return None
-    d_src = depth_at(float(q[0]), float(q[1]))
+    d_src = source_depth(float(q[0]), float(q[1]))
     if not 0.0 < d_src < math.inf:
         return None
     try:
@@ -234,13 +234,14 @@ def _check(ok) -> None:
 def _camera_round_trip():
     rng = np.random.default_rng(1)
     for cam in synth.make_camera_ring(synth.CameraRigSpec(n_views=5)):
-        point = rng.uniform(-50, 50, 3)
-        pixel, depth = geometry.project(cam, point)
-        want_pixel, want_depth = project(cam, point)
-        _check(np.max(np.abs(pixel - want_pixel)) < 1e-9)
-        _check(abs(depth - want_depth) < 1e-12 * want_depth)
-        back = geometry.back_project(cam, want_pixel, want_depth)
-        _check(np.max(np.abs(back - back_project(cam, want_pixel, want_depth))) < 1e-9)
+        points = rng.uniform(-50, 50, (3, 3))
+        pixels, depths = geometry.project_points(cam, points)
+        for point, pixel, depth in zip(points, pixels, depths):
+            want_pixel, want_depth = project(cam, point)
+            _check(np.max(np.abs(pixel - want_pixel)) < 1e-9)
+            _check(abs(depth - want_depth) < 1e-12 * want_depth)
+            back = geometry.back_project_grid(cam, want_pixel[0], want_pixel[1], want_depth)
+            _check(np.max(np.abs(back - back_project(cam, want_pixel, want_depth))) < 1e-9)
 
 
 def _hypothesis_sampling():
@@ -256,12 +257,12 @@ def _reprojection_chain():
     sampler = synth.AnalyticDepth(src, synth.Plane(), 32, 24)
     own = synth.AnalyticDepth(ref, synth.Plane(), 32, 24)
     # On the surface the trip closes.
-    pixel = (15.0, 11.0)
-    depth = own.depth_at(*pixel)
-    result = geometry.reproject(ref, src, pixel, depth, sampler)
-    _check(result is not None)
-    xi_p, xi_d = geometry.reprojection_errors(pixel, result[0], depth, result[1])
-    _check(xi_p < 1e-9 and xi_d < 1e-12)
+    px, py = np.array([15.0]), np.array([11.0])
+    depth = own.depth_grid(px, py)
+    _, p2, d2, valid = geometry.reproject_chain_map(ref, src, px, py, depth, sampler)
+    _check(valid[0])
+    xi_p, xi_d = geometry.reprojection_errors_map(px, py, p2, depth, d2)
+    _check(xi_p[0] < 1e-9 and xi_d[0] < 1e-12)
     # Off the surface it does not: the map against the trip per pixel.
     ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
     depths = own.depth_grid(xs, ys) * np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
@@ -270,7 +271,8 @@ def _reprojection_chain():
     _check(valid.any() and not valid.all())
     for idx in np.ndindex(xs.shape):
         pixel = (xs[idx], ys[idx])
-        want = reproject(ref, src, pixel, depths[idx], sampler.depth_at)
+        want = reproject(ref, src, pixel, depths[idx],
+                         lambda x, y: float(sampler.depth_grid(x, y)))
         _check(valid[idx] == (want is not None))
         if want is not None:
             _check(np.max(np.abs(p2[idx] - want[0])) < 1e-9)
@@ -368,7 +370,10 @@ def _cost_slice():
     ref_cam = geometry.Camera(k, np.eye(3), np.zeros(3))
     src_cam = geometry.Camera(k, rot, np.array([-2.0, 0.3, 0.0]))
     ref, src = np.random.default_rng(9).normal(size=(2, 4, 6, 2))
-    sl = costvol.build_cost_slice(ref, [src], ref_cam, [src_cam], 8.0)
+    # The first depth of a stream is exactly its d_min.
+    space = geometry.HypothesisSpace(8.0, 9.0, 2)
+    sl = next(costvol.cost_volume_stream(ref, [src], ref_cam, [src_cam], space))
+    _check(sl.depth == 8.0)
     cost, count = cost_slice(ref, [src], ref_cam, [src_cam], 8.0)
     _check(np.array_equal(sl.valid_views, count))
     _check(1 in count and 2 in count)
@@ -400,9 +405,14 @@ def _streaming_softmax():
 
 
 def _consistency_values():
-    for xi_p, xi_d, lam in ((1.0, 0.01, 200.0), (0.0, 0.0, 200.0), (0.3, 0.002, 50.0)):
-        want = math.exp(-(xi_p + lam * xi_d))
-        _check(abs(fusion.consistency_from_errors(xi_p, xi_d, lam) - want) < 1e-12)
+    # The last trip failed: its errors are NaN and it scores 0.
+    xi_p = np.array([1.0, 0.0, 0.3, np.nan])
+    xi_d = np.array([0.01, 0.0, 0.002, np.nan])
+    valid = np.array([True, True, True, False])
+    for lam in (200.0, 50.0):
+        want = [math.exp(-(p + lam * d)) for p, d in zip(xi_p[:3], xi_d[:3])] + [0.0]
+        got = fusion._scores(xi_p.copy(), xi_d.copy(), valid, lam)
+        _check(np.max(np.abs(got - want)) < 1e-12)
 
 
 def _nearest_distance():

@@ -303,9 +303,9 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
 class AnalyticDepth:
     """Exact surface depth for one camera, queryable at continuous pixels.
 
-    Implements the same ``depth_grid`` / ``depth_at`` interface as
-    :class:`DepthMap`, returning the true ray-intersection depth instead
-    of a stored nearest-pixel value.  Queries outside the image domain
+    Implements the same ``depth_grid`` interface as :class:`DepthMap`,
+    returning the true ray-intersection depth instead of a stored
+    nearest-pixel value.  Queries outside the image domain
     or missing the surface return NaN.
     """
 
@@ -325,13 +325,6 @@ class AnalyticDepth:
         )
         t = self.surface.intersect(self.cam.center, _ray_dirs(self.cam, xs, ys))
         return np.where(inside, t, np.nan)
-
-    def depth_at(self, x: float, y: float) -> float:
-        """One element of :meth:`depth_grid`.  The last bits can differ from
-        the same query inside a larger call, because one row of the ray
-        directions' ``(..., 3) @ (3, 3)`` product rounds differently from
-        many; the two agree within rel 1e-12."""
-        return float(self.depth_grid(x, y))
 
 
 def perturb_depths(depth: DepthMap, sigma: float = 0.0,

@@ -126,7 +126,8 @@ def _constant_view(center_x: float, width=64, height=48,
 def test_criterion_2_consistency_values():
     failures = []
 
-    score = float(fusion.consistency_from_errors(1.0, 0.01, 200.0))
+    score = float(fusion._scores(np.array([1.0]), np.array([0.01]), np.array([True]),
+                                 200.0)[0])
     if abs(score - math.exp(-3.0)) >= 1e-9:
         failures.append(f"c(1, 0.01) = {score!r}, expected e^-3")
 

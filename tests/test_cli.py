@@ -252,6 +252,27 @@ class TestDepth:
             assert np.isfinite(formats.read_pfm(layout.depth(view))).any()
             assert f"view {view} has no source views" not in caplog.text
 
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_mismatched_source_writes_nothing(self, tmp_path, monkeypatch, capsys, jobs):
+        # Views 0 and 1 match each other and could be estimated, but view
+        # 3, the source of view 2, has another size: the run writes nothing.
+        monkeypatch.setenv("MVSWEEP_JOBS", jobs)
+        root = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(root), "--views", "4",
+                         "--size", "16x12"]) == 0
+        layout = formats.ProjectLayout(root)
+        layout.write_pairs({0: [1], 1: [0], 2: [3], 3: [2]})
+        formats.write_image(layout.image(3), np.full((10, 12, 3), 0.5))
+        out = tmp_path / "estimates"
+        capsys.readouterr()
+        code = cli.main(["depth", "--in", str(root), "--out", str(out),
+                         "--num-depths", "4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: source view 3's features (10, 12,")
+        assert "reference view 2's (12, 16," in err
+        assert not out.exists()
+
     def test_untrained_network_path_runs(self, tmp_path):
         # drenet features + recurrent regularizer with seeded weights:
         # a plumbing check at minimal size, not a quality check.
@@ -480,7 +501,7 @@ def _after(change):
 # Every row of ``mvsweep check`` in its order: (row, owner, attribute the
 # row checks, mutation, other rows that call it).
 MUTATIONS = [
-    ("camera_round_trip", geometry, "project", _after(lambda r: (r[0] + 1e-6, r[1])), ()),
+    ("camera_round_trip", geometry, "back_project_grid", _after(lambda p: p + 1e-6), ()),
     ("hypothesis_sampling", geometry, "sample_hypotheses",
      _after(lambda d: np.concatenate([d[:1], d[1:-1] * (1 + 1e-9), d[-1:]])), ()),
     ("reprojection_chain", geometry, "reproject_chain_map",
@@ -493,16 +514,35 @@ MUTATIONS = [
      lambda fn: lambda x, kernel, bias, out_hw: fn(x, kernel, 0 * bias, out_hw), ()),
     ("bilinear_sample", costvol, "bilinear_sample", _after(lambda r: (r[0] + 1e-9, r[1])),
      ("cost_slice",)),
-    ("cost_slice", costvol, "build_cost_slice",
+    ("cost_slice", costvol, "_sweep_slice",
      _after(lambda sl: dataclasses.replace(sl, cost=sl.cost + 1e-9)), ()),
     ("texture_oracle", synth, "_noise_fields", _after(lambda v: v + 1e-9), ()),
     ("streaming_softmax", estimator, "online_softmax_wta",
      _after(lambda r: (r[0], r[1] * 1.001)), ()),
-    ("consistency_values", fusion, "consistency_from_errors", _after(lambda c: c * 1.001), ()),
+    ("consistency_values", fusion, "_scores", _after(lambda c: c * 1.001), ()),
     ("nearest_distance", metrics, "nearest_distance", _after(lambda d: d + 1e-9), ()),
     ("formats_round_trip", formats, "read_ply", _after(lambda c: PointCloud(c.xyz)), ()),
 ]
 ROWS = [row for row, *_ in MUTATIONS]
+
+
+def _count_calls(monkeypatch, owner, name) -> list[int]:
+    """Wrap ``owner.name`` with a call counter, under every name that the
+    package's modules bind it to, and return the one-element count."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    namespaces = [owner] + [module for key, module in sys.modules.items()
+                            if key == "mvsweep" or key.startswith("mvsweep.")]
+    for namespace in namespaces:
+        for attr, value in list(vars(namespace).items()):
+            if value is original:
+                monkeypatch.setattr(namespace, attr, counted)
+    return calls
 
 
 class TestCheck:
@@ -525,6 +565,21 @@ class TestCheck:
         assert [line.split(": ")[0] for line in lines] == ROWS
         failed = [line.split(": ")[0] for line in lines if line.endswith(": FAIL")]
         assert failed == [r for r in ROWS if r in (row, *also)]
+
+    def test_every_row_checks_code_the_cli_runs(self, tmp_path, monkeypatch):
+        # Each function a row checks runs in a CLI chain that goes through
+        # both networks, fusion and eval.
+        calls = {f"{owner.__name__}.{name}": _count_calls(monkeypatch, owner, name)
+                 for _, owner, name, _, _ in MUTATIONS}
+        root = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(root), "--views", "3", "--size", "16x12"]) == 0
+        assert cli.main(["depth", "--in", str(root), "--num-depths", "4",
+                         "--features", "drenet", "--regularizer", "hulstm"]) == 0
+        # Untrained networks: no gate, so that fusion and eval see points.
+        assert cli.main(["fuse", "--in", str(root), "--phi", "0", "--tau", "0"]) == 0
+        assert cli.main(["eval", "--recon", str(root / "cloud.ply"),
+                         "--gt", str(root / "gt.ply"), "--threshold", "1"]) == 0
+        assert [name for name, count in calls.items() if count[0] == 0] == []
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_optimized_interpreter_still_checks(self, shifted, tmp_path):
@@ -554,6 +609,9 @@ class TestOutOfRangeArguments:
     @pytest.mark.parametrize("argv", [
         ["synth", "--size", "0x0"],
         ["synth", "--views", "0"],
+        ["synth", "--seed", "-1"],
+        ["depth", "--features", "drenet", "--seed", "-2"],
+        ["depth", "--regularizer", "hulstm", "--seed", "-2"],
         ["depth", "--num-depths", "1"],
         ["fuse", "--phi", "2"],
         ["fuse", "--filter", "fixed", "--min-views", "0"],
@@ -581,8 +639,8 @@ class TestOutOfRangeArguments:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
-        if command == "depth":
-            assert not (tmp_path / "est").exists()
+        if command in ("synth", "depth"):
+            assert not Path(paths[command][-1]).exists()
 
 
 def _set_cam_token(path, line, column, value):

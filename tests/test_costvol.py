@@ -64,11 +64,18 @@ def _stack_sample(values: np.ndarray, coords: np.ndarray):
     return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
+def _slice_at(ref_feat, src_feats, ref_cam, src_cams, depth):
+    """The cost slice at ``depth``: the first slice of a stream whose range
+    starts there, which is exactly ``depth``."""
+    space = geometry.HypothesisSpace(depth, depth + 1.0, 2)
+    return next(costvol.cost_volume_stream(ref_feat, src_feats, ref_cam, src_cams, space))
+
+
 def _zero_start_cost_slice(ref_feat, src_feats, ref_cam, src_cams, depth):
     """The cost slice with zero-filled running sums, kept as an oracle.
 
-    This is the loop :func:`costvol.build_cost_slice` ran before its sums
-    started from the first source: S1 and S2 begin as zeros and every
+    This is the loop a slice ran before its sums started from the first
+    source: S1 and S2 begin as zeros and every
     source adds into both.  Returns ``(cost, valid_views)``.
     """
     height, width, channels = ref_feat.shape
@@ -303,13 +310,13 @@ class TestSamplerOracle:
 
 
 class TestBuildCostSlice:
-    """Variance across {reference, valid warped sources}."""
+    """Variance across {reference, valid warped sources}, one slice at a time."""
 
     def test_identical_views_zero_cost(self):
         rng = np.random.default_rng(2)
         feat = rng.normal(size=(12, 16, 2))
         cam = _cam(0.0)
-        sl = costvol.build_cost_slice(feat, [feat, feat], cam, [cam, cam], depth=10.0)
+        sl = _slice_at(feat, [feat, feat], cam, [cam, cam], depth=10.0)
         # Identity warp reproduces the reference exactly: variance 0.
         interior = sl.cost[1:-1, 1:-1]
         np.testing.assert_allclose(interior, 0.0, atol=1e-20)
@@ -322,7 +329,7 @@ class TestBuildCostSlice:
         src_cam = _cam(5.0)  # shift = 20*5/d; depth 10 -> 10 px
         a = np.full((12, 16, 1), 1.0)
         b = np.full((12, 16, 1), 4.0)
-        sl = costvol.build_cost_slice(a, [b], ref_cam, [src_cam], depth=10.0)
+        sl = _slice_at(a, [b], ref_cam, [src_cam], depth=10.0)
         covered = sl.valid_views == 2
         assert covered.any()
         np.testing.assert_allclose(sl.cost[covered], 2.25, atol=1e-12)
@@ -332,7 +339,7 @@ class TestBuildCostSlice:
         src_cam = _cam(5.0)
         a = np.full((12, 16, 1), 1.0)
         b = np.full((12, 16, 1), 4.0)
-        sl = costvol.build_cost_slice(a, [b], ref_cam, [src_cam], depth=10.0)
+        sl = _slice_at(a, [b], ref_cam, [src_cam], depth=10.0)
         # Shift u' = u - 10: columns u < 10 land outside the source.
         alone = sl.valid_views == 1
         assert alone[:, :9].all()
@@ -347,7 +354,7 @@ class TestBuildCostSlice:
         cams = [_cam(1.0), _cam(-1.5)]  # shifts of 2 and -3 px at d=10
         rng = np.random.default_rng(3)
         feats = [rng.normal(size=(10, 14, 3)) for _ in range(3)]
-        sl = costvol.build_cost_slice(feats[0], feats[1:], ref_cam, cams, depth)
+        sl = _slice_at(feats[0], feats[1:], ref_cam, cams, depth)
         shift1 = int(f * 1.0 / depth)   # +2 px
         shift2 = int(f * -1.5 / depth)  # -3 px
         # Stay one pixel inside every border: exact-boundary landings can
@@ -374,7 +381,7 @@ class TestBuildCostSlice:
                 _rotated_cam(-0.1, -0.05, [0.9, -0.8, 0.3])]
         rng = np.random.default_rng(5)
         feats = [offset + rng.normal(size=(height, width, 3)) for _ in range(3)]
-        sl = costvol.build_cost_slice(feats[0], feats[1:], ref_cam, cams, depth)
+        sl = _slice_at(feats[0], feats[1:], ref_cam, cams, depth)
         warped = [
             costvol.bilinear_sample(feat, geometry.warp_grid(ref_cam, cam, depth, width, height)[0])
             for feat, cam in zip(feats[1:], cams)
@@ -389,16 +396,12 @@ class TestBuildCostSlice:
     def test_size_mismatch_raises(self):
         cam = _cam(0.0)
         with pytest.raises(SizeMismatchError):
-            costvol.build_cost_slice(
-                np.zeros((4, 4, 2)), [np.zeros((4, 5, 2))], cam, [cam], 5.0
-            )
+            _slice_at(np.zeros((4, 4, 2)), [np.zeros((4, 5, 2))], cam, [cam], 5.0)
 
     def test_slice_metadata(self):
         cam = _cam(0.0)
-        sl = costvol.build_cost_slice(
-            np.zeros((4, 4, 2)), [], cam, [], depth=7.5, index=3
-        )
-        assert sl.index == 3
+        sl = _slice_at(np.zeros((4, 4, 2)), [], cam, [], depth=7.5)
+        assert sl.index == 0
         assert sl.depth == 7.5
         assert sl.valid_views.min() == 1
 
@@ -426,7 +429,7 @@ class TestCostSliceOracle:
 
     @staticmethod
     def _assert_bit_identical(feats, cams, depth=10.0):
-        got = costvol.build_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
+        got = _slice_at(feats[0], feats[1:], _cam(0.0), cams, depth)
         cost, count = _zero_start_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
         assert got.cost.dtype == cost.dtype == np.float64
         assert got.cost.shape == cost.shape

@@ -145,6 +145,12 @@ class TestSoftmaxVolume:
                                    rtol=1e-12, atol=0.0)
 
 
+def _one_hot(depths, space):
+    """Target bin of each depth in a one-row map, None where it has none."""
+    idx, valid = estimator.one_hot_index_map(DepthMap(np.array([depths], dtype=float)), space)
+    return [int(i) if ok else None for i, ok in zip(idx[0], valid[0])]
+
+
 class TestOneHotIndex:
     """Nearest-bin targets in the sampled metric."""
 
@@ -152,45 +158,25 @@ class TestOneHotIndex:
         # Bins at 1.0, 1.25, ..., 2.0: depth 1.12 is 0.48 bins in (-> 0),
         # 1.13 is 0.52 bins in (-> 1).
         space = geometry.HypothesisSpace(1.0, 2.0, 5)
-        assert estimator.one_hot_index(1.12, space) == 0
-        assert estimator.one_hot_index(1.13, space) == 1
-        assert estimator.one_hot_index(2.0, space) == 4
+        assert _one_hot([1.12, 1.13, 2.0], space) == [0, 1, 4]
 
     def test_half_bin_margin(self):
         space = geometry.HypothesisSpace(1.0, 2.0, 5)
         # 0.5 bins = 0.125 depth units beyond either end still snaps.
-        assert estimator.one_hot_index(0.88, space) == 0
-        assert estimator.one_hot_index(2.12, space) == 4
-        assert estimator.one_hot_index(0.87, space) is None
-        assert estimator.one_hot_index(2.13, space) is None
+        assert _one_hot([0.88, 2.12, 0.87, 2.13], space) == [0, 4, None, None]
 
     def test_invalid_depths(self):
         space = geometry.HypothesisSpace(1.0, 2.0, 5)
-        assert estimator.one_hot_index(np.nan, space) is None
-        assert estimator.one_hot_index(-1.0, space) is None
-        assert estimator.one_hot_index(0.0, space) is None
+        assert _one_hot([np.nan, -1.0, 0.0], space) == [None, None, None]
+        # Within half a bin of the first sample, but not in front of the camera.
+        wide = geometry.HypothesisSpace(0.1, 10.1, 11)
+        assert _one_hot([0.0, -0.3, 0.05], wide) == [None, None, 0]
 
     def test_inverse_metric_rounding(self):
         # Bins at 1/d uniform on [1, 1/2]: d = [1, 4/3, 2]; depth 1.25
         # has 1/d = 0.8, which is 0.8 bins from 1.0 at step 0.25 -> 1.
         space = geometry.HypothesisSpace(1.0, 2.0, 3, mode="inverse")
-        assert estimator.one_hot_index(1.25, space) == 1
-        assert estimator.one_hot_index(1.05, space) == 0
-
-    def test_map_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        space = geometry.HypothesisSpace(1.0, 2.0, 7)
-        data = rng.uniform(0.7, 2.3, size=(5, 6))
-        data[0, 0] = np.nan
-        gt = DepthMap(data)
-        idx, valid = estimator.one_hot_index_map(gt, space)
-        for y in range(5):
-            for x in range(6):
-                single = estimator.one_hot_index(data[y, x], space)
-                if single is None:
-                    assert not valid[y, x]
-                else:
-                    assert valid[y, x] and idx[y, x] == single
+        assert _one_hot([1.25, 1.05], space) == [1, 0]
 
 
 class TestCrossEntropyLoss:

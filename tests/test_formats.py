@@ -788,6 +788,9 @@ class TestProjectLayout:
         ("2\n0 1\n1 0 x\n", 3),
         ("2\n0 1.5\n1 0\n", 2),
         ("2\n0 1\n1 -1\n", 3),
+        ("2\n0 1\n0 2\n", 3),  # view 0 is a reference twice
+        ("2\n0 0 1\n1 0\n", 2),  # view 0 is its own source
+        ("2\n0 1 1\n1 0\n", 2),  # view 0 lists source 1 twice
     ])
     def test_malformed_pair_line(self, tmp_path, text, line):
         layout = formats.ProjectLayout(tmp_path)

@@ -33,7 +33,8 @@ def _trip_errors(ref, src, pixel, depth):
 
 
 def _pairwise_score(ref, src, pixel, lam):
-    """Oracle for ``pairwise_consistency`` on the scalar references."""
+    """Oracle for one pixel's entry of ``dynamic_consistency_map`` against
+    one source, on the scalar references."""
     depth = oracles.nearest_depth(ref.depth, *pixel)
     errors = _trip_errors(ref, src, pixel, depth) if 0.0 < depth < np.inf else None
     return 0.0 if errors is None else math.exp(-(errors[0] + lam * errors[1]))
@@ -50,24 +51,31 @@ def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
     )
 
 
+def _scores(xi_p, xi_d, lam=200.0, valid=None):
+    """``fusion._scores`` of trips given as lists, valid unless ``valid`` says."""
+    xi_p, xi_d = np.array(xi_p, dtype=float), np.array(xi_d, dtype=float)
+    valid = np.ones(xi_p.shape, dtype=bool) if valid is None else np.array(valid)
+    return fusion._scores(xi_p, xi_d, valid, lam)
+
+
 class TestConsistencyFromErrors:
-    """Matching score exp(-(xi_p + lam * xi_d))."""
+    """Matching score exp(-(xi_p + lam * xi_d)) of each round trip."""
 
     def test_reference_value(self):
         # 1 + 200 * 0.01 = 3.
-        got = fusion.consistency_from_errors(1.0, 0.01, 200.0)
-        assert got == pytest.approx(np.exp(-3.0), abs=1e-9)
+        assert _scores([1.0], [0.01])[0] == pytest.approx(np.exp(-3.0), abs=1e-9)
 
     def test_perfect_round_trip_scores_one(self):
-        assert fusion.consistency_from_errors(0.0, 0.0) == 1.0
+        assert _scores([0.0], [0.0])[0] == 1.0
 
     def test_lambda_weighs_depth_error(self):
-        assert fusion.consistency_from_errors(0.0, 0.01, 100.0) == pytest.approx(np.exp(-1.0))
-        assert fusion.consistency_from_errors(0.0, 0.01, 0.0) == 1.0
+        assert _scores([0.0], [0.01], 100.0)[0] == pytest.approx(np.exp(-1.0))
+        assert _scores([0.0], [0.01], 0.0)[0] == 1.0
 
     def test_broadcasts(self):
-        out = fusion.consistency_from_errors(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(out, [1.0, np.exp(-1.0)], atol=1e-12)
+        # Each trip scores on its own; a failed trip has NaN errors and scores 0.
+        out = _scores([0.0, 1.0, np.nan], [0.0, 0.0, np.nan], valid=[True, True, False])
+        np.testing.assert_allclose(out, [1.0, np.exp(-1.0), 0.0], atol=1e-12)
 
 
 class TestParamsAndContainers:
@@ -127,25 +135,26 @@ class TestProbabilityFilter:
 
 
 class TestPairwiseConsistency:
-    """Single ref pixel against a single source view."""
+    """Single ref pixel against a single source view: one entry of the
+    consistency map with that source alone."""
 
     def test_perfect_agreement_is_exactly_one(self):
         ref = _view(0.0)
         src = _view(8.0)  # landing pixel (x-1, y), stored depth agrees
-        assert fusion.pairwise_consistency(ref, src, (32.0, 24.0)) == 1.0
+        assert fusion.dynamic_consistency_map(ref, [src])[24, 32] == 1.0
 
     def test_failed_round_trip_is_zero(self):
         ref = _view(0.0)
         src = _view(8.0)
         # Pixel x = 0 lands at x' = -1, outside the source image.
-        assert fusion.pairwise_consistency(ref, src, (0.0, 24.0)) == 0.0
+        assert fusion.dynamic_consistency_map(ref, [src])[24, 0] == 0.0
 
     def test_invalid_ref_pixel_is_zero(self):
         mask = np.ones((H, W), dtype=bool)
         mask[24, 32] = False
         ref = _view(0.0, mask=mask)
         src = _view(8.0)
-        assert fusion.pairwise_consistency(ref, src, (32.0, 24.0)) == 0.0
+        assert fusion.dynamic_consistency_map(ref, [src])[24, 32] == 0.0
 
     def test_depth_disagreement_hand_value(self):
         # Source stores 640 where the hypothesis said 512.  The return
@@ -155,13 +164,12 @@ class TestPairwiseConsistency:
         # xi_d = 128/512 = 0.25.
         ref = _view(0.0)
         src = _view(8.0, depth_value=640.0)
-        got = fusion.pairwise_consistency(ref, src, (32.0, 24.0), lam=200.0)
+        got = fusion.dynamic_consistency_map(ref, [src], lam=200.0)[24, 32]
         assert got == pytest.approx(np.exp(-(0.2 + 200.0 * 0.25)), rel=1e-9)
 
 
 class TestPairwiseConsistencyBounds:
-    """The reference depth is read like ``depth_at``: off-image, masked and
-    non-positive depths score 0 instead of wrapping or raising.
+    """Masked and non-positive reference depths score 0 instead of raising.
 
     Two ring cameras 32x24 look at a plane that every pixel of both sees.
     """
@@ -175,29 +183,17 @@ class TestPairwiseConsistencyBounds:
         return [fusion.ViewEstimate(cam, depth, np.ones((24, 32)))
                 for cam, (_, depth) in zip(cams, rendered)]
 
-    def test_left_of_image_is_zero(self, pair):
-        ref, src = pair
-        assert ref.depth.mask.all()
-        # A negative index would wrap to the last column.
-        assert fusion.pairwise_consistency(ref, src, (-1.0, 11.0)) == 0.0
-        assert fusion.pairwise_consistency(ref, src, (-0.6, 11.0)) == 0.0
-
-    def test_right_of_image_is_zero(self, pair):
-        ref, src = pair
-        assert fusion.pairwise_consistency(ref, src, (32.0, 11.0)) == 0.0
-        assert fusion.pairwise_consistency(ref, src, (15.0, 24.0)) == 0.0
-        assert fusion.pairwise_consistency(ref, src, (31.2, 11.0)) == 0.0
-        # The edge pixel itself is inside and scores.
-        assert fusion.pairwise_consistency(ref, src, (31.0, 11.0)) > 0.0
-
     def test_masked_pixel_is_zero(self, pair):
         ref, src = pair
+        assert ref.depth.mask.all()
         mask = ref.depth.mask.copy()
         mask[11, 15] = False
         ref = fusion.ViewEstimate(ref.camera, DepthMap(ref.depth.data, mask),
                                   ref.confidence)
-        assert fusion.pairwise_consistency(ref, src, (15.0, 11.0)) == 0.0
-        assert fusion.pairwise_consistency(ref, src, (15.3, 10.8)) == 0.0
+        total = fusion.dynamic_consistency_map(ref, [src])
+        assert total[11, 15] == 0.0
+        # Its neighbours still score.
+        assert total[11, 14] > 0.0 and total[11, 16] > 0.0
 
     @pytest.mark.parametrize("depth", [-672.0, 0.0, -0.0, np.inf])
     def test_non_positive_depth_is_zero(self, pair, depth):
@@ -207,20 +203,7 @@ class TestPairwiseConsistencyBounds:
         ref = fusion.ViewEstimate(
             ref.camera, DepthMap(data, np.ones(data.shape, dtype=bool)),
             ref.confidence)
-        assert fusion.pairwise_consistency(ref, src, (15.0, 11.0)) == 0.0
-        if depth < 0.0:
-            assert fusion.dynamic_consistency_map(ref, [src])[11, 15] == 0.0
-
-    def test_half_pixel_reads_the_depth_at_pixel(self, pair):
-        ref, src = pair
-        # floor(10.5 + 0.5) = 11, where round() would pick 10.
-        depth = oracles.nearest_depth(ref.depth, 10.5, 11.0)
-        assert depth == ref.depth.data[11, 11] != ref.depth.data[11, 10]
-        assert ref.depth.depth_at(10.5, 11.0) == depth
-        want = _pairwise_score(ref, src, (10.5, 11.0), 200.0)
-        assert 0.0 < want < 1.0
-        got = fusion.pairwise_consistency(ref, src, (10.5, 11.0))
-        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert fusion.dynamic_consistency_map(ref, [src])[11, 15] == 0.0
 
 
 class TestDynamicConsistency:
@@ -396,9 +379,6 @@ class TestSparsePathOracle:
         want = np.array([sum(_pairwise_score(ref, src, p, 200.0) for src in srcs)
                          for p in pixels])
         np.testing.assert_allclose(total[ys, xs], want, rtol=1e-9, atol=1e-12)
-        pairwise = [sum(fusion.pairwise_consistency(ref, src, p, lam=200.0) for src in srcs)
-                    for p in pixels]
-        np.testing.assert_allclose(pairwise, want, rtol=1e-9, atol=1e-12)
         # Non-trivial scores: some partial, some above one, some failed.
         assert np.any((want > 0.0) & (want < 1.0)) and np.any(want > 1.0)
         assert np.any(want == 0.0)

@@ -106,21 +106,21 @@ class TestProjectBackProject:
 
     def test_principal_axis(self):
         cam = _identity_cam()
-        pixel, depth = geometry.project(cam, [0.0, 0.0, 100.0])
+        pixel, depth = geometry.project_points(cam, [0.0, 0.0, 100.0])
         np.testing.assert_allclose(pixel, [32.0, 24.0], atol=1e-12)
         assert depth == pytest.approx(100.0)
 
     def test_offset_point(self):
         # u = f * X/Z + cx = 100 * 40/200 + 32 = 52.
         cam = _identity_cam()
-        pixel, depth = geometry.project(cam, [40.0, 0.0, 200.0])
+        pixel, depth = geometry.project_points(cam, [40.0, 0.0, 200.0])
         np.testing.assert_allclose(pixel, [52.0, 24.0], atol=1e-12)
         assert depth == pytest.approx(200.0)
 
     def test_translated_camera(self):
         # Center (10,0,0): cam coords of origin-aligned point shift by -10.
         cam = _translated_cam([10.0, 0.0, 0.0])
-        pixel, depth = geometry.project(cam, [0.0, 0.0, 100.0])
+        pixel, depth = geometry.project_points(cam, [0.0, 0.0, 100.0])
         np.testing.assert_allclose(pixel, [22.0, 24.0], atol=1e-12)
         assert depth == pytest.approx(100.0)
 
@@ -129,13 +129,13 @@ class TestProjectBackProject:
         r = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         cam = geometry.Camera(_k(), r, -r @ np.array([5.0, 0.0, 0.0]))
         # World (10, 2, 0) -> cam (0, 2, 5): u = 32, v = 100*2/5 + 24 = 64.
-        pixel, depth = geometry.project(cam, [10.0, 2.0, 0.0])
+        pixel, depth = geometry.project_points(cam, [10.0, 2.0, 0.0])
         np.testing.assert_allclose(pixel, [32.0, 64.0], atol=1e-12)
         assert depth == pytest.approx(5.0)
 
     def test_back_project_inverts_project(self):
         cam = _identity_cam()
-        point = geometry.back_project(cam, [52.0, 24.0], 200.0)
+        point = geometry.back_project_grid(cam, 52.0, 24.0, 200.0)
         np.testing.assert_allclose(point, [40.0, 0.0, 200.0], atol=1e-10)
 
     def test_round_trip_random_cameras(self):
@@ -149,32 +149,18 @@ class TestProjectBackProject:
             cam = geometry.Camera(_k(), q.T, rng.normal(size=3))
             pixel = rng.uniform(0, 60, size=2)
             depth = rng.uniform(0.5, 50.0)
-            point = geometry.back_project(cam, pixel, depth)
-            pixel2, depth2 = geometry.project(cam, point)
+            point = geometry.back_project_grid(cam, pixel[0], pixel[1], depth)
+            pixel2, depth2 = geometry.project_points(cam, point)
             np.testing.assert_allclose(pixel2, pixel, atol=1e-9)
             assert depth2 == pytest.approx(depth, rel=1e-12)
-
-    def test_behind_camera_raises(self):
-        cam = _identity_cam()
-        with pytest.raises(BehindCameraError):
-            geometry.project(cam, [0.0, 0.0, -1.0])
-        with pytest.raises(BehindCameraError):
-            geometry.back_project(cam, [32.0, 24.0], 0.0)
 
     @pytest.mark.parametrize("depth, error", [
         (np.nan, InvalidArgumentError), (np.inf, InvalidArgumentError),
         (-np.inf, InvalidArgumentError), (0.0, BehindCameraError), (-1.0, BehindCameraError),
     ])
     def test_depth_must_be_positive_and_finite(self, depth, error):
-        # A NaN depth used to come back as a NaN point, pixel or warp.
+        # A NaN depth used to come back as a NaN warp.
         cam = _identity_cam()
-        src_depth = DepthMap(np.full((48, 64), 512.0))
-        with pytest.raises(error):
-            geometry.back_project(cam, [32.0, 24.0], depth)
-        with pytest.raises(error):
-            geometry.project(cam, [0.0, 0.0, depth])
-        with pytest.raises(error):
-            geometry.reproject(cam, cam, [32.0, 24.0], depth, src_depth)
         with pytest.raises(error):
             geometry.warp_grid(cam, cam, depth, 8, 8)
 
@@ -196,8 +182,6 @@ class TestProjectBackProject:
             for j in range(2):
                 want = oracles.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
                 np.testing.assert_allclose(grid[i, j], want, atol=1e-12)
-                single = geometry.back_project(cam, [xs[i, j], ys[i, j]], ds[i, j])
-                np.testing.assert_allclose(single, want, atol=1e-12)
 
 
 def _warp_grid_formula(ref, src, depth, width, height):
@@ -237,41 +221,41 @@ class TestReproject:
         src = _translated_cam([8.0, 0.0, 0.0], f=64.0)
         return ref, src
 
+    def _trip(self, x, src_depth):
+        """``(pixel', depth', valid)`` of reference pixel ``(x, 24)`` at depth 512."""
+        ref, src = self._pair()
+        _, p2, d2, valid = geometry.reproject_chain_map(
+            ref, src, np.array([x]), np.array([24.0]), np.array([512.0]), src_depth)
+        return p2[0], d2[0], valid[0]
+
     def test_perfect_agreement_zero_error(self):
         # Constant-depth plane seen by both cameras: pixel (x, y) at depth
         # 512 lands at (x - f*b/d, y) = (x - 1, y); the source stores 512
         # there, so the return trip is exact.
-        ref, src = self._pair()
-        src_depth = DepthMap(np.full((48, 64), 512.0))
-        out = geometry.reproject(ref, src, [32.0, 24.0], 512.0, src_depth)
-        assert out is not None
-        pixel2, depth2 = out
+        pixel2, depth2, valid = self._trip(32.0, DepthMap(np.full((48, 64), 512.0)))
+        assert valid
         np.testing.assert_allclose(pixel2, [32.0, 24.0], atol=1e-9)
         assert depth2 == pytest.approx(512.0, rel=1e-12)
 
     def test_landing_out_of_bounds_returns_none(self):
-        # Pixel x = 0 lands at x' = -1, outside the source image.
-        ref, src = self._pair()
-        src_depth = DepthMap(np.full((48, 64), 512.0))
-        assert geometry.reproject(ref, src, [0.0, 24.0], 512.0, src_depth) is None
+        # Pixel x = 0 lands at x' = -1, outside the source image: the trip
+        # is invalid and its outputs are NaN.
+        pixel2, depth2, valid = self._trip(0.0, DepthMap(np.full((48, 64), 512.0)))
+        assert not valid and np.isnan(pixel2).all() and np.isnan(depth2)
 
     def test_masked_landing_returns_none(self):
-        ref, src = self._pair()
         data = np.full((48, 64), 512.0)
         mask = np.ones((48, 64), dtype=bool)
         mask[24, 31] = False  # where pixel (32, 24) lands
-        src_depth = DepthMap(data, mask)
-        assert geometry.reproject(ref, src, [32.0, 24.0], 512.0, src_depth) is None
+        pixel2, depth2, valid = self._trip(32.0, DepthMap(data, mask))
+        assert not valid and np.isnan(pixel2).all() and np.isnan(depth2)
 
     def test_depth_disagreement_changes_depth(self):
         # Source claims 640 where the hypothesis said 512; the return trip
         # reports the source's geometry: depth' = 640 under pure
         # translation (depth is preserved across x-shifts).
-        ref, src = self._pair()
-        src_depth = DepthMap(np.full((48, 64), 640.0))
-        out = geometry.reproject(ref, src, [32.0, 24.0], 512.0, src_depth)
-        assert out is not None
-        _, depth2 = out
+        _, depth2, valid = self._trip(32.0, DepthMap(np.full((48, 64), 640.0)))
+        assert valid
         assert depth2 == pytest.approx(640.0, rel=1e-12)
 
     def test_map_matches_scalar(self):
@@ -287,15 +271,12 @@ class TestReproject:
                 pixel = [xs[i, j], ys[i, j]]
                 want = oracles.reproject(ref, src, pixel, depths[i, j],
                                          partial(oracles.nearest_depth, src_depth))
-                single = geometry.reproject(ref, src, pixel, depths[i, j], src_depth)
                 if want is None:
-                    assert not valid[i, j] and single is None
+                    assert not valid[i, j]
                 else:
                     assert valid[i, j]
                     np.testing.assert_allclose(p2[i, j], want[0], atol=1e-9)
                     assert d2[i, j] == pytest.approx(want[1], rel=1e-12)
-                    # The scalar call is one element of the map.
-                    assert np.array_equal(single[0], p2[i, j]) and single[1] == d2[i, j]
 
     @pytest.mark.parametrize("angle, shift", [(0.15, -1.0), (0.6, -5.0), (1.4, -9.8)])
     def test_closed_form_matches_composed_chain(self, angle, shift):
@@ -350,12 +331,14 @@ class TestReprojectionErrors:
 
     def test_hand_values(self):
         # 3-4-5 triangle; |2.2 - 2| / 2 = 0.1.
-        xi_p, xi_d = geometry.reprojection_errors([10.0, 10.0], [13.0, 14.0], 2.0, 2.2)
+        xi_p, xi_d = geometry.reprojection_errors_map(10.0, 10.0, np.array([13.0, 14.0]),
+                                                      2.0, 2.2)
         assert xi_p == pytest.approx(5.0)
         assert xi_d == pytest.approx(0.1)
 
     def test_zero_errors(self):
-        xi_p, xi_d = geometry.reprojection_errors([5.0, 6.0], [5.0, 6.0], 3.0, 3.0)
+        xi_p, xi_d = geometry.reprojection_errors_map(5.0, 6.0, np.array([5.0, 6.0]),
+                                                      3.0, 3.0)
         assert xi_p == 0.0
         assert xi_d == 0.0
 
@@ -513,28 +496,25 @@ class TestDepthMap:
         data = np.array([[1.0, np.nan], [np.inf, 4.0]])
         dm = DepthMap(data)
         assert dm.valid_count == 2
-        assert np.isnan(dm.depth_at(1.0, 0.0))
-        assert dm.depth_at(1.0, 1.0) == pytest.approx(4.0)
+        np.testing.assert_array_equal(dm.depth_grid([1.0, 1.0], [0.0, 1.0]), [np.nan, 4.0])
 
     def test_nearest_rounding(self):
         data = np.arange(12.0).reshape(3, 4)
         dm = DepthMap(data)
         # floor(x + 0.5): 1.49 -> 1, 1.5 -> 2.
-        assert dm.depth_at(1.49, 0.0) == pytest.approx(1.0)
-        assert dm.depth_at(1.5, 0.0) == pytest.approx(2.0)
-        assert dm.depth_at(0.0, 1.5) == pytest.approx(8.0)
+        got = dm.depth_grid([1.49, 1.5, 0.0], [0.0, 0.0, 1.5])
+        np.testing.assert_array_equal(got, [1.0, 2.0, 8.0])
 
     def test_out_of_domain_nan(self):
         dm = DepthMap(np.ones((3, 4)))
-        assert np.isnan(dm.depth_at(-0.01, 0.0))
-        assert np.isnan(dm.depth_at(3.01, 0.0))
-        assert np.isnan(dm.depth_at(0.0, 2.5))
+        got = dm.depth_grid([-0.01, 3.01, 0.0], [0.0, 0.0, 2.5])
+        assert np.isnan(got).all()
         # The domain edge itself is inside.
-        assert dm.depth_at(3.0, 2.0) == pytest.approx(1.0)
+        assert dm.depth_grid(3.0, 2.0) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_depth_grid_equals_depth_at_everywhere(self, data):
+    def test_depth_grid_equals_oracle_everywhere(self, data):
         """Element by element, for any map and any query, broadcast ones too."""
         h = data.draw(st.integers(1, 6), label="height")
         w = data.draw(st.integers(1, 6), label="width")
@@ -560,7 +540,6 @@ class TestDepthMap:
 
         want = np.array([oracles.nearest_depth(dm, x, y) for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(dm.depth_grid(xs, ys), want)
-        np.testing.assert_array_equal([dm.depth_at(x, y) for x, y in zip(xs, ys)], want)
         # An (m, 1) column of ys against a row of n xs gives an (m, n) grid.
         grid = dm.depth_grid(xs, rows)
         assert grid.shape == (m, n)

@@ -131,7 +131,7 @@ class TestCameraRing:
         spec = synth.CameraRigSpec(n_views=7, lookat=(3.0, -2.0, 5.0))
         expected_depth = np.hypot(spec.radius, spec.standoff)
         for cam in synth.make_camera_ring(spec):
-            pixel, depth = geometry.project(cam, spec.lookat)
+            pixel, depth = geometry.project_points(cam, spec.lookat)
             np.testing.assert_allclose(
                 pixel, [(spec.width - 1) / 2.0, (spec.height - 1) / 2.0], atol=1e-9
             )
@@ -333,15 +333,13 @@ class TestAnalyticDepth:
     def test_out_of_domain_nan(self):
         cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=1))
         sampler = synth.AnalyticDepth(cams[0], synth.Plane(), 64, 48)
-        assert np.isnan(sampler.depth_at(-0.5, 10.0))
-        assert np.isnan(sampler.depth_at(10.0, 47.5))
-        assert np.isfinite(sampler.depth_at(63.0, 47.0))
+        got = sampler.depth_grid([-0.5, 10.0, 63.0], [10.0, 47.5, 47.0])
+        assert np.isnan(got[:2]).all() and np.isfinite(got[2])
 
     def test_continuous_between_pixels(self):
         cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=1))
         sampler = synth.AnalyticDepth(cams[0], synth.Plane(), 64, 48)
-        d0 = sampler.depth_at(30.0, 20.0)
-        d_eps = sampler.depth_at(30.001, 20.0)
+        d0, d_eps = sampler.depth_grid([30.0, 30.001], [20.0, 20.0])
         assert abs(d0 - d_eps) < 0.1
 
     def test_grid_matches_scalar(self):
@@ -357,8 +355,6 @@ class TestAnalyticDepth:
                 want = [_ray_depth(cam, surface, 64, 48, x, y)
                         for x, y in zip(xs.tolist(), ys.tolist())]
                 np.testing.assert_allclose(grid, want, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose([sampler.depth_at(x, y) for x, y in zip(xs, ys)],
-                                           want, rtol=1e-12, atol=0.0)
                 # The plane fills the view; the sphere misses some queries.
                 hits = np.isfinite(want)
                 assert hits[0] and not hits[5:].any()
