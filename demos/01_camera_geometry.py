@@ -59,10 +59,13 @@ def main() -> None:
 
     print()
     print("== Plane-sweep warp field ==")
-    coords, valid = geometry.warp_grid(ref, src, 512.0, 64, 48)
+    coords = geometry.warp_grid(ref, src, 512.0, 64, 48)
     shift = coords[24, 32, 0] - 32.0
     print(f"depth 512 shifts pixel (32,24) by {shift:+.3f} px in the source")
-    print(f"{valid.sum()} of {valid.size} warped pixels stay inside the source frame")
+    # The sampler keeps a landing when it lies in [0, 63] x [0, 47].
+    x, y = coords[..., 0], coords[..., 1]
+    inside = (x >= 0) & (x <= 63) & (y >= 0) & (y <= 47)
+    print(f"{inside.sum()} of {inside.size} warped pixels stay inside the source frame")
 
 
 if __name__ == "__main__":

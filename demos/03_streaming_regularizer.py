@@ -23,9 +23,8 @@ def sweep(depth_count: int, weights: regularizer.HuLstmWeights) -> tuple[int, fl
     rng = np.random.default_rng(5)
 
     def cost_slices():
-        for i in range(depth_count):
+        for _ in range(depth_count):
             yield costvol.CostSlice(
-                index=i, depth=500.0 + i,
                 cost=np.abs(rng.standard_normal((HEIGHT, WIDTH, CHANNELS))),
                 valid_views=np.full((HEIGHT, WIDTH), 4))
 

@@ -73,17 +73,18 @@ def _add_fuse(sub) -> None:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", help="output PLY path (default: <in>/cloud.ply)")
     p.add_argument("--filter", choices=("dynamic", "fixed"), default="dynamic")
-    p.add_argument("--lambda", dest="lam", type=float, default=200.0,
+    defaults = fusion.FusionParams()
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help="depth-error weight inside the matching score")
-    p.add_argument("--tau", type=float, default=1.8,
+    p.add_argument("--tau", type=float, default=defaults.tau,
                    help="dynamic consistency floor")
-    p.add_argument("--phi", type=float, default=0.4,
+    p.add_argument("--phi", type=float, default=defaults.phi,
                    help="minimum estimator confidence")
-    p.add_argument("--tau1", type=float, default=1.0,
+    p.add_argument("--tau1", type=float, default=defaults.tau1,
                    help="fixed filter: max pixel reprojection error")
-    p.add_argument("--tau2", type=float, default=0.01,
+    p.add_argument("--tau2", type=float, default=defaults.tau2,
                    help="fixed filter: max relative depth error")
-    p.add_argument("--min-views", type=int, default=3,
+    p.add_argument("--min-views", type=int, default=defaults.min_views,
                    help="fixed filter: required supporting views")
     p.add_argument("--ascii", action="store_true", help="write ascii PLY")
 
@@ -187,7 +188,7 @@ def cmd_synth(args) -> int:
         gt_points.append(geometry.back_project_grid(
             cam, xs.astype(float), ys.astype(float), depth.data[ys, xs]))
     layout.write_pairs(_ring_pairs(args.views))
-    formats.write_ply(layout.gt_cloud, fusion.PointCloud._adopt(np.concatenate(gt_points)))
+    formats.write_ply(layout.gt_cloud, fusion.PointCloud(np.concatenate(gt_points)))
     log.info("wrote %d views to %s (depth range %.1f..%.1f)",
              args.views, args.out, d_lo, d_hi)
     return 0
@@ -341,8 +342,11 @@ def _load_estimates(layout: formats.ProjectLayout) -> list[fusion.ViewEstimate]:
         conf = np.nan_to_num(
             formats.read_pfm(layout.confidence(i)).astype(np.float64))
         image = formats.read_image(layout.image(i))
-        estimates.append(fusion.ViewEstimate(
-            camera=cam, depth=DepthMap(depth_arr), confidence=conf, image=image))
+        try:
+            estimates.append(fusion.ViewEstimate(
+                camera=cam, depth=DepthMap(depth_arr), confidence=conf, image=image))
+        except SizeMismatchError as exc:
+            raise SizeMismatchError(f"view {i}: {exc}") from None
     return estimates
 
 

@@ -4,8 +4,8 @@ For each depth hypothesis the reference view's feature map is compared
 against every source view's features warped onto that depth plane.  The
 per-pixel, per-channel cost is the population variance over the set
 {reference, visible warped sources}; pixels seen by no source fall back
-to the reference alone (zero variance) and are identifiable through the
-slice's view count.
+to the reference alone (zero variance).  A slice holds only that cost
+and the view count; its place in the stream is its depth index.
 
 Each slice costs, per source view, one closed-form warp
 (:func:`~mvsweep.geometry.warp_grid`), one bilinear sample written as a
@@ -22,7 +22,7 @@ reference value leaves it unchanged and keeps the sums well conditioned.
 Slices are produced lazily by :func:`cost_volume_stream`, the one entry
 point, so downstream consumers never hold the full depth dimension in
 memory; one slice at a chosen depth is the first slice of a stream whose
-range starts there.  A stream keeps
+range starts there.  A stream needs at least one source view.  It keeps
 its running sums in one buffer from slice to slice and writes each
 slice's cost into the last source's sample buffer, so that a slice
 allocates no array beyond its samples (and its small view count).
@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import SizeMismatchError
+from .errors import InvalidArgumentError, SizeMismatchError
 from .geometry import Camera, HypothesisSpace, sample_hypotheses, warp_grid
 
 __all__ = [
@@ -54,8 +54,6 @@ class CostSlice:
     so the minimum is 1).
     """
 
-    index: int
-    depth: float
     cost: np.ndarray
     valid_views: np.ndarray
 
@@ -120,7 +118,7 @@ def bilinear_sample(values: np.ndarray, coords: np.ndarray):
     return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
-def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index, sums) -> CostSlice:
+def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, sums) -> CostSlice:
     """Variance cost of one depth hypothesis across all views.
 
     The variance at a pixel runs over the reference value plus every
@@ -141,9 +139,8 @@ def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index, sums) -> CostS
         # Freed before this source's warp, so its buffers take over the
         # previous sample's chunk instead of faulting in fresh pages.
         del sampled
-        # Landings behind the source are NaN, so the sampler's mask also
-        # covers the warp's.
-        coords, _ = warp_grid(ref_cam, cam, depth, width, height)
+        # Landings behind the source are NaN, so the sampler rejects them.
+        coords = warp_grid(ref_cam, cam, depth, width, height)
         sampled, ok = bilinear_sample(feat, coords)
         del coords
         count += ok
@@ -161,15 +158,12 @@ def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, index, sums) -> CostS
             s1 += sampled
             sampled *= sampled
             s2 += sampled
-    if sampled is None:
-        return CostSlice(index=index, depth=float(depth),
-                         cost=np.zeros((height, width, channels)), valid_views=count)
     n = count[..., None].astype(np.float64)
     s1 *= s1
     s1 /= n
     cost = np.subtract(s2, s1, out=sampled)
     cost /= n
-    return CostSlice(index=index, depth=float(depth), cost=cost, valid_views=count)
+    return CostSlice(cost=cost, valid_views=count)
 
 
 def cost_volume_stream(
@@ -182,7 +176,7 @@ def cost_volume_stream(
     """Yield cost slices for every hypothesis in increasing depth order.
 
     All feature maps must share the reference's spatial size and channel
-    count.
+    count; a mismatch or an empty source list raises before any slice.
 
     The sweep runs in float64, so float32 features (DRENet's) are cast
     once here rather than once per slice: a fresh 64x48x32 float64 map
@@ -194,10 +188,12 @@ def cost_volume_stream(
     """
     ref_feat = np.asarray(ref_feat, dtype=np.float64)
     src_feats = [np.asarray(feat, dtype=np.float64) for feat in src_feats]
+    if not src_feats:
+        raise InvalidArgumentError("a cost volume needs at least one source view")
     for feat in src_feats:
         if feat.shape != ref_feat.shape:
             raise SizeMismatchError(
                 f"source features {feat.shape} do not match reference {ref_feat.shape}")
     sums = np.empty((2, *ref_feat.shape))
-    for index, depth in enumerate(sample_hypotheses(space)):
-        yield _sweep_slice(ref_feat, src_feats, ref_cam, src_cams, depth, index, sums)
+    for depth in sample_hypotheses(space):
+        yield _sweep_slice(ref_feat, src_feats, ref_cam, src_cams, depth, sums)

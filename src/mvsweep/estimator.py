@@ -38,7 +38,7 @@ def online_softmax_wta(slices: Iterable, space: HypothesisSpace,
                        ) -> tuple[DepthMap, np.ndarray]:
     """Single-pass argmax depth and 3-tap softmax confidence.
 
-    ``slices`` must yield exactly ``space.count`` score slices in index
+    ``slices`` must yield exactly ``space.count`` score slices in depth
     order.  Ties break toward the lower depth index (strict improvement
     is required to displace the running winner).  Returns the selected
     depth per pixel (all pixels valid) and a confidence map in [0, 1].

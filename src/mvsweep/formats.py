@@ -427,7 +427,7 @@ def read_ply(path) -> PointCloud:
                 f"expected {count * stride} values, found {len(values)}", path)
         table = values.reshape(count, stride)
         with np.errstate(over="ignore"):  # beyond float32's range is inf, rejected below
-            xyz = table[:, :3].astype(np.float32).astype(np.float64)
+            xyz = table[:, :3].astype(np.float32)
         rgb = None
         if has_rgb:
             rgb = table[:, 3:6]
@@ -441,11 +441,11 @@ def read_ply(path) -> PointCloud:
             dtype.append(("rgb", "u1", 3))
         record = np.frombuffer(_payload(raw, start, count * np.dtype(dtype).itemsize, path),
                                dtype=dtype)
-        xyz = record["xyz"].astype(np.float64)
+        xyz = record["xyz"]
         rgb = record["rgb"] if has_rgb else None
     if not np.isfinite(xyz).all():
         raise ParseError("vertex coordinates must be finite", path)
-    return PointCloud._adopt(xyz, rgb)
+    return PointCloud(xyz, rgb)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .depthmap import DepthMap
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SizeMismatchError
 from .geometry import (
     Camera,
     back_project_grid,
@@ -55,7 +55,11 @@ MATCH_SCORE_FLOOR = float(np.exp(-3.0))
 
 @dataclass(eq=False)
 class ViewEstimate:
-    """One view's camera, estimated depth, confidence, and image."""
+    """One view's camera, estimated depth, confidence, and image.
+
+    The confidence and the image must share the depth map's
+    ``(height, width)``; otherwise :class:`SizeMismatchError` is raised.
+    """
 
     camera: Camera
     depth: DepthMap
@@ -64,8 +68,11 @@ class ViewEstimate:
 
     def __post_init__(self) -> None:
         self.confidence = np.asarray(self.confidence, dtype=np.float64)
-        if self.confidence.shape != self.depth.data.shape:
-            raise ValueError("confidence shape must match depth map")
+        shape = self.depth.data.shape
+        for name, array in (("confidence", self.confidence), ("image", self.image)):
+            if array is not None and array.shape[:2] != shape:
+                raise SizeMismatchError(
+                    f"{name} is {array.shape[:2]} but the depth map is {shape}")
 
 
 @dataclass(frozen=True)
@@ -95,17 +102,13 @@ class FusionParams:
             raise InvalidArgumentError("tau1, tau2 must be positive and min_views >= 1")
 
 
-def _read_only_rows(values, dtype, adopt: bool = False) -> np.ndarray:
-    """``values`` as a read-only, C-contiguous ``(n, 3)`` array that no
-    caller can write through.  It is copied where ``np.asarray`` would
-    alias the input, unless ``adopt`` says that nobody else holds the
-    input; then it is copied only to change its dtype or layout."""
-    if adopt:
-        rows = np.ascontiguousarray(values, dtype=dtype)
-    else:
-        rows = np.asarray(values, dtype=dtype)
-        if rows is values or rows.base is not None:
-            rows = rows.copy()
+def _read_only_rows(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``(n, 3)`` array that no caller can
+    write through.  It is copied where ``np.asarray`` would alias the
+    input, so a dtype conversion is the only copy of one that needs it."""
+    rows = np.asarray(values, dtype=dtype)
+    if rows is values or rows.base is not None:
+        rows = rows.copy()
     rows = rows.reshape(-1, 3)
     # A view's base is the array that owns its memory, so locking both
     # leaves no writeable path to the rows.
@@ -119,32 +122,19 @@ def _read_only_rows(values, dtype, adopt: bool = False) -> np.ndarray:
 class PointCloud:
     """Fused 3-d points with optional per-point colors.
 
-    The coordinates and colors are read-only, so the k-d tree that
-    :attr:`tree` builds on first use never goes stale.
+    The coordinates and colors are read-only copies, so the k-d tree
+    that :attr:`tree` builds on first use never goes stale.
     """
 
     xyz: np.ndarray
     rgb: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self._own(adopt=False)
-
-    def _own(self, adopt: bool) -> None:
-        object.__setattr__(self, "xyz", _read_only_rows(self.xyz, np.float64, adopt))
+        object.__setattr__(self, "xyz", _read_only_rows(self.xyz, np.float64))
         if self.rgb is not None:
-            object.__setattr__(self, "rgb", _read_only_rows(self.rgb, np.uint8, adopt))
+            object.__setattr__(self, "rgb", _read_only_rows(self.rgb, np.uint8))
             if len(self.rgb) != len(self.xyz):
                 raise ValueError("rgb count must match point count")
-
-    @classmethod
-    def _adopt(cls, xyz: np.ndarray, rgb: np.ndarray | None = None) -> "PointCloud":
-        """A cloud that takes arrays nobody else holds, such as a fresh
-        ``np.concatenate`` result, and marks them read-only in place."""
-        cloud = cls.__new__(cls)
-        object.__setattr__(cloud, "xyz", xyz)
-        object.__setattr__(cloud, "rgb", rgb)
-        cloud._own(adopt=True)
-        return cloud
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -167,7 +157,7 @@ class PointCloud:
         return cls(np.zeros((0, 3)), rgb)
 
 
-def probability_filter(view: ViewEstimate, phi: float = 0.4) -> ViewEstimate:
+def probability_filter(view: ViewEstimate, phi: float = FusionParams.phi) -> ViewEstimate:
     """Mask out pixels whose estimator confidence is below ``phi``."""
     kept = view.depth.mask & (view.confidence >= phi)
     return replace(view, depth=DepthMap(view.depth.data, kept))
@@ -211,7 +201,7 @@ def _scores(xi_p: np.ndarray, xi_d: np.ndarray, valid: np.ndarray,
 
 
 def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
-                            lam: float = 200.0) -> np.ndarray:
+                            lam: float = FusionParams.lam) -> np.ndarray:
     """Total matching score of each reference pixel over all sources.
 
     The reference itself never appears in the sum; invalid pixels and
@@ -261,7 +251,7 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     return replace(ref, depth=DepthMap(ref.depth.data, kept))
 
 
-def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
+def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.lam,
                      ) -> PointCloud:
     """Merge filtered views into a single deduplicated point cloud.
 
@@ -313,6 +303,4 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = 200.0,
             colors.append(vals)
     if not points:
         return PointCloud.empty(want_rgb)
-    xyz = np.concatenate(points)
-    rgb = np.concatenate(colors) if want_rgb else None
-    return PointCloud._adopt(xyz, rgb)
+    return PointCloud(np.concatenate(points), np.concatenate(colors) if want_rgb else None)

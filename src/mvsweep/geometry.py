@@ -256,17 +256,16 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
 
     Fronto-parallel plane sweep: each reference pixel is lifted to the
     constant-depth plane and projected into the source view.  Returns
-    ``(coords (height, width, 2), valid (height, width))`` where a pixel
-    is valid when it lands in front of the source camera and inside the
-    source image bounds (images are assumed to share ``width x height``).
-    Pixels that land behind the source camera hold NaN coordinates.
+    ``coords (height, width, 2)``.  Pixels that land behind the source
+    camera hold NaN coordinates, which every bounds test rejects; the
+    image bounds are tested by :func:`mvsweep.costvol.bilinear_sample`.
 
     At one depth the pair transform ``w = d * A @ (x, y, 1) + b`` is
     separable: a ``(height, 3)`` row term plus a ``(width, 3)`` column
     term, so no per-pixel 3x3 product is formed.  ``x``, ``y`` and the
     landing depth are each built as one contiguous ``(height, width)``
-    plane from those terms; ``valid`` is read off the ``x`` and ``y``
-    planes, which are then interleaved into ``coords`` once.
+    plane from those terms, and ``x`` and ``y`` are interleaved into
+    ``coords`` once.
     """
     if not -np.inf < depth < np.inf:
         raise InvalidArgumentError(f"cannot sweep depth {depth}: not finite")
@@ -283,9 +282,4 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     x /= z
     y = row_y + col_y
     y /= z
-    # NaN fails every comparison, so points behind the source are invalid.
-    valid = x >= 0.0
-    valid &= x <= width - 1.0
-    valid &= y >= 0.0
-    valid &= y <= height - 1.0
-    return np.stack((x, y), axis=-1), valid
+    return np.stack((x, y), axis=-1)

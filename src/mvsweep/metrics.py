@@ -19,7 +19,7 @@ queries are split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,19 +117,12 @@ class EvalReport:
     max_dist: float
 
     def to_text(self) -> str:
-        """Line-oriented ``key=value`` rendering, one metric per line."""
-        return "\n".join(
-            f"{key}={getattr(self, key):.6f}"
-            for key in ("accuracy", "completeness", "overall",
-                        "precision", "recall", "f_score", "threshold", "max_dist")
-        )
+        """Line-oriented ``key=value`` rendering, one metric per line in
+        field order."""
+        return "\n".join(f"{key}={value:.6f}" for key, value in asdict(self).items())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {key: getattr(self, key)
-             for key in ("accuracy", "completeness", "overall",
-                         "precision", "recall", "f_score", "threshold", "max_dist")},
-            indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def evaluate_clouds(recon: PointCloud, truth: PointCloud, threshold: float,

@@ -54,9 +54,9 @@ __all__ = [
 
 @dataclass(eq=False)
 class ScoreSlice:
-    """Regularized matching score at one swept depth, ``(height, width)``."""
+    """Regularized matching score at one swept depth, ``(height, width)``;
+    its place in the stream is its depth index."""
 
-    index: int
     score: np.ndarray
 
 
@@ -271,7 +271,7 @@ def hu_lstm_step(cost_slice: CostSlice, state: Sequence[tuple[np.ndarray, np.nda
     u3 = _upsample_conv(h3, weights.up_full.kernel, weights.up_full.bias, h0.shape[:2])
     h4, s4 = conv_lstm_cell((u3, h0), prev[4], weights.cells[4])
     score = conv2d(h4, weights.head)[:, :, 0]
-    return ScoreSlice(index=cost_slice.index, score=score), (s0, s1, s2, s3, s4)
+    return ScoreSlice(score=score), (s0, s1, s2, s3, s4)
 
 
 def regularize_stream(slices: Iterable[CostSlice],
@@ -297,6 +297,6 @@ def passthrough_regularizer(slices: Iterable[CostSlice]) -> Iterator[ScoreSlice]
     score is yielded.
     """
     for cost_slice in slices:
-        score = ScoreSlice(index=cost_slice.index, score=-cost_slice.cost.mean(axis=2))
+        score = ScoreSlice(score=-cost_slice.cost.mean(axis=2))
         del cost_slice
         yield score

@@ -32,7 +32,6 @@ import numpy as np
 from .depthmap import DepthMap
 from .errors import InvalidArgumentError, NoIntersectionError
 from .geometry import Camera, back_project_grid
-from .fusion import ViewEstimate
 
 __all__ = [
     "AnalyticDepth",
@@ -43,7 +42,6 @@ __all__ = [
     "make_camera_ring",
     "perturb_depths",
     "render_scene",
-    "render_view_estimates",
     "value_noise",
 ]
 
@@ -317,8 +315,8 @@ class AnalyticDepth:
         self.height = height
 
     def depth_grid(self, xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.float64),
+                                     np.asarray(ys, dtype=np.float64))
         inside = (
             (xs >= 0.0) & (xs <= self.width - 1.0)
             & (ys >= 0.0) & (ys <= self.height - 1.0)
@@ -362,14 +360,3 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
         data[ys[pick], xs[pick]] = rng.uniform(
             outlier_range[0], outlier_range[1], n_out)
     return DepthMap(data, mask)
-
-
-def render_view_estimates(scene: SceneSpec, cams: Sequence[Camera],
-                          width: int, height: int) -> list[ViewEstimate]:
-    """Ground-truth views packaged for the fusion pipeline (confidence 1)."""
-    rendered = render_scene(scene, cams, width, height)
-    return [
-        ViewEstimate(camera=cam, depth=depth,
-                     confidence=np.ones(depth.data.shape), image=image)
-        for cam, (image, depth) in zip(cams, rendered)
-    ]

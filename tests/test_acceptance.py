@@ -210,8 +210,7 @@ def test_criterion_4_streaming_equivalence():
         volume = rng.standard_normal((depth_count, height, width)) * 3.0
         if seed == 3:  # stress the running renormalization
             volume = volume * 100.0 + 500.0
-        slices = [regularizer.ScoreSlice(index=i, score=volume[i])
-                  for i in range(depth_count)]
+        slices = [regularizer.ScoreSlice(score=score) for score in volume]
         est_depth, est_conf = estimator.online_softmax_wta(iter(slices), space)
         winner, conf = oracles.softmax_wta(volume)
         if not (est_depth.data == depths[winner]).all():
@@ -233,9 +232,9 @@ def _stream_peak(depth_count: int, weights) -> tuple[int, int]:
     most_alive = 0
 
     def cost_slices():
-        for i in range(depth_count):
+        for _ in range(depth_count):
             yield costvol.CostSlice(
-                index=i, depth=1.0 + i, cost=rng.standard_normal((6, 8, 32)),
+                cost=rng.standard_normal((6, 8, 32)),
                 valid_views=np.ones((6, 8), dtype=np.int64))
 
     def sweep():

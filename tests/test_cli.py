@@ -433,6 +433,28 @@ class TestFuse:
             "pixels, consistency gate kept 0)"]
         assert len(formats.read_ply(out)) == 0
 
+    @pytest.mark.parametrize("kind", ["confidence", "image"])
+    def test_view_file_of_another_size_writes_nothing(self, synth_proj, tmp_path, capsys,
+                                                      kind):
+        proj = tmp_path / "scene"
+        shutil.copytree(synth_proj, proj)
+        layout = formats.ProjectLayout(proj)
+        if kind == "confidence":
+            formats.write_pfm(layout.confidence(1), np.ones((5, 5)))
+        else:
+            formats.write_image(layout.image(1), np.zeros((5, 5, 3)))
+        out = tmp_path / "cloud.ply"
+        assert cli.main(["fuse", "--in", str(proj), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: view 1: {kind} is (5, 5) but the depth map is (24, 32)")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_parser_defaults_are_fusion_params(self):
+        args = cli.build_parser().parse_args(["fuse", "--in", "x"])
+        want = dataclasses.asdict(fusion.FusionParams())
+        assert {name: getattr(args, name) for name in want} == want
+
     @pytest.mark.parametrize("command", ["depth", "fuse"])
     def test_malformed_pair_file_is_user_error(self, synth_proj, tmp_path, capsys,
                                                command):

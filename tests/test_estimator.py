@@ -19,8 +19,8 @@ from mvsweep.regularizer import ScoreSlice
 
 
 def _stream(volume):
-    for i in range(volume.shape[0]):
-        yield ScoreSlice(index=i, score=volume[i])
+    for score in volume:
+        yield ScoreSlice(score=score)
 
 
 def _wta_against_reference(volume, space, atol):

@@ -14,6 +14,7 @@ import pytest
 
 from mvsweep import fusion, geometry, oracles, synth
 from mvsweep.depthmap import DepthMap
+from mvsweep.errors import SizeMismatchError
 
 F = 64.0
 D0 = 512.0
@@ -82,12 +83,18 @@ class TestParamsAndContainers:
     """Validation in the dataclasses."""
 
     def test_confidence_shape_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeMismatchError):
             fusion.ViewEstimate(
                 camera=_cam(0.0),
                 depth=DepthMap(np.ones((4, 4))),
                 confidence=np.ones((3, 4)),
             )
+        # So is the image's (height, width); its channels are free.
+        with pytest.raises(SizeMismatchError):
+            fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))), np.ones((4, 4)),
+                                image=np.ones((4, 3, 3)))
+        fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))), np.ones((4, 4)),
+                            image=np.ones((4, 4, 3)))
 
     def test_fusion_params_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvsweep import geometry, oracles
+from mvsweep import costvol, geometry, oracles
 from mvsweep.depthmap import DepthMap
 from mvsweep.errors import BehindCameraError, InvalidArgumentError
 
@@ -194,13 +194,7 @@ def _warp_grid_formula(ref, src, depth, width, height):
     depths = rows[:, None, 2] + cols[None, :, 2]
     coords = rows[:, None, :2] + cols[None, :, :2]
     coords /= np.where(depths > 0, depths, np.nan)[..., None]
-    valid = (
-        (coords[..., 0] >= 0.0)
-        & (coords[..., 0] <= width - 1.0)
-        & (coords[..., 1] >= 0.0)
-        & (coords[..., 1] <= height - 1.0)
-    )
-    return coords, valid
+    return coords
 
 
 def _rotated_pair(angle: float, shift: float):
@@ -421,30 +415,27 @@ class TestWarpGrid:
         # Baseline b = 1 along x at depth 5: u' = u - f*b/d = u - 20.
         ref = _identity_cam()
         src = _translated_cam([1.0, 0.0, 0.0])
-        coords, valid = geometry.warp_grid(ref, src, 5.0, width=64, height=48)
+        coords = geometry.warp_grid(ref, src, 5.0, width=64, height=48)
         assert coords.shape == (48, 64, 2)
         np.testing.assert_allclose(coords[10, 30], [10.0, 10.0], atol=1e-10)
         expected_rows = np.broadcast_to(np.arange(48.0)[:, None], (48, 64))
         np.testing.assert_allclose(coords[..., 1], expected_rows, atol=1e-10)
-        # Valid iff u' in [0, 63]: u >= 20.
-        assert not valid[0, 19] and valid[0, 20] and valid[0, 63]
+        # Inside the source's [0, 63] iff u >= 20.
+        assert coords[0, 19, 0] < 0.0 <= coords[0, 20, 0] and coords[0, 63, 0] <= 63.0
 
     def test_identical_cameras_identity_warp(self):
         ref = _identity_cam()
-        coords, valid = geometry.warp_grid(ref, ref, 7.0, width=16, height=12)
+        coords = geometry.warp_grid(ref, ref, 7.0, width=16, height=12)
         ys, xs = np.mgrid[0:12, 0:16].astype(float)
         np.testing.assert_allclose(coords[..., 0], xs, atol=1e-10)
         np.testing.assert_allclose(coords[..., 1], ys, atol=1e-10)
-        # Roundoff can push exact-border coordinates a hair outside the
-        # strict bounds check, so only the interior is guaranteed valid.
-        assert valid[1:-1, 1:-1].all()
 
     def test_shift_shrinks_with_depth(self):
         # Disparity is inversely proportional to depth.
         ref = _identity_cam()
         src = _translated_cam([1.0, 0.0, 0.0])
-        c5, _ = geometry.warp_grid(ref, src, 5.0, 64, 48)
-        c10, _ = geometry.warp_grid(ref, src, 10.0, 64, 48)
+        c5 = geometry.warp_grid(ref, src, 5.0, 64, 48)
+        c10 = geometry.warp_grid(ref, src, 10.0, 64, 48)
         shift5 = 30.0 - c5[0, 30, 0]
         shift10 = 30.0 - c10[0, 30, 0]
         assert shift5 == pytest.approx(2.0 * shift10, rel=1e-12)
@@ -458,28 +449,26 @@ class TestWarpGrid:
     @pytest.mark.parametrize("depth", [4.0, 10.0, 25.0])
     def test_matches_projection_chain(self, angle, shift, depth):
         ref, src = _rotated_pair(angle, shift)
-        coords, valid = geometry.warp_grid(ref, src, depth, width=64, height=48)
+        coords = geometry.warp_grid(ref, src, depth, width=64, height=48)
         ys, xs = np.mgrid[0:48, 0:64].astype(float)
         points = geometry.back_project_grid(ref, xs, ys, depth)
-        want, depths = geometry.project_points(src, points)
-        # NaN entries must coincide; near-singular landings run to ~1e6
-        # px, where only relative agreement is meaningful.
+        want, _ = geometry.project_points(src, points)
+        # NaN entries (behind the source) must coincide; near-singular
+        # landings run to ~1e6 px, where only relative agreement is meaningful.
         np.testing.assert_allclose(coords, want, rtol=1e-12, atol=1e-9)
-        in_bounds = ((want[..., 0] >= 0.0) & (want[..., 0] <= 63.0)
-                     & (want[..., 1] >= 0.0) & (want[..., 1] <= 47.0))
-        np.testing.assert_array_equal(valid, (depths > 0) & in_bounds)
-        # Bit for bit the separable formula written out in the oracles.
-        want_coords, want_valid = _warp_grid_formula(ref, src, depth, 64, 48)
+        # Bit for bit the separable formula written out above.
+        want_coords = _warp_grid_formula(ref, src, depth, 64, 48)
         assert np.array_equal(coords, want_coords, equal_nan=True)
-        assert np.array_equal(valid, want_valid)
 
     def test_behind_source_is_nan_and_invalid(self):
         ref = geometry.Camera(_k(), np.eye(3), np.zeros(3))
         src = geometry.Camera(_k(), _rotation(1, 1.4), np.array([-9.8, 0.0, 0.0]))
-        coords, valid = geometry.warp_grid(ref, src, 10.0, width=64, height=48)
+        coords = geometry.warp_grid(ref, src, 10.0, width=64, height=48)
         behind = np.isnan(coords[..., 0])
-        assert behind.any() and valid.any()
         assert np.isnan(coords[behind]).all()
+        # The sampler rejects every NaN landing and keeps others.
+        _, valid = costvol.bilinear_sample(np.zeros((48, 64, 1)), coords)
+        assert behind.any() and valid.any()
         assert not valid[behind].any()
 
 

@@ -5,6 +5,7 @@ triangles, and clouds built so each nearest neighbor is unambiguous.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,39 +161,22 @@ class TestCloudIndex:
         # The caller keeps writeable arrays.
         assert rows.flags.writeable and colors.flags.writeable
 
-    def test_adopted_arrays_are_locked_without_a_copy(self):
-        rows = np.ones((4, 3))
-        colors = np.ones((4, 3), dtype=np.uint8)
-        cloud = PointCloud._adopt(rows, colors)
-        assert np.shares_memory(cloud.xyz, rows)
-        assert np.shares_memory(cloud.rgb, colors)
-        for array in (cloud.xyz, cloud.rgb):
-            with pytest.raises(ValueError):
-                array.flags.writeable = True
-        # The adopted buffers themselves are marked read-only in place.
+    def test_a_dtype_conversion_is_the_only_copy(self):
+        # read_ply hands its float32 rows straight in: the float64
+        # conversion becomes the cloud's array, locked with its view.
+        rows = np.zeros((100_000, 3), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            cloud = PointCloud(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.xyz.dtype == np.float64
+        assert peak < 1.5 * cloud.xyz.nbytes
+        assert not cloud.xyz.base.flags.writeable
         with pytest.raises(ValueError):
-            rows[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            colors[0, 0] = 1
-
-    def test_adoption_copies_only_for_dtype_or_layout(self):
-        table = np.arange(24.0).reshape(4, 6)
-        strided = PointCloud._adopt(table[:, :3], table[:, 3:].astype(np.uint8))
-        assert not np.shares_memory(strided.xyz, table)
-        assert strided.xyz.flags.c_contiguous
-        assert table.flags.writeable
-        flat = np.arange(12.0)
-        whole = PointCloud._adopt(flat.reshape(4, 3))
-        assert np.shares_memory(whole.xyz, flat)
-        # The owner of the viewed memory is locked too, so the view
-        # cannot be made writeable again.
-        with pytest.raises(ValueError):
-            whole.xyz.flags.writeable = True
-        assert not flat.flags.writeable
-        single = PointCloud._adopt(np.arange(3, dtype=np.float32))
-        assert single.xyz.dtype == np.float64 and single.xyz.shape == (1, 3)
-        with pytest.raises(ValueError):
-            PointCloud._adopt(np.zeros((2, 3)), np.zeros((3, 3), dtype=np.uint8))
+            cloud.xyz.flags.writeable = True
+        assert rows.flags.writeable
 
 
 class TestAccuracyCompleteness:

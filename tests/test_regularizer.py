@@ -261,10 +261,8 @@ class TestHuLstmWeights:
 
 
 def _slice_stream(rng, count, shape=(6, 8, 4)):
-    for i in range(count):
+    for _ in range(count):
         yield costvol.CostSlice(
-            index=i,
-            depth=1.0 + i,
             cost=np.abs(rng.normal(size=shape)),
             valid_views=np.full(shape[:2], 2, dtype=np.int64),
         )
@@ -279,7 +277,6 @@ class TestHuLstmStep:
         sl = next(_slice_stream(rng, 1, shape=(9, 13, 4)))
         score, state = regularizer.hu_lstm_step(sl, None, w)
         assert score.score.shape == (9, 13)
-        assert score.index == sl.index
         assert len(state) == 5 and all(len(pair) == 2 for pair in state)
         # Full-res cells hold (9, 13); the quarter cell holds ceil sizes.
         assert state[0][0].shape == (9, 13, 32)
@@ -292,10 +289,7 @@ class TestHuLstmStep:
         w = regularizer.random_hulstm_weights(seed=1, in_channels=4)
         cost = np.abs(rng.normal(size=(6, 8, 4)))
         views = np.full((6, 8), 2, dtype=np.int64)
-        twice = [
-            costvol.CostSlice(0, 1.0, cost, views),
-            costvol.CostSlice(1, 2.0, cost, views),
-        ]
+        twice = [costvol.CostSlice(cost, views), costvol.CostSlice(cost, views)]
         scores = [s.score for s in regularizer.regularize_stream(iter(twice), w)]
         assert np.abs(scores[0] - scores[1]).max() > 1e-9
 
@@ -362,7 +356,7 @@ class TestPassthroughRegularizer:
         rng = np.random.default_rng(10)
         slices = list(_slice_stream(rng, 4))
         out = list(regularizer.passthrough_regularizer(iter(slices)))
-        assert [s.index for s in out] == [0, 1, 2, 3]
+        assert len(out) == 4
         for sl, sc in zip(slices, out):
             np.testing.assert_allclose(sc.score, -sl.cost.mean(axis=2), atol=1e-15)
 
@@ -371,7 +365,7 @@ class TestPassthroughRegularizer:
         # at least as high as any other.
         cost = np.ones((3, 3, 2))
         cost[1, 1, :] = 0.0
-        sl = costvol.CostSlice(0, 1.0, cost, np.full((3, 3), 2, dtype=np.int64))
+        sl = costvol.CostSlice(cost, np.full((3, 3), 2, dtype=np.int64))
         out = next(regularizer.passthrough_regularizer(iter([sl])))
         assert out.score[1, 1] == out.score.max()
 
@@ -382,15 +376,14 @@ def _released_stream(count: int, channels: int):
     rng = np.random.default_rng(12)
     alive = []
 
-    def make(index):
+    def make():
         cost = np.abs(rng.normal(size=(6, 8, channels)))
         alive.append(weakref.ref(cost))
-        return costvol.CostSlice(index, 1.0 + index, cost,
-                                 np.full((6, 8), 2, dtype=np.int64))
+        return costvol.CostSlice(cost, np.full((6, 8), 2, dtype=np.int64))
 
-    for index in range(count):
+    for _ in range(count):
         assert all(ref() is None for ref in alive)
-        yield make(index)
+        yield make()
 
 
 @pytest.mark.parametrize("regularize", [
@@ -402,4 +395,4 @@ def test_each_cost_slice_is_released_before_the_next(regularize):
     # A stream keeps at most one cost slice alive, however the scores
     # downstream are held.
     scores = list(regularize(_released_stream(4, 4)))
-    assert [s.index for s in scores] == [0, 1, 2, 3]
+    assert len(scores) == 4

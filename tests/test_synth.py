@@ -341,6 +341,8 @@ class TestAnalyticDepth:
         sampler = synth.AnalyticDepth(cams[0], synth.Plane(), 64, 48)
         d0, d_eps = sampler.depth_grid([30.0, 30.001], [20.0, 20.0])
         assert abs(d0 - d_eps) < 0.1
+        # xs broadcast against ys, as DepthMap.depth_grid's do.
+        assert np.array_equal(sampler.depth_grid([30.0, 30.001], 20.0), [d0, d_eps])
 
     def test_grid_matches_scalar(self):
         cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=2))
@@ -449,18 +451,3 @@ class TestPerturbDepths:
         out = synth.perturb_depths(depth, sigma=0.0, outlier_frac=1.0,
                                    outlier_range=(1.0, 2.0))
         assert (out.data != depth.data).all()
-
-
-class TestRenderViewEstimates:
-    """Fusion-ready ground truth packaging."""
-
-    def test_confidence_one_and_images_attached(self):
-        cams = synth.make_camera_ring(synth.CameraRigSpec(n_views=3))
-        views = synth.render_view_estimates(
-            synth.SceneSpec(surface=synth.Plane()), cams, 32, 24
-        )
-        assert len(views) == 3
-        for cam, view in zip(cams, views):
-            assert view.camera is cam
-            np.testing.assert_array_equal(view.confidence, 1.0)
-            assert view.image.shape == (24, 32, 3)
