@@ -32,19 +32,20 @@ def main() -> None:
     print()
     print("== Reprojection through a stored depth map ==")
     # The source view stores the true constant depth, so the round trip
-    # ref -> src -> ref must land back on the starting pixel.
+    # ref -> src -> ref must land back on the starting pixel.  A failed
+    # trip would read NaN.
     xs, ys, depths = np.array([20.0]), np.array([30.0]), np.array([512.0])
-    stored = DepthMap(np.full((48, 64), 512.0), np.ones((48, 64), dtype=bool))
-    _, pixel2, depth2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, stored)
-    assert valid[0]
+    stored = DepthMap(np.full((48, 64), 512.0))
+    _, pixel2, depth2 = geometry.reproject_chain_map(ref, src, xs, ys, depths, stored)
+    assert np.isfinite(depth2[0])
     xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, pixel2, depths, depth2)
     print(f"landed at {pixel2[0]}, depth {depth2[0]}")
     print(f"reprojection errors: xi_p={xi_p[0]:.2e} px, xi_d={xi_d[0]:.2e}")
 
     # With a wrong stored depth the round trip comes back displaced;
     # this displacement is exactly what the fusion filters threshold.
-    wrong = DepthMap(np.full((48, 64), 640.0), np.ones((48, 64), dtype=bool))
-    _, pixel2, depth2, _ = geometry.reproject_chain_map(ref, src, xs, ys, depths, wrong)
+    wrong = DepthMap(np.full((48, 64), 640.0))
+    _, pixel2, depth2 = geometry.reproject_chain_map(ref, src, xs, ys, depths, wrong)
     xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, pixel2, depths, depth2)
     print(f"with a 25% depth error: xi_p={xi_p[0]:.3f} px, xi_d={xi_d[0]:.3f}")
 

@@ -177,13 +177,12 @@ def cmd_synth(args) -> int:
     for index, (cam, (image, depth)) in enumerate(zip(cams, rendered)):
         formats.write_image(layout.image(index), image)
         formats.write_cam(layout.cam(index), cam, depth_range)
-        formats.write_pfm(layout.gt_depth(index), depth.data, depth.mask)
+        formats.write_pfm(layout.gt_depth(index), depth.data)
         stored = synth.perturb_depths(
             depth, sigma=args.noise_sigma, outlier_frac=args.outlier_frac,
             outlier_range=(d_min, d_max), seed=args.seed + index)
-        formats.write_pfm(layout.depth(index), stored.data, stored.mask)
-        formats.write_pfm(layout.confidence(index),
-                          np.ones(depth.data.shape), depth.mask)
+        formats.write_pfm(layout.depth(index), stored.data)
+        formats.write_pfm(layout.confidence(index), np.where(depth.mask, 1.0, np.nan))
         ys, xs = np.nonzero(depth.mask)
         gt_points.append(geometry.back_project_grid(
             cam, xs.astype(float), ys.astype(float), depth.data[ys, xs]))
@@ -305,8 +304,7 @@ def cmd_depth(args) -> int:
             log.warning("view %d has no source views; its depth map is fully masked",
                         ref)
             shape = feats[ref].shape[:2]
-            formats.write_pfm(out_layout.depth(ref), np.zeros(shape),
-                              np.zeros(shape, dtype=bool))
+            formats.write_pfm(out_layout.depth(ref), np.full(shape, np.nan))
             formats.write_pfm(out_layout.confidence(ref), np.zeros(shape))
             return
         stream = costvol.cost_volume_stream(
@@ -314,7 +312,7 @@ def cmd_depth(args) -> int:
             [views[j][0] for j in src_ids], spaces[ref])
         scores = regularize(stream)
         depth, confidence = estimator.online_softmax_wta(scores, spaces[ref])
-        formats.write_pfm(out_layout.depth(ref), depth.data, depth.mask)
+        formats.write_pfm(out_layout.depth(ref), depth.data)
         formats.write_pfm(out_layout.confidence(ref), confidence)
         log.info("view %d: depth map done", ref)
 
@@ -338,13 +336,13 @@ def _load_estimates(layout: formats.ProjectLayout) -> list[fusion.ViewEstimate]:
     estimates = []
     for i in range(count):
         cam, _ = formats.read_cam(layout.cam(i))
-        depth_arr = formats.read_pfm(layout.depth(i)).astype(np.float64)
+        depth = DepthMap(formats.read_pfm(layout.depth(i)))
         conf = np.nan_to_num(
             formats.read_pfm(layout.confidence(i)).astype(np.float64))
         image = formats.read_image(layout.image(i))
         try:
             estimates.append(fusion.ViewEstimate(
-                camera=cam, depth=DepthMap(depth_arr), confidence=conf, image=image))
+                camera=cam, depth=depth, confidence=conf, image=image))
         except SizeMismatchError as exc:
             raise SizeMismatchError(f"view {i}: {exc}") from None
     return estimates
@@ -355,10 +353,10 @@ def cmd_fuse(args) -> int:
     params = fusion.FusionParams(
         lam=args.lam, tau=args.tau, phi=args.phi,
         tau1=args.tau1, tau2=args.tau2, min_views=args.min_views)
-    estimates = _load_estimates(layout)
-    pairs = _source_views(layout, len(estimates))
     # Confidence gating first, so weak pixels neither survive nor vouch.
-    gated = [fusion.probability_filter(v, params.phi) for v in estimates]
+    # Gating copies each depth map, so the ungated ones are not kept.
+    gated = [fusion.probability_filter(v, params.phi) for v in _load_estimates(layout)]
+    pairs = _source_views(layout, len(gated))
     filtered = []
     for i, view in enumerate(gated):
         srcs = [gated[j] for j in pairs[i]]

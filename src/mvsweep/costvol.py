@@ -176,7 +176,8 @@ def cost_volume_stream(
     """Yield cost slices for every hypothesis in increasing depth order.
 
     All feature maps must share the reference's spatial size and channel
-    count; a mismatch or an empty source list raises before any slice.
+    count, and each source map needs one camera; a mismatch or an empty
+    source list raises before any slice.
 
     The sweep runs in float64, so float32 features (DRENet's) are cast
     once here rather than once per slice: a fresh 64x48x32 float64 map
@@ -190,6 +191,9 @@ def cost_volume_stream(
     src_feats = [np.asarray(feat, dtype=np.float64) for feat in src_feats]
     if not src_feats:
         raise InvalidArgumentError("a cost volume needs at least one source view")
+    if len(src_feats) != len(src_cams):
+        raise InvalidArgumentError(
+            f"{len(src_feats)} source feature maps but {len(src_cams)} cameras")
     for feat in src_feats:
         if feat.shape != ref_feat.shape:
             raise SizeMismatchError(

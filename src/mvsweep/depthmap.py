@@ -1,8 +1,8 @@
-"""Depth maps with validity masks and nearest-pixel lookup."""
+"""Depth maps with NaN holes and nearest-pixel lookup."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,27 +11,23 @@ __all__ = ["DepthMap"]
 
 @dataclass(eq=False)
 class DepthMap:
-    """A per-pixel depth image plus a boolean validity mask.
+    """A per-pixel depth image in which NaN marks a pixel without a depth.
 
-    Lookup at continuous coordinates uses the nearest pixel.  A query is
-    invalid (NaN result) when it falls outside the continuous image
-    domain ``[0, width - 1] x [0, height - 1]`` or lands on a masked
-    pixel.
+    Any non-finite input depth, ±inf included, is stored as NaN, so
+    ``data`` is the only record of which pixels hold a depth; ``mask``
+    and ``valid_count`` are derived from it.  Lookup at continuous
+    coordinates uses the nearest pixel.  A query is invalid (NaN result)
+    when it falls outside the continuous image domain
+    ``[0, width - 1] x [0, height - 1]`` or lands on a NaN pixel.
     """
 
     data: np.ndarray
-    mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"depth data must be 2-d, got shape {self.data.shape}")
-        if self.mask is None:
-            self.mask = np.isfinite(self.data)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.data.shape:
-                raise ValueError("mask shape must match depth data")
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError(f"depth data must be 2-d, got shape {data.shape}")
+        self.data = np.where(np.isfinite(data), data, np.nan)
 
     @property
     def height(self) -> int:
@@ -42,6 +38,11 @@ class DepthMap:
         return self.data.shape[1]
 
     @property
+    def mask(self) -> np.ndarray:
+        """True where the pixel holds a depth."""
+        return np.isfinite(self.data)
+
+    @property
     def valid_count(self) -> int:
         return int(self.mask.sum())
 
@@ -50,8 +51,8 @@ class DepthMap:
 
         ``xs`` and ``ys`` broadcast against each other.  Each query
         becomes one flat index ``iy * width + ix`` of its nearest pixel,
-        so the data and the mask are each read by one 1-d gather; a
-        query outside the image reads pixel 0 and is then set to NaN.
+        so the data is read by one 1-d gather; a query outside the image
+        reads pixel 0 and is then set to NaN.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -65,6 +66,4 @@ class DepthMap:
         col = np.where(inside, xs, 0.0)
         col += 0.5
         flat += np.floor(col, out=col)
-        index = flat.astype(np.intp)
-        inside &= np.take(self.mask.ravel(), index)
-        return np.where(inside, np.take(self.data.ravel(), index), np.nan)
+        return np.where(inside, np.take(self.data.ravel(), flat.astype(np.intp)), np.nan)

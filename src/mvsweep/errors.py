@@ -30,7 +30,7 @@ class StreamLengthMismatchError(MvsweepError):
 
 
 class EmptyValidSetError(MvsweepError):
-    """An operation over valid pixels received a fully masked input."""
+    """An operation over valid pixels received none, e.g. an all-NaN depth map."""
 
 
 class EmptyCloudError(MvsweepError):

@@ -41,7 +41,7 @@ def online_softmax_wta(slices: Iterable, space: HypothesisSpace,
     ``slices`` must yield exactly ``space.count`` score slices in depth
     order.  Ties break toward the lower depth index (strict improvement
     is required to displace the running winner).  Returns the selected
-    depth per pixel (all pixels valid) and a confidence map in [0, 1].
+    depth per pixel (none NaN) and a confidence map in [0, 1].
     """
     depths = sample_hypotheses(space)
     count = space.count
@@ -83,8 +83,7 @@ def online_softmax_wta(slices: Iterable, space: HypothesisSpace,
         mass += np.where(argmax > 0, np.exp(before_best - running_max), 0.0)
         mass += np.where(argmax < count - 1, np.exp(after_best - running_max), 0.0)
     confidence = mass / sum_exp
-    depth = DepthMap(depths[argmax], np.ones(argmax.shape, dtype=bool))
-    return depth, confidence
+    return DepthMap(depths[argmax]), confidence
 
 
 def softmax_volume(scores: np.ndarray) -> np.ndarray:
@@ -99,14 +98,12 @@ def one_hot_index_map(gt: DepthMap, space: HypothesisSpace):
 
     Nearest is measured in the sampled metric (depth for uniform
     spacing, inverse depth otherwise).  Returns ``(indices, valid)``;
-    masked, non-finite or non-positive depths, and depths outside the
-    swept range by more than half a bin, have no target and are not
-    ``valid``.
+    NaN or non-positive depths, and depths outside the swept range by
+    more than half a bin, have no target and are not ``valid``.
     """
-    depths = np.where(gt.mask, gt.data, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        coord = space.bin_coordinate(depths)
-    valid = (depths > 0) & np.isfinite(coord) & (coord >= -0.5) & (coord <= space.count - 0.5)
+        coord = space.bin_coordinate(gt.data)
+    valid = (gt.data > 0) & np.isfinite(coord) & (coord >= -0.5) & (coord <= space.count - 0.5)
     idx = np.floor(np.where(valid, coord, 0.0) + 0.5).astype(np.intp)
     idx = np.minimum(idx, space.count - 1)
     return idx, valid
@@ -116,7 +113,7 @@ def cross_entropy_loss(prob: np.ndarray, gt: DepthMap, space: HypothesisSpace) -
     """Sum of per-pixel cross entropies against one-hot depth targets.
 
     ``prob`` is a ``(D, H, W)`` probability volume.  Pixels whose ground
-    truth is masked or falls outside the swept range are excluded; if no
+    truth is NaN or falls outside the swept range are excluded; if no
     pixel remains the loss is undefined and raises.
     """
     idx, valid = one_hot_index_map(gt, space)
@@ -132,7 +129,7 @@ def loss_gradient_logits(scores: np.ndarray, gt: DepthMap,
     """Gradient of :func:`cross_entropy_loss` w.r.t. raw scores.
 
     For softmax + cross entropy the per-pixel gradient is
-    ``softmax(scores) - onehot``; masked pixels contribute zero.
+    ``softmax(scores) - onehot``; pixels without a target contribute zero.
     """
     idx, valid = one_hot_index_map(gt, space)
     grad = softmax_volume(scores).copy()

@@ -12,7 +12,7 @@ Formats follow the conventions common in multi-view stereo datasets:
     Grayscale portable float map: ``Pf``, ``width height``, a finite
     scale whose sign encodes endianness (negative = little-endian, the
     only kind written or accepted), then float32 rows bottom-to-top.
-    Invalid pixels are stored as NaN.
+    A pixel without a value is stored as NaN.
 
 ``.ppm`` / ``.pgm``
     Binary P6/P5, maxval 255.  PFM and PPM share one header rule: a
@@ -241,13 +241,11 @@ def read_pfm(path) -> np.ndarray:
     return rows[::-1].copy()  # stored bottom-to-top
 
 
-def write_pfm(path, data: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """Write a float map; masked-out pixels become NaN."""
+def write_pfm(path, data: np.ndarray) -> None:
+    """Write a float map as little-endian float32; NaN pixels stay NaN."""
     arr = np.asarray(data, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError(f"PFM data must be 2-d, got shape {arr.shape}")
-    if mask is not None:
-        arr = np.where(np.asarray(mask, dtype=bool), arr, np.float32(np.nan))
     height, width = arr.shape
     header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
     Path(path).write_bytes(header + arr[::-1].tobytes())

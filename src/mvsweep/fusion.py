@@ -5,14 +5,15 @@ between a reference pixel and one source view is scored by the round
 trip reproject -> source depth lookup -> reproject back: the spatial
 error ``xi_p`` (pixels) and relative depth error ``xi_d`` combine into
 ``c = exp(-(xi_p + lam * xi_d))``, a matching score in (0, 1] that is 0
-when the round trip is invalid.  Summing ``c`` over all source views
+when the round trip failed.  Summing ``c`` over all source views
 gives a per-pixel consistency total that is thresholded dynamically:
 many mediocre agreements or a few excellent ones both pass.  The
 classical baseline, counting views whose errors beat fixed thresholds,
 is provided for comparison.  Every score is computed over a whole list
 of reference pixels at once; the score of one pixel against one source
 is that pixel's entry of :func:`dynamic_consistency_map` with that
-source alone.
+source alone.  A filter drops a pixel by writing NaN to its depth, the
+same marker as a pixel that never had one.
 
 Fusion walks the views in order, back-projecting surviving pixels at a
 consistency-weighted average depth, and marks matched source pixels as
@@ -158,9 +159,9 @@ class PointCloud:
 
 
 def probability_filter(view: ViewEstimate, phi: float = FusionParams.phi) -> ViewEstimate:
-    """Mask out pixels whose estimator confidence is below ``phi``."""
-    kept = view.depth.mask & (view.confidence >= phi)
-    return replace(view, depth=DepthMap(view.depth.data, kept))
+    """Drop pixels whose estimator confidence is below ``phi``."""
+    kept = view.confidence >= phi
+    return replace(view, depth=DepthMap(np.where(kept, view.depth.data, np.nan)))
 
 
 def _reference_pixels(ref: ViewEstimate, active: np.ndarray):
@@ -175,28 +176,25 @@ def _round_trips(ref: ViewEstimate, src: ViewEstimate, pixels):
     """Round trip of the reference ``pixels`` through ``src``.
 
     ``pixels`` is the ``(px, py, depths)`` triple of
-    :func:`_reference_pixels`.  Returns ``(q, d2, xi_p, xi_d, valid)``:
-    the landing pixel in the source, the depth after the trip back, both
-    errors and the validity of the trip.  Failed trips have NaN ``d2``
-    and errors.
+    :func:`_reference_pixels`.  Returns ``(q, d2, xi_p, xi_d)``: the
+    landing pixel in the source, the depth after the trip back and both
+    errors.  Failed trips have NaN ``d2`` and errors.
     """
     px, py, depths = pixels
-    q, p2, d2, valid = reproject_chain_map(
-        ref.camera, src.camera, px, py, depths, src.depth)
+    q, p2, d2 = reproject_chain_map(ref.camera, src.camera, px, py, depths, src.depth)
     with np.errstate(invalid="ignore"):
         xi_p, xi_d = reprojection_errors_map(px, py, p2, depths, d2)
-    return q, d2, xi_p, xi_d, valid
+    return q, d2, xi_p, xi_d
 
 
-def _scores(xi_p: np.ndarray, xi_d: np.ndarray, valid: np.ndarray,
-            lam: float) -> np.ndarray:
+def _scores(xi_p: np.ndarray, xi_d: np.ndarray, lam: float) -> np.ndarray:
     """Matching scores ``exp(-(xi_p + lam * xi_d))`` of the trips, 0 where
-    ``valid`` is False; the scores overwrite ``xi_d``."""
+    an error is NaN (a failed trip); the scores overwrite ``xi_d``."""
     c = np.multiply(lam, xi_d, out=xi_d)
     c += xi_p
     np.negative(c, out=c)
     np.exp(c, out=c)
-    c[~valid] = 0.0
+    c[np.isnan(c)] = 0.0
     return c
 
 
@@ -204,14 +202,14 @@ def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
                             lam: float = FusionParams.lam) -> np.ndarray:
     """Total matching score of each reference pixel over all sources.
 
-    The reference itself never appears in the sum; invalid pixels and
+    The reference itself never appears in the sum; NaN pixels and
     failed round trips contribute 0.
     """
     ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
     total = np.zeros(len(xs), dtype=np.float64)
     for src in srcs:
-        _, _, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
-        total += _scores(xi_p, xi_d, valid, lam)
+        _, _, xi_p, xi_d = _round_trips(ref, src, pixels)
+        total += _scores(xi_p, xi_d, lam)
     out = np.zeros(ref.depth.data.shape, dtype=np.float64)
     out[ys, xs] = total
     return out
@@ -228,9 +226,9 @@ def dynamic_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     pixels should not vouch for anyone.
     """
     filtered = probability_filter(ref, params.phi)
-    total = dynamic_consistency_map(filtered, srcs, params.lam)
-    kept = filtered.depth.mask & (total >= params.tau)
-    return replace(ref, depth=DepthMap(ref.depth.data, kept))
+    kept = dynamic_consistency_map(filtered, srcs, params.lam) >= params.tau
+    # A NaN pixel totals 0, so it is kept at tau = 0, and stays NaN.
+    return replace(filtered, depth=DepthMap(np.where(kept, filtered.depth.data, np.nan)))
 
 
 def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -244,19 +242,20 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
     support = np.zeros(len(xs), dtype=np.int64)
     for src in srcs:
-        _, _, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
-        support += valid & (xi_p < params.tau1) & (xi_d < params.tau2)
+        _, _, xi_p, xi_d = _round_trips(ref, src, pixels)
+        # A failed trip's errors are NaN, which no threshold accepts.
+        support += (xi_p < params.tau1) & (xi_d < params.tau2)
     kept = np.zeros(ref.depth.data.shape, dtype=bool)
     kept[ys, xs] = support >= params.min_views
-    return replace(ref, depth=DepthMap(ref.depth.data, kept))
+    return replace(ref, depth=DepthMap(np.where(kept, ref.depth.data, np.nan)))
 
 
 def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.lam,
                      ) -> PointCloud:
     """Merge filtered views into a single deduplicated point cloud.
 
-    Views are processed in order.  Each still-unconsumed valid pixel of
-    the current reference becomes one point at the consistency-weighted
+    Views are processed in order.  Each still-unconsumed non-NaN pixel
+    of the current reference becomes one point at the consistency-weighted
     average of its own depth (weight 1) and the reprojected depths of
     matching sources (weight ``c``, counted only when ``c`` exceeds
     ``exp(-3)``); the matched source pixels are marked consumed so later
@@ -279,8 +278,8 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.la
         for j, src in enumerate(views):
             if j == i:
                 continue
-            q, d2, xi_p, xi_d, valid = _round_trips(ref, src, pixels)
-            c = _scores(xi_p, xi_d, valid, lam)
+            q, d2, xi_p, xi_d = _round_trips(ref, src, pixels)
+            c = _scores(xi_p, xi_d, lam)
             # Failed trips score 0, below the floor.
             hit = np.flatnonzero(c > MATCH_SCORE_FLOOR)
             if hit.size:

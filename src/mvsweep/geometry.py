@@ -16,12 +16,15 @@ Conventions used throughout the package:
   ``b = p_src - A @ p_ref``.  The plane-sweep warp (:func:`warp_grid`)
   and both legs of the consistency round trip
   (:func:`reproject_chain_map`) share it.
+* NaN is the one marker of a missing value: coordinates behind a
+  camera, a lookup without a stored depth and a failed round trip all
+  read NaN.
 
 Every function takes whole arrays of pixels, depths or points; a single
 query is a one-element array.  :func:`reproject_chain_map` looks up
 stored depth through any sampler object exposing
 ``depth_grid(xs, ys) -> ndarray`` that returns a new array, NaN for
-out-of-bounds or invalid queries, which it overwrites in place.
+out-of-bounds or missing depths, which it overwrites in place.
 :class:`mvsweep.depthmap.DepthMap` implements the nearest-pixel lookup
 used by the fusion pipeline; analytic samplers can be substituted when
 exact surface depth is available.
@@ -160,19 +163,19 @@ def _pair_map(ref: Camera, src: Camera, xs, ys, depths):
 def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     """Round trip of reference pixels through a source view's depth and back.
 
-    Returns ``(q (..., 2), pixels' (..., 2), depths' (...), valid (...))``
-    where ``q`` is where each reference pixel lands in the source view
-    (NaN when behind the source camera); ``pixels'`` and ``depths'`` are
-    NaN where ``valid`` is False.
+    Returns ``(q (..., 2), pixels' (..., 2), depths' (...))`` where
+    ``q`` is where each reference pixel lands in the source view (NaN
+    when behind the source camera); ``pixels'`` and ``depths'`` are NaN
+    where the trip failed, which is the only record of a failure.
 
     Both legs are the closed-form pair transform that :func:`warp_grid`
     sweeps with, ``w = d * A @ (x, y, 1) + b``: out with ``(ref, src)``
     applied to ``(x, y, depth)``, back with the roles swapped applied to
     ``(q, d_src)``.  The source depth comes from one
     ``src_depth.depth_grid`` call over every pixel; queries that landed
-    behind the source ask at ``(-1, -1)``, outside every image.  A pixel
-    stays valid only while each step succeeds (in front of the source,
-    a positive finite lookup, in front of the reference again); the
+    behind the source ask at ``(-1, -1)``, outside every image.  A trip
+    succeeds only while each step does (in front of the source, a
+    positive finite lookup, in front of the reference again); the
     lookup of a failed trip is replaced by 1 before the trip back, and
     its outputs are filled with NaN in place.
     """
@@ -191,7 +194,7 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     failed = ~valid
     p2[failed] = np.nan
     d2[failed] = np.nan
-    return q, p2, d2, valid
+    return q, p2, d2
 
 
 def reprojection_errors_map(px, py, p2, depths, depths2):

@@ -55,11 +55,11 @@ def hypotheses(d_min, d_max, count, mode="uniform"):
 
 def nearest_depth(dm, x, y):
     """Depth of the pixel nearest ``(x, y)`` (ties round up), NaN outside
-    ``[0, w - 1] x [0, h - 1]`` or on a masked pixel of the ``DepthMap``."""
+    ``[0, w - 1] x [0, h - 1]`` or on a NaN pixel of the ``DepthMap``."""
     height, width = dm.data.shape
     if 0.0 <= x <= width - 1.0 and 0.0 <= y <= height - 1.0:
         ix, iy = math.floor(x + 0.5), math.floor(y + 0.5)
-        if dm.mask[iy, ix]:
+        if math.isfinite(dm.data[iy, ix]):
             return float(dm.data[iy, ix])
     return math.nan
 
@@ -259,15 +259,16 @@ def _reprojection_chain():
     # On the surface the trip closes.
     px, py = np.array([15.0]), np.array([11.0])
     depth = own.depth_grid(px, py)
-    _, p2, d2, valid = geometry.reproject_chain_map(ref, src, px, py, depth, sampler)
-    _check(valid[0])
+    _, p2, d2 = geometry.reproject_chain_map(ref, src, px, py, depth, sampler)
+    _check(np.isfinite(d2[0]))
     xi_p, xi_d = geometry.reprojection_errors_map(px, py, p2, depth, d2)
     _check(xi_p[0] < 1e-9 and xi_d[0] < 1e-12)
     # Off the surface it does not: the map against the trip per pixel.
     ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
     depths = own.depth_grid(xs, ys) * np.random.default_rng(6).uniform(0.8, 1.25, xs.shape)
-    _, p2, d2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, sampler)
+    _, p2, d2 = geometry.reproject_chain_map(ref, src, xs, ys, depths, sampler)
     xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, p2, depths, d2)
+    valid = np.isfinite(d2)
     _check(valid.any() and not valid.all())
     for idx in np.ndindex(xs.shape):
         pixel = (xs[idx], ys[idx])
@@ -282,13 +283,15 @@ def _reprojection_chain():
 
 
 def _depth_lookup():
-    # A non-square map, so that swapped axes read the wrong pixel, queried
-    # on half-pixel ties, far edges and non-finite coordinates.
+    # A non-square map with NaN and ±inf holes, so that swapped axes read
+    # the wrong pixel, queried on half-pixel ties, far edges and
+    # non-finite coordinates.
     rng = np.random.default_rng(7)
     h, w = 5, 8
     data = rng.uniform(1.0, 9.0, (h, w))
-    mask = rng.random((h, w)) > 0.25
-    dm = DepthMap(data, mask)
+    data[rng.random((h, w)) <= 0.25] = np.nan
+    data[1, 2], data[3, 6] = np.inf, -np.inf
+    dm = DepthMap(data)
     xs = np.concatenate([rng.uniform(-1.0, w, 80),
                          [0.0, w - 1.0, 2.5, -0.0, w - 0.5, np.nan, np.inf]])
     ys = np.concatenate([rng.uniform(-1.0, h, 80),
@@ -297,7 +300,7 @@ def _depth_lookup():
     _check(np.array_equal(dm.depth_grid(xs, ys), want, equal_nan=True))
     # Every pixel center, as an (h, 1) column against a (w,) row.
     grid = dm.depth_grid(np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None])
-    _check(np.array_equal(grid, np.where(mask, data, np.nan), equal_nan=True))
+    _check(np.array_equal(grid, np.where(np.isfinite(data), data, np.nan), equal_nan=True))
 
 
 def _conv_oracle():
@@ -407,10 +410,9 @@ def _consistency_values():
     # The last trip failed: its errors are NaN and it scores 0.
     xi_p = np.array([1.0, 0.0, 0.3, np.nan])
     xi_d = np.array([0.01, 0.0, 0.002, np.nan])
-    valid = np.array([True, True, True, False])
     for lam in (200.0, 50.0):
         want = [math.exp(-(p + lam * d)) for p, d in zip(xi_p[:3], xi_d[:3])] + [0.0]
-        got = fusion._scores(xi_p.copy(), xi_d.copy(), valid, lam)
+        got = fusion._scores(xi_p.copy(), xi_d.copy(), lam)
         _check(np.max(np.abs(got - want)) < 1e-12)
 
 

@@ -280,7 +280,7 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
 
     Images are ``(height, width, 3)`` in [0, 1], shaded at the hit
     pixels only and 0 where the ray misses; depth maps carry the exact
-    ray-intersection depth with misses masked.  A view that sees
+    ray-intersection depth, NaN where the ray misses.  A view that sees
     no surface at all raises :class:`NoIntersectionError`.
     """
     out = []
@@ -293,8 +293,7 @@ def render_scene(scene: SceneSpec, cams: Sequence[Camera], width: int,
             raise NoIntersectionError(f"view {index} sees no surface")
         image = np.zeros((height, width, 3))
         image[hit] = _shade(origin + t[hit, None] * dirs[hit], scene)
-        depth = DepthMap(np.where(hit, t, np.nan), hit)
-        out.append((image, depth))
+        out.append((image, DepthMap(t)))
     return out
 
 
@@ -331,10 +330,10 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
                    seed: int = 0) -> DepthMap:
     """Corrupt a depth map with Gaussian noise and uniform outliers.
 
-    Exactly ``floor(outlier_frac * valid_count)`` valid pixels are
+    Exactly ``floor(outlier_frac * valid_count)`` pixels with a depth are
     replaced by uniform draws from ``outlier_range`` (default: the map's
-    own valid min/max).  Gaussian noise of standard deviation ``sigma``
-    is added to all valid pixels first.  The mask is unchanged.  Raises
+    own min/max).  Gaussian noise of standard deviation ``sigma`` is
+    added to every pixel with a depth first.  NaN pixels stay NaN.  Raises
     :class:`InvalidArgumentError` for a ``sigma`` that is negative or not
     finite, or an ``outlier_frac`` outside [0, 1], NaN included.
     """
@@ -345,10 +344,9 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
         raise InvalidArgumentError(f"outlier_frac must lie in [0, 1], got {outlier_frac}")
     rng = np.random.default_rng(seed)
     data = depth.data.copy()
-    mask = depth.mask.copy()
-    ys, xs = np.nonzero(mask)
+    ys, xs = np.nonzero(depth.mask)
     if len(ys) == 0:
-        return DepthMap(data, mask)
+        return DepthMap(data)
     if sigma > 0:
         data[ys, xs] += rng.normal(0.0, sigma, len(ys))
     n_out = int(np.floor(outlier_frac * len(ys)))
@@ -359,4 +357,4 @@ def perturb_depths(depth: DepthMap, sigma: float = 0.0,
         pick = rng.choice(len(ys), size=n_out, replace=False)
         data[ys[pick], xs[pick]] = rng.uniform(
             outlier_range[0], outlier_range[1], n_out)
-    return DepthMap(data, mask)
+    return DepthMap(data)

@@ -81,9 +81,9 @@ def test_criterion_1_geometry_oracle():
                 failures.append(f"pair ({i},{j}) has no co-visible pixels")
                 continue
             covisible_total += int(covis.sum())
-            _, p2, d2, valid = geometry.reproject_chain_map(
+            _, p2, d2 = geometry.reproject_chain_map(
                 cams[i], cams[j], xs, ys, depth_i, samplers[j])
-            if not valid[covis].all():
+            if not np.isfinite(d2[covis]).all():
                 failures.append(f"pair ({i},{j}) round trip lost pixels")
                 continue
             with np.errstate(invalid="ignore"):
@@ -118,7 +118,7 @@ def _constant_view(center_x: float, width=64, height=48,
     data = np.full((height, width), depth)
     return fusion.ViewEstimate(
         camera=_fronto_camera(center_x),
-        depth=DepthMap(data, np.ones((height, width), dtype=bool)),
+        depth=DepthMap(data),
         confidence=np.ones((height, width)),
     )
 
@@ -126,8 +126,7 @@ def _constant_view(center_x: float, width=64, height=48,
 def test_criterion_2_consistency_values():
     failures = []
 
-    score = float(fusion._scores(np.array([1.0]), np.array([0.01]), np.array([True]),
-                                 200.0)[0])
+    score = float(fusion._scores(np.array([1.0]), np.array([0.01]), 200.0)[0])
     if abs(score - math.exp(-3.0)) >= 1e-9:
         failures.append(f"c(1, 0.01) = {score!r}, expected e^-3")
 
@@ -284,7 +283,7 @@ def test_criterion_6_loss_and_gradient():
     samples = geometry.sample_hypotheses(space)
 
     uniform = np.full((4, 1, 1), 0.25)
-    gt_single = DepthMap(np.full((1, 1), samples[1]), np.ones((1, 1), dtype=bool))
+    gt_single = DepthMap(np.full((1, 1), samples[1]))
     loss = estimator.cross_entropy_loss(uniform, gt_single, space)
     if abs(loss - math.log(4.0)) >= 1e-9:
         failures.append(f"uniform loss {loss!r} != ln 4")
@@ -292,9 +291,9 @@ def test_criterion_6_loss_and_gradient():
     rng = np.random.default_rng(21)
     scores = rng.standard_normal((4, 3, 3))
     bins = rng.integers(0, 4, (3, 3))
-    mask = np.ones((3, 3), dtype=bool)
-    mask[2, 2] = False  # gradient must be zeroed where truth is missing
-    gt = DepthMap(samples[bins], mask)
+    depths = samples[bins]
+    depths[2, 2] = np.nan  # gradient must be zeroed where truth is missing
+    gt = DepthMap(depths)
 
     analytic = estimator.loss_gradient_logits(scores, gt, space)
     step = 1e-5

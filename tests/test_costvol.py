@@ -405,6 +405,14 @@ class TestBuildCostSlice:
         with pytest.raises(InvalidArgumentError):
             next(stream)
 
+    def test_source_without_a_camera_raises_before_the_first_slice(self):
+        cam = _cam(0.0)
+        feat = np.zeros((12, 16, 2))
+        stream = costvol.cost_volume_stream(
+            feat, [feat, feat], cam, [cam], geometry.HypothesisSpace(7.5, 8.5, 2))
+        with pytest.raises(InvalidArgumentError, match="2 source feature maps but 1 cameras"):
+            next(stream)
+
 
 # Six sources that each cover part of the reference at depth 10, so
 # that some pixels see no source; _BLIND sees none of it.

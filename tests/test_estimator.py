@@ -209,9 +209,8 @@ class TestCrossEntropyLoss:
     def test_masked_pixels_excluded(self):
         space = geometry.HypothesisSpace(1.0, 2.0, 4)
         prob = np.full((4, 1, 2), 0.25)
-        data = np.array([[1.5, 1.5]])
-        mask = np.array([[True, False]])
-        loss = estimator.cross_entropy_loss(prob, DepthMap(data, mask), space)
+        data = np.array([[1.5, np.nan]])
+        loss = estimator.cross_entropy_loss(prob, DepthMap(data), space)
         assert loss == pytest.approx(np.log(4.0))
 
     def test_empty_valid_set_raises(self):
@@ -240,9 +239,8 @@ class TestCrossEntropyLoss:
         rng = np.random.default_rng(7)
         space = geometry.HypothesisSpace(1.0, 2.0, 4)
         scores = rng.normal(size=(4, 2, 2))
-        data = np.full((2, 2), 1.5)
-        mask = np.array([[True, False], [False, True]])
-        grad = estimator.loss_gradient_logits(scores, DepthMap(data, mask), space)
+        data = np.array([[1.5, np.nan], [np.nan, 1.5]])
+        grad = estimator.loss_gradient_logits(scores, DepthMap(data), space)
         np.testing.assert_array_equal(grad[:, 0, 1], 0.0)
         np.testing.assert_array_equal(grad[:, 1, 0], 0.0)
         assert np.abs(grad[:, 0, 0]).sum() > 0.0

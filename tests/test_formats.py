@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvsweep import formats, geometry
+from mvsweep.depthmap import DepthMap
 from mvsweep.errors import (
     BigEndianUnsupportedError,
     NonRigidRotationWarning,
@@ -208,13 +209,13 @@ class TestPfm:
         np.testing.assert_array_equal(formats.read_pfm(path), data)
 
     def test_mask_becomes_nan(self, tmp_path):
+        # A depth map's holes, NaN or +-inf on input, round trip as NaN.
         data = np.ones((3, 4))
-        mask = np.ones((3, 4), dtype=bool)
-        mask[1, 2] = False
+        data[1, 2], data[0, 3], data[2, 0] = np.nan, np.inf, -np.inf
         path = tmp_path / "d.pfm"
-        formats.write_pfm(path, data, mask)
+        formats.write_pfm(path, DepthMap(data).data)
         back = formats.read_pfm(path)
-        assert np.isnan(back[1, 2])
+        np.testing.assert_array_equal(np.isnan(back), ~np.isfinite(data))
         assert back[0, 0] == 1.0
 
     def test_byte_layout(self, tmp_path):

@@ -43,20 +43,28 @@ def _pairwise_score(ref, src, pixel, lam):
 
 def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
           mask=None, image=None) -> fusion.ViewEstimate:
+    """A constant-depth view, NaN where ``mask`` is given and False."""
     data = np.full((H, W), depth_value)
+    if mask is not None:
+        data[~mask] = np.nan
     return fusion.ViewEstimate(
         camera=_cam(center_x),
-        depth=DepthMap(data, mask),
+        depth=DepthMap(data),
         confidence=np.full((H, W), conf),
         image=image,
     )
 
 
-def _scores(xi_p, xi_d, lam=200.0, valid=None):
-    """``fusion._scores`` of trips given as lists, valid unless ``valid`` says."""
-    xi_p, xi_d = np.array(xi_p, dtype=float), np.array(xi_d, dtype=float)
-    valid = np.ones(xi_p.shape, dtype=bool) if valid is None else np.array(valid)
-    return fusion._scores(xi_p, xi_d, valid, lam)
+def _assert_drops(out, view, kept):
+    """``out``'s depth is NaN exactly off ``kept`` and ``view``'s bit for
+    bit on it."""
+    np.testing.assert_array_equal(np.isnan(out.depth.data), ~kept)
+    assert out.depth.data[kept].tobytes() == view.depth.data[kept].tobytes()
+
+
+def _scores(xi_p, xi_d, lam=200.0):
+    """``fusion._scores`` of trips given as lists."""
+    return fusion._scores(np.array(xi_p, dtype=float), np.array(xi_d, dtype=float), lam)
 
 
 class TestConsistencyFromErrors:
@@ -75,7 +83,7 @@ class TestConsistencyFromErrors:
 
     def test_broadcasts(self):
         # Each trip scores on its own; a failed trip has NaN errors and scores 0.
-        out = _scores([0.0, 1.0, np.nan], [0.0, 0.0, np.nan], valid=[True, True, False])
+        out = _scores([0.0, 1.0, np.nan], [0.0, 0.0, np.nan])
         np.testing.assert_allclose(out, [1.0, np.exp(-1.0), 0.0], atol=1e-12)
 
 
@@ -131,7 +139,6 @@ class TestProbabilityFilter:
         out = fusion.probability_filter(view, phi=0.4)
         assert out.depth.mask[10, 10]
         assert not out.depth.mask[10, 11]
-        np.testing.assert_array_equal(out.depth.data, view.depth.data)
 
     def test_respects_existing_mask(self):
         mask = np.ones((H, W), dtype=bool)
@@ -139,6 +146,15 @@ class TestProbabilityFilter:
         view = _view(0.0, mask=mask)
         out = fusion.probability_filter(view, phi=0.0)
         assert not out.depth.mask[0, 0]
+
+    def test_dropped_pixels_are_nan(self):
+        rng = np.random.default_rng(4)
+        mask = rng.random((H, W)) < 0.9
+        view = _view(0.0, mask=mask)
+        view.depth.data[mask] = rng.uniform(100.0, 900.0, mask.sum())
+        view.confidence[:] = rng.random((H, W))
+        out = fusion.probability_filter(view, phi=0.4)
+        _assert_drops(out, view, mask & (view.confidence >= 0.4))
 
 
 class TestPairwiseConsistency:
@@ -176,7 +192,7 @@ class TestPairwiseConsistency:
 
 
 class TestPairwiseConsistencyBounds:
-    """Masked and non-positive reference depths score 0 instead of raising.
+    """NaN and non-positive reference depths score 0 instead of raising.
 
     Two ring cameras 32x24 look at a plane that every pixel of both sees.
     """
@@ -193,10 +209,9 @@ class TestPairwiseConsistencyBounds:
     def test_masked_pixel_is_zero(self, pair):
         ref, src = pair
         assert ref.depth.mask.all()
-        mask = ref.depth.mask.copy()
-        mask[11, 15] = False
-        ref = fusion.ViewEstimate(ref.camera, DepthMap(ref.depth.data, mask),
-                                  ref.confidence)
+        data = ref.depth.data.copy()
+        data[11, 15] = np.nan
+        ref = fusion.ViewEstimate(ref.camera, DepthMap(data), ref.confidence)
         total = fusion.dynamic_consistency_map(ref, [src])
         assert total[11, 15] == 0.0
         # Its neighbours still score.
@@ -207,9 +222,7 @@ class TestPairwiseConsistencyBounds:
         ref, src = pair
         data = ref.depth.data.copy()
         data[11, 15] = depth
-        ref = fusion.ViewEstimate(
-            ref.camera, DepthMap(data, np.ones(data.shape, dtype=bool)),
-            ref.confidence)
+        ref = fusion.ViewEstimate(ref.camera, DepthMap(data), ref.confidence)
         assert fusion.dynamic_consistency_map(ref, [src])[11, 15] == 0.0
 
 
@@ -251,9 +264,15 @@ class TestDynamicConsistency:
         assert out.depth.mask[24, 33]
 
     def test_data_is_preserved(self):
+        # Column x = 0 walks off the one source and one pixel fails the
+        # confidence gate; both are dropped to NaN, and every other pixel
+        # keeps its depth bit for bit.
         ref = _view(0.0)
+        ref.confidence[24, 32] = 0.1
         out = fusion.dynamic_filter(ref, [_view(8.0)], fusion.FusionParams(tau=0.5))
-        np.testing.assert_array_equal(out.depth.data, ref.depth.data)
+        kept = np.ones((H, W), dtype=bool)
+        kept[:, 0] = kept[24, 32] = False
+        _assert_drops(out, ref, kept)
 
 
 class TestFixedThresholdFilter:
@@ -352,10 +371,10 @@ class TestSparsePathOracle:
     oracles on real geometry.
 
     Three ring cameras look at a sphere, so every pair is rotated.  The
-    stored depths carry noise and outliers, and the reference mask also
-    drops a random 30% of the pixels the sphere covers, so the filters'
-    masked pixel list and its scatter back into the image are exercised
-    on scores that are neither 0 nor 1.
+    stored depths carry noise and outliers, and the reference also sets a
+    random 30% of the pixels the sphere covers to NaN, so the filters'
+    pixel list and its scatter back into the image are exercised on
+    scores that are neither 0 nor 1.
     """
 
     @pytest.fixture(scope="class")
@@ -372,7 +391,7 @@ class TestSparsePathOracle:
         keep = np.random.default_rng(5).random((30, 40)) < 0.7
         ref = views[0]
         ref = fusion.ViewEstimate(
-            ref.camera, DepthMap(ref.depth.data, ref.depth.mask & keep), ref.confidence)
+            ref.camera, DepthMap(np.where(keep, ref.depth.data, np.nan)), ref.confidence)
         return ref, views[1:]
 
     def test_dynamic_map_is_sum_of_pairwise_scores(self, scene):
@@ -394,7 +413,8 @@ class TestSparsePathOracle:
     def test_fixed_filter_support_matches_scalar(self, scene, min_views):
         ref, srcs = scene
         params = fusion.FusionParams(tau1=1.0, tau2=0.01, min_views=min_views)
-        kept = fusion.fixed_threshold_filter(ref, srcs, params).depth.mask
+        out = fusion.fixed_threshold_filter(ref, srcs, params)
+        kept = out.depth.mask
         want = np.zeros_like(kept)
         for y, x in zip(*np.nonzero(ref.depth.mask)):
             trips = [_trip_errors(ref, src, (x, y), ref.depth.data[y, x]) for src in srcs]
@@ -403,6 +423,7 @@ class TestSparsePathOracle:
             want[y, x] = support >= min_views
         np.testing.assert_array_equal(kept, want)
         assert 0 < kept.sum() < ref.depth.mask.sum()
+        _assert_drops(out, ref, want)
 
 
 # Reference round trip in its plain form: a 2-d fancy gather per depth
@@ -512,8 +533,8 @@ class TestRoundTripBitIdentity:
     Five ring cameras sit wider apart (radius 700) than they stand off the
     sphere (600), so a ray's far outliers pass behind the opposite
     cameras.  Depths carry noise and outliers from near the cameras to far
-    beyond the sphere, every view masks a random fifth of its pixels, and
-    many trips leave the source image.
+    beyond the sphere, every view sets a random fifth of its pixels to
+    NaN, and many trips leave the source image.
     """
 
     @pytest.fixture(scope="class")
@@ -528,8 +549,8 @@ class TestRoundTripBitIdentity:
         for i, (cam, (image, depth)) in enumerate(zip(cams, rendered)):
             noisy = synth.perturb_depths(depth, sigma=0.5, outlier_frac=0.2,
                                          outlier_range=(5.0, 20000.0), seed=i)
-            mask = noisy.mask & (rng.random(noisy.data.shape) < 0.8)
-            views.append(fusion.ViewEstimate(cam, DepthMap(noisy.data, mask),
+            keep = rng.random(noisy.data.shape) < 0.8
+            views.append(fusion.ViewEstimate(cam, DepthMap(np.where(keep, noisy.data, np.nan)),
                                              np.ones(noisy.data.shape), image))
         return views
 

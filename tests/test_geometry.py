@@ -216,40 +216,37 @@ class TestReproject:
         return ref, src
 
     def _trip(self, x, src_depth):
-        """``(pixel', depth', valid)`` of reference pixel ``(x, 24)`` at depth 512."""
+        """``(pixel', depth')`` of reference pixel ``(x, 24)`` at depth 512."""
         ref, src = self._pair()
-        _, p2, d2, valid = geometry.reproject_chain_map(
+        _, p2, d2 = geometry.reproject_chain_map(
             ref, src, np.array([x]), np.array([24.0]), np.array([512.0]), src_depth)
-        return p2[0], d2[0], valid[0]
+        return p2[0], d2[0]
 
     def test_perfect_agreement_zero_error(self):
         # Constant-depth plane seen by both cameras: pixel (x, y) at depth
         # 512 lands at (x - f*b/d, y) = (x - 1, y); the source stores 512
         # there, so the return trip is exact.
-        pixel2, depth2, valid = self._trip(32.0, DepthMap(np.full((48, 64), 512.0)))
-        assert valid
+        pixel2, depth2 = self._trip(32.0, DepthMap(np.full((48, 64), 512.0)))
         np.testing.assert_allclose(pixel2, [32.0, 24.0], atol=1e-9)
         assert depth2 == pytest.approx(512.0, rel=1e-12)
 
     def test_landing_out_of_bounds_returns_none(self):
         # Pixel x = 0 lands at x' = -1, outside the source image: the trip
-        # is invalid and its outputs are NaN.
-        pixel2, depth2, valid = self._trip(0.0, DepthMap(np.full((48, 64), 512.0)))
-        assert not valid and np.isnan(pixel2).all() and np.isnan(depth2)
+        # fails and its outputs are NaN.
+        pixel2, depth2 = self._trip(0.0, DepthMap(np.full((48, 64), 512.0)))
+        assert np.isnan(pixel2).all() and np.isnan(depth2)
 
     def test_masked_landing_returns_none(self):
         data = np.full((48, 64), 512.0)
-        mask = np.ones((48, 64), dtype=bool)
-        mask[24, 31] = False  # where pixel (32, 24) lands
-        pixel2, depth2, valid = self._trip(32.0, DepthMap(data, mask))
-        assert not valid and np.isnan(pixel2).all() and np.isnan(depth2)
+        data[24, 31] = np.nan  # where pixel (32, 24) lands
+        pixel2, depth2 = self._trip(32.0, DepthMap(data))
+        assert np.isnan(pixel2).all() and np.isnan(depth2)
 
     def test_depth_disagreement_changes_depth(self):
         # Source claims 640 where the hypothesis said 512; the return trip
         # reports the source's geometry: depth' = 640 under pure
         # translation (depth is preserved across x-shifts).
-        _, depth2, valid = self._trip(32.0, DepthMap(np.full((48, 64), 640.0)))
-        assert valid
+        _, depth2 = self._trip(32.0, DepthMap(np.full((48, 64), 640.0)))
         assert depth2 == pytest.approx(640.0, rel=1e-12)
 
     def test_map_matches_scalar(self):
@@ -258,17 +255,15 @@ class TestReproject:
         src_depth = DepthMap(rng.uniform(400.0, 600.0, size=(48, 64)))
         xs, ys = np.meshgrid(np.arange(10.0, 20.0), np.arange(5.0, 15.0))
         depths = rng.uniform(450.0, 550.0, size=xs.shape)
-        _, p2, d2, valid = geometry.reproject_chain_map(
-            ref, src, xs, ys, depths, src_depth)
+        _, p2, d2 = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
         for i in range(xs.shape[0]):
             for j in range(xs.shape[1]):
                 pixel = [xs[i, j], ys[i, j]]
                 want = oracles.reproject(ref, src, pixel, depths[i, j],
                                          partial(oracles.nearest_depth, src_depth))
                 if want is None:
-                    assert not valid[i, j]
+                    assert np.isnan(d2[i, j]) and np.isnan(p2[i, j]).all()
                 else:
-                    assert valid[i, j]
                     np.testing.assert_allclose(p2[i, j], want[0], atol=1e-9)
                     assert d2[i, j] == pytest.approx(want[1], rel=1e-12)
 
@@ -277,11 +272,12 @@ class TestReproject:
         ref, src = _rotated_pair(angle, shift)
         rng = np.random.default_rng(int(angle * 100))
         data = rng.uniform(3.0, 30.0, size=(48, 64))
-        mask = rng.random((48, 64)) > 0.2
-        src_depth = DepthMap(data, mask)
+        data[rng.random((48, 64)) <= 0.2] = np.nan
+        src_depth = DepthMap(data)
         ys, xs = np.mgrid[0:48, 0:64].astype(float)
         depths = rng.uniform(4.0, 25.0, size=xs.shape)
-        q, p2, d2, valid = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
+        q, p2, d2 = geometry.reproject_chain_map(ref, src, xs, ys, depths, src_depth)
+        valid = ~np.isnan(d2)
         # The chain composed per pixel: lift, project, look up, and back.
         want_q, want_p2 = np.full(q.shape, np.nan), np.full(p2.shape, np.nan)
         want_d2 = np.full(d2.shape, np.nan)
@@ -301,7 +297,7 @@ class TestReproject:
         np.testing.assert_allclose(p2, want_p2, rtol=1e-12, atol=1e-9)
         np.testing.assert_allclose(d2, want_d2, rtol=1e-12, atol=0.0)
         # The pairs reach every branch: behind the source, out of bounds,
-        # masked in the source, and valid.
+        # NaN in the source, and a trip that closes.
         in_front = ~np.isnan(q[..., 0])
         inside = (in_front & (q[..., 0] >= 0.0) & (q[..., 0] <= 63.0)
                   & (q[..., 1] >= 0.0) & (q[..., 1] <= 47.0))
@@ -315,8 +311,8 @@ class TestReproject:
         xs = np.array([[32.0]])
         ys = np.array([[24.0]])
         ds = np.array([[512.0]])
-        q, _, _, valid = geometry.reproject_chain_map(ref, src, xs, ys, ds, src_depth)
-        assert valid[0, 0]
+        q, _, d2 = geometry.reproject_chain_map(ref, src, xs, ys, ds, src_depth)
+        assert np.isfinite(d2[0, 0])
         np.testing.assert_allclose(q[0, 0], [31.0, 24.0], atol=1e-9)
 
 
@@ -473,19 +469,21 @@ class TestWarpGrid:
 
 
 class TestDepthMap:
-    """Nearest-pixel depth lookup with mask and bounds handling."""
+    """Nearest-pixel depth lookup with NaN holes and bounds handling."""
 
     def test_requires_2d_float(self):
         with pytest.raises(ValueError):
             DepthMap(np.zeros(5))
-        with pytest.raises(ValueError):
-            DepthMap(np.zeros((4, 4)), mask=np.ones((3, 4), dtype=bool))
 
     def test_default_mask_from_finiteness(self):
-        data = np.array([[1.0, np.nan], [np.inf, 4.0]])
+        # NaN, +inf and -inf are all stored as NaN, the one hole marker.
+        data = np.array([[1.0, np.nan, -np.inf], [np.inf, 4.0, -2.0]])
         dm = DepthMap(data)
-        assert dm.valid_count == 2
-        np.testing.assert_array_equal(dm.depth_grid([1.0, 1.0], [0.0, 1.0]), [np.nan, 4.0])
+        assert dm.valid_count == 3
+        np.testing.assert_array_equal(dm.mask, [[True, False, False], [False, True, True]])
+        np.testing.assert_array_equal(dm.data, [[1.0, np.nan, np.nan], [np.nan, 4.0, -2.0]])
+        got = dm.depth_grid([1.0, 2.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(got, [np.nan, np.nan, np.nan, 4.0, -2.0])
 
     def test_nearest_rounding(self):
         data = np.arange(12.0).reshape(3, 4)
@@ -509,8 +507,8 @@ class TestDepthMap:
         w = data.draw(st.integers(1, 6), label="width")
         values = data.draw(arrays(np.float64, (h, w), elements=st.floats(-1e3, 1e3)),
                            label="depths")
-        mask = data.draw(arrays(bool, (h, w)), label="mask")
-        dm = DepthMap(values, mask)
+        holes = data.draw(arrays(bool, (h, w)), label="holes")
+        dm = DepthMap(np.where(holes, np.nan, values))
 
         def coords(size):
             special = st.sampled_from([
@@ -538,8 +536,8 @@ class TestDepthMap:
     def test_depth_grid_matches_scalar(self):
         rng = np.random.default_rng(3)
         data = rng.uniform(1.0, 9.0, size=(6, 7))
-        mask = rng.uniform(size=(6, 7)) > 0.3
-        dm = DepthMap(data, mask)
+        data[rng.uniform(size=(6, 7)) <= 0.3] = np.nan
+        dm = DepthMap(data)
         xs = rng.uniform(-1.0, 8.0, size=20)
         ys = rng.uniform(-1.0, 7.0, size=20)
         grid = dm.depth_grid(xs, ys)

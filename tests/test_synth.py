@@ -419,14 +419,11 @@ class TestPerturbDepths:
     def test_masked_pixels_untouched(self):
         from mvsweep.depthmap import DepthMap
 
+        # NaN pixels stay NaN, and every other pixel keeps a depth.
         data = np.full((10, 10), 500.0)
-        mask = np.zeros((10, 10), dtype=bool)
-        mask[:5] = True
-        out = synth.perturb_depths(
-            DepthMap(data, mask), sigma=2.0, outlier_frac=0.3, seed=1
-        )
-        np.testing.assert_array_equal(out.data[5:], 500.0)
-        np.testing.assert_array_equal(out.mask, mask)
+        data[5:] = np.nan
+        out = synth.perturb_depths(DepthMap(data), sigma=2.0, outlier_frac=0.3, seed=1)
+        assert np.isnan(out.data[5:]).all() and np.isfinite(out.data[:5]).all()
 
     @pytest.mark.parametrize("kwargs", [
         {"sigma": -1.0},
