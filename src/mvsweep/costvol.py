@@ -26,6 +26,13 @@ range starts there.  A stream needs at least one source view.  It keeps
 its running sums in one buffer from slice to slice and writes each
 slice's cost into the last source's sample buffer, so that a slice
 allocates no array beyond its samples (and its small view count).
+
+A stream may cover a band of the reference's rows instead of all of
+them.  Every step above is per pixel, and the sources are still sampled
+from their full maps, so a band's slices equal those rows of the
+whole-image slices bit for bit; only the warp, the samples and the sums
+shrink to the band.  ``depth`` sweeps the passthrough cost band by band
+to bound its working set by a pixel count instead of the image area.
 """
 
 from __future__ import annotations
@@ -118,15 +125,16 @@ def bilinear_sample(values: np.ndarray, coords: np.ndarray):
     return sampled.reshape(*shape, channels), valid.reshape(shape)
 
 
-def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, sums) -> CostSlice:
+def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, sums, first_row) -> CostSlice:
     """Variance cost of one depth hypothesis across all views.
 
-    The variance at a pixel runs over the reference value plus every
-    source whose warped sample is valid there; the divisor is that
-    per-pixel view count (population variance).  The running sums live
-    in ``sums``, a caller-owned ``(2, height, width, channels)`` buffer
-    that a stream reuses from slice to slice.  The returned cost takes
-    over the last source's sample buffer."""
+    ``ref`` is the band of reference features that starts at row
+    ``first_row``.  The variance at a pixel runs over the reference
+    value plus every source whose warped sample is valid there; the
+    divisor is that per-pixel view count (population variance).  The
+    running sums live in ``sums``, a caller-owned ``(2, rows, width,
+    channels)`` buffer that a stream reuses from slice to slice.  The
+    returned cost takes over the last source's sample buffer."""
     height, width, channels = ref.shape
     # Variance is shift-invariant, so accumulate s - ref: the reference
     # contributes exactly zero to S1 = sum(s - ref) and S2 = sum((s - ref)^2),
@@ -140,7 +148,7 @@ def _sweep_slice(ref, src_feats, ref_cam, src_cams, depth, sums) -> CostSlice:
         # previous sample's chunk instead of faulting in fresh pages.
         del sampled
         # Landings behind the source are NaN, so the sampler rejects them.
-        coords = warp_grid(ref_cam, cam, depth, width, height)
+        coords = warp_grid(ref_cam, cam, depth, width, height, first_row)
         sampled, ok = bilinear_sample(feat, coords)
         del coords
         count += ok
@@ -172,12 +180,20 @@ def cost_volume_stream(
     ref_cam: Camera,
     src_cams: Sequence[Camera],
     space: HypothesisSpace,
+    rows: tuple[int, int] | None = None,
 ) -> Iterator[CostSlice]:
     """Yield cost slices for every hypothesis in increasing depth order.
 
     All feature maps must share the reference's spatial size and channel
     count, and each source map needs one camera; a mismatch or an empty
     source list raises before any slice.
+
+    ``rows`` is the half-open range ``(first, stop)`` of reference rows
+    that the slices cover, all of them by default.  The maps are passed
+    whole either way: the size checks compare full maps, and sources are
+    sampled over their full extent.  A range that is empty or reaches
+    outside the reference's rows raises before any slice.  The running
+    sums, samples and slices span the band alone.
 
     The sweep runs in float64, so float32 features (DRENet's) are cast
     once here rather than once per slice: a fresh 64x48x32 float64 map
@@ -198,6 +214,13 @@ def cost_volume_stream(
         if feat.shape != ref_feat.shape:
             raise SizeMismatchError(
                 f"source features {feat.shape} do not match reference {ref_feat.shape}")
-    sums = np.empty((2, *ref_feat.shape))
+    height = ref_feat.shape[0]
+    first, stop = (0, height) if rows is None else rows
+    if not 0 <= first < stop <= height:
+        raise InvalidArgumentError(
+            f"row range [{first}, {stop}) is empty or outside the reference's "
+            f"{height} rows")
+    band = ref_feat[first:stop]
+    sums = np.empty((2, *band.shape))
     for depth in sample_hypotheses(space):
-        yield _sweep_slice(ref_feat, src_feats, ref_cam, src_cams, depth, sums)
+        yield _sweep_slice(band, src_feats, ref_cam, src_cams, depth, sums, first)

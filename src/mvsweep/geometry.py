@@ -254,14 +254,18 @@ def sample_hypotheses(space: HypothesisSpace) -> np.ndarray:
     return depths
 
 
-def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
-    """Source-view coordinates of every reference pixel swept to ``depth``.
+def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int,
+              first_row: int = 0):
+    """Source-view coordinates of reference pixels swept to ``depth``.
 
     Fronto-parallel plane sweep: each reference pixel is lifted to the
-    constant-depth plane and projected into the source view.  Returns
-    ``coords (height, width, 2)``.  Pixels that land behind the source
-    camera hold NaN coordinates, which every bounds test rejects; the
-    image bounds are tested by :func:`mvsweep.costvol.bilinear_sample`.
+    constant-depth plane and projected into the source view.  The pixels
+    are the ``height`` rows of ``width`` pixels from reference row
+    ``first_row`` on, so a band of rows warps exactly as those rows of
+    the whole image do.  Returns ``coords (height, width, 2)``.  Pixels
+    that land behind the source camera hold NaN coordinates, which every
+    bounds test rejects; the image bounds are tested by
+    :func:`mvsweep.costvol.bilinear_sample`.
 
     At one depth the pair transform ``w = d * A @ (x, y, 1) + b`` is
     separable: a ``(height, 3)`` row term plus a ``(width, 3)`` column
@@ -275,7 +279,7 @@ def warp_grid(ref: Camera, src: Camera, depth: float, width: int, height: int):
     if not depth > 0:
         raise BehindCameraError(f"cannot sweep non-positive depth {depth}")
     a, b = _pair_transform(ref, src)
-    rows = np.arange(height, dtype=np.float64)[:, None] * (depth * a[:, 1])
+    rows = np.arange(first_row, first_row + height, dtype=np.float64)[:, None] * (depth * a[:, 1])
     rows += depth * a[:, 2] + b
     cols = np.arange(width, dtype=np.float64)[:, None] * (depth * a[:, 0])
     (row_x, row_y, row_z), (col_x, col_y, col_z) = rows.T[:, :, None], cols.T

@@ -13,6 +13,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +378,137 @@ class TestDepth:
         assert err.startswith(f"error: {names[0].split('.')[0]}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def band_projs(tmp_path_factory):
+    """A plane and a sphere project of 4 views at 32x24."""
+    base = tmp_path_factory.mktemp("bands")
+    for scene in ("plane", "sphere"):
+        assert cli.main(["synth", "--out", str(base / scene), "--scene", scene,
+                         "--views", "4", "--size", "32x24", "--seed", "3"]) == 0
+    return base
+
+
+def _estimate(root: Path, out: Path, *extra: str) -> dict[str, bytes]:
+    assert cli.main(["depth", "--in", str(root), "--out", str(out),
+                     "--num-depths", "8", *extra]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.rglob("*.pfm"))}
+
+
+def _sweep_rows(monkeypatch) -> list[tuple[int, int]]:
+    """Record the row range of every cost stream that ``depth`` opens."""
+    stream = costvol.cost_volume_stream
+    rows = []
+
+    def recorded(*args):
+        rows.append(args[5])
+        return stream(*args)
+
+    monkeypatch.setattr(costvol, "cost_volume_stream", recorded)
+    return rows
+
+
+class TestBandedSweep:
+    """``depth`` sweeps the passthrough cost in bands of at most
+    ``BAND_PIXELS`` reference pixels and writes the one-band bits."""
+
+    # 24 rows of 32 pixels: one band; bands of 5 rows and a last of 4;
+    # of 7 rows and a last of 3; and of one row each.
+    @pytest.mark.parametrize("budget, step", [(32 * 24, 24), (5 * 32, 5), (7 * 32 + 31, 7),
+                                              (1, 1)])
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("scene", ["plane", "sphere"])
+    def test_bands_write_the_one_band_bits(self, band_projs, tmp_path, monkeypatch, scene,
+                                           jobs, budget, step):
+        root = band_projs / scene
+        monkeypatch.setenv("MVSWEEP_JOBS", "1")
+        monkeypatch.setattr(cli, "BAND_PIXELS", 10**9)
+        whole = _estimate(root, tmp_path / "whole")
+        monkeypatch.setenv("MVSWEEP_JOBS", jobs)
+        monkeypatch.setattr(cli, "BAND_PIXELS", budget)
+        rows = _sweep_rows(monkeypatch)
+        banded = _estimate(root, tmp_path / "banded")
+        assert len(whole) == 8
+        assert banded == whole
+        bands = [(first, min(first + step, 24)) for first in range(0, 24, step)]
+        assert sorted(rows) == sorted(bands * 4)
+
+    def test_hulstm_sweeps_the_whole_image(self, band_projs, tmp_path, monkeypatch):
+        monkeypatch.setenv("MVSWEEP_JOBS", "1")
+        monkeypatch.setattr(cli, "BAND_PIXELS", 1)
+        rows = _sweep_rows(monkeypatch)
+        _estimate(band_projs / "plane", tmp_path / "hulstm", "--features", "drenet",
+                  "--regularizer", "hulstm")
+        assert rows == [(0, 24)] * 4
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Neither ``depth`` nor ``synth`` holds a whole-image or all-view buffer
+    beyond its inputs and outputs."""
+
+    def test_passthrough_depth_grows_by_less_than_one_band(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MVSWEEP_JOBS", "1")
+        monkeypatch.setattr(cli, "BAND_PIXELS", 8192)
+        channels = 32
+        excess = {}
+        for height in (96, 384):
+            root = tmp_path / f"h{height}"
+            assert cli.main(["synth", "--out", str(root), "--views", "2",
+                             "--size", f"128x{height}"]) == 0
+            peak = _traced_peak(lambda: cli.main([
+                "depth", "--in", str(root), "--num-depths", "2"]))
+            # Both views' float64 features and images stay alive throughout.
+            inputs = 2 * 128 * height * (channels + 3) * 8
+            excess[height] = peak - inputs
+        # One band's running sums and one sample are 3 * 8192 * 32 * 8
+        # bytes.  A sweep whose buffers span the image grows by about
+        # 1 kB per added pixel here, 36 MB over the 36,864 added pixels.
+        band_bytes = 3 * cli.BAND_PIXELS * channels * 8
+        assert 0 < excess[384] - excess[96] < band_bytes
+
+    def test_synth_holds_one_rendered_image_at_a_time(self, tmp_path, monkeypatch):
+        render = synth.render_scene
+        images = []
+
+        def tracked(scene, cams, width, height):
+            assert len(cams) == 1
+            assert all(ref() is None for ref in images), "an earlier image is alive"
+            out = render(scene, cams, width, height)
+            images.extend(weakref.ref(image) for image, _ in out)
+            return out
+
+        monkeypatch.setattr(synth, "render_scene", tracked)
+        assert cli.main(["synth", "--out", str(tmp_path / "s"), "--views", "4",
+                         "--size", "16x12"]) == 0
+        assert len(images) == 4
+
+    def test_view_without_surface_is_named_by_its_index(self, tmp_path, monkeypatch, capsys):
+        ring = synth.make_camera_ring
+
+        def one_looks_away(spec):
+            cams = ring(spec)
+            # Turned half a revolution about its x axis, view 2 faces away.
+            flip = np.diag([1.0, -1.0, -1.0])
+            cams[2] = geometry.Camera(cams[2].intrinsic, flip @ cams[2].rotation,
+                                      flip @ cams[2].translation)
+            return cams
+
+        monkeypatch.setattr(synth, "make_camera_ring", one_looks_away)
+        code = cli.main(["synth", "--out", str(tmp_path / "s"), "--views", "4",
+                         "--size", "16x12"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: view 2 sees no surface\n"
 
 
 class TestFuse:

@@ -413,6 +413,25 @@ class TestBuildCostSlice:
         with pytest.raises(InvalidArgumentError, match="2 source feature maps but 1 cameras"):
             next(stream)
 
+    @pytest.mark.parametrize("rows", [(0, 0), (5, 5), (7, 3), (-1, 4), (0, 13), (12, 13)])
+    def test_row_range_empty_or_outside_raises_before_the_first_slice(self, rows):
+        cam = _cam(0.0)
+        feat = np.zeros((12, 16, 2))
+        stream = costvol.cost_volume_stream(
+            feat, [feat], cam, [cam], geometry.HypothesisSpace(7.5, 8.5, 2), rows)
+        with pytest.raises(InvalidArgumentError, match="row range"):
+            next(stream)
+
+    def test_row_range_keeps_the_full_map_size_check(self):
+        # A source as tall as the band but not as the reference is still
+        # a mismatch: the check compares whole maps.
+        cam = _cam(0.0)
+        stream = costvol.cost_volume_stream(
+            np.zeros((12, 16, 2)), [np.zeros((4, 16, 2))], cam, [cam],
+            geometry.HypothesisSpace(7.5, 8.5, 2), (0, 4))
+        with pytest.raises(SizeMismatchError):
+            next(stream)
+
 
 # Six sources that each cover part of the reference at depth 10, so
 # that some pixels see no source; _BLIND sees none of it.
@@ -485,6 +504,24 @@ class TestCostSliceOracle:
             cost, count = _zero_start_cost_slice(feats[0], feats[1:], _cam(0.0), cams, depth)
             assert sl.cost.tobytes() == cost.tobytes()
             assert np.array_equal(sl.valid_views, count)
+
+    @pytest.mark.parametrize("rows", [(0, 12), (0, 1), (3, 8), (11, 12)])
+    @pytest.mark.parametrize("sources", [1, 6])
+    def test_band_slices_are_those_rows_of_the_whole_slices(self, rows, sources):
+        # Sources are sampled from their full maps, so a band's landings
+        # may fall in any source row; every pixel's cost is its own.
+        feats = [features.photometric_features(img) for img in _images(sources + 1, 15)]
+        cams = ([_BLIND] + _SOURCES)[:sources]
+        space = geometry.HypothesisSpace(6.0, 40.0, 5)
+        whole = list(costvol.cost_volume_stream(feats[0], feats[1:], _cam(0.0), cams, space))
+        band = list(costvol.cost_volume_stream(
+            feats[0], feats[1:], _cam(0.0), cams, space, rows))
+        assert len(band) == len(whole) == 5
+        first, stop = rows
+        for got, want in zip(band, whole):
+            assert got.cost.shape == (stop - first, 16, feats[0].shape[2])
+            assert got.cost.tobytes() == want.cost[first:stop].tobytes()
+            assert np.array_equal(got.valid_views, want.valid_views[first:stop])
 
 
 def _peak_bytes(run) -> int:

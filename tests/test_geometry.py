@@ -456,6 +456,14 @@ class TestWarpGrid:
         want_coords = _warp_grid_formula(ref, src, depth, 64, 48)
         assert np.array_equal(coords, want_coords, equal_nan=True)
 
+    @pytest.mark.parametrize("first_row, height", [(0, 48), (0, 1), (17, 9), (47, 1)])
+    def test_band_of_rows_equals_those_rows_of_the_image(self, first_row, height):
+        ref, src = _rotated_pair(1.4, -9.8)
+        whole = geometry.warp_grid(ref, src, 10.0, 64, 48)
+        band = geometry.warp_grid(ref, src, 10.0, 64, height, first_row)
+        assert band.shape == (height, 64, 2)
+        assert band.tobytes() == whole[first_row:first_row + height].tobytes()
+
     def test_behind_source_is_nan_and_invalid(self):
         ref = geometry.Camera(_k(), np.eye(3), np.zeros(3))
         src = geometry.Camera(_k(), _rotation(1, 1.4), np.array([-9.8, 0.0, 0.0]))
