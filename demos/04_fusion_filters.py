@@ -36,10 +36,9 @@ def estimate_views(cams, rendered, space):
         stream = costvol.cost_volume_stream(
             feats[i], [feats[j] for j in others],
             cams[i], [cams[j] for j in others], space)
-        depth, conf = estimator.online_softmax_wta(
+        depth, _ = estimator.online_softmax_wta(
             regularizer.passthrough_regularizer(stream), space)
-        views.append(fusion.ViewEstimate(camera=cams[i], depth=depth,
-                                         confidence=conf))
+        views.append(fusion.ViewEstimate(camera=cams[i], depth=depth))
     return views
 
 
@@ -64,13 +63,13 @@ def main() -> None:
         camera=views[2].camera,
         depth=synth.perturb_depths(views[2].depth, outlier_frac=0.10,
                                    outlier_range=(space.d_min, space.d_max),
-                                   seed=9),
-        confidence=views[2].confidence)
+                                   seed=9))
     print(f"estimated {len(views)} views; view 2 carries 10% outliers")
 
-    # The weight-free confidence is nearly uniform, so the probability
-    # gate is disabled and consistency alone decides.
-    params = fusion.FusionParams(phi=0.0)
+    # The weight-free confidence is nearly uniform, so the views skip the
+    # probability gate (fusion.probability_filter) and consistency alone
+    # decides.
+    params = fusion.FusionParams()
     print()
     print("view   dynamic kept (correct/wrong)   fixed kept (correct/wrong)")
     dyn_views = []

@@ -364,20 +364,20 @@ def cmd_depth(args) -> int:
 # fuse
 
 
-def _load_estimates(layout: formats.ProjectLayout) -> list[fusion.ViewEstimate]:
+def _load_estimates(layout: formats.ProjectLayout, phi: float) -> list[fusion.ViewEstimate]:
+    """The project's views, each gated at ``phi`` as it is read."""
     count = layout.view_count()
     if count == 0:
         raise MvsweepError(f"no images under {layout.root}")
     estimates = []
     for i in range(count):
         cam, _ = formats.read_cam(layout.cam(i))
-        depth = DepthMap(formats.read_pfm(layout.depth(i)))
-        conf = np.nan_to_num(
-            formats.read_pfm(layout.confidence(i)).astype(np.float64))
-        image = formats.read_image(layout.image(i))
         try:
-            estimates.append(fusion.ViewEstimate(
-                camera=cam, depth=depth, confidence=conf, image=image))
+            depth = fusion.probability_filter(
+                DepthMap(formats.read_pfm(layout.depth(i))),
+                # A confidence without a value counts as 0.
+                np.nan_to_num(formats.read_pfm(layout.confidence(i))), phi)
+            estimates.append(fusion.ViewEstimate(cam, depth, formats.read_image(layout.image(i))))
         except SizeMismatchError as exc:
             raise SizeMismatchError(f"view {i}: {exc}") from None
     return estimates
@@ -388,17 +388,16 @@ def cmd_fuse(args) -> int:
     params = fusion.FusionParams(
         lam=args.lam, tau=args.tau, phi=args.phi,
         tau1=args.tau1, tau2=args.tau2, min_views=args.min_views)
-    # Confidence gating first, so weak pixels neither survive nor vouch.
-    # Gating copies each depth map, so the ungated ones are not kept.
-    gated = [fusion.probability_filter(v, params.phi) for v in _load_estimates(layout)]
+    # The φ gate runs once per view, as it is read, so a weak pixel
+    # neither survives nor vouches for another view's.
+    gated = _load_estimates(layout, params.phi)
+    confident = sum(v.depth.valid_count for v in gated)
     pairs = _source_views(layout, len(gated))
-    filtered = []
-    for i, view in enumerate(gated):
-        srcs = [gated[j] for j in pairs[i]]
-        if args.filter == "dynamic":
-            filtered.append(fusion.dynamic_filter(view, srcs, params))
-        else:
-            filtered.append(fusion.fixed_threshold_filter(view, srcs, params))
+    keep = fusion.dynamic_filter if args.filter == "dynamic" else fusion.fixed_threshold_filter
+    filtered = [keep(view, [gated[j] for j in pairs[i]], params)
+                for i, view in enumerate(gated)]
+    # Fusion reads only the filtered depth maps.
+    del gated
     cloud = fusion.fuse_point_cloud(filtered, lam=params.lam)
     out = Path(args.out) if args.out else layout.cloud
     formats.write_ply(out, cloud, mode="ascii" if args.ascii else "binary")
@@ -407,7 +406,6 @@ def cmd_fuse(args) -> int:
     log.info("%s filter kept %d/%d pixels; %d points -> %s",
              args.filter, kept, total, len(cloud), out)
     if len(cloud) == 0:
-        confident = sum(v.depth.valid_count for v in gated)
         print(f"warning: fused cloud is empty (φ gate kept {confident}/{total} "
               f"pixels, consistency gate kept {kept})", file=sys.stderr)
     print(f"points={len(cloud)}")

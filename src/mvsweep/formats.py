@@ -291,6 +291,12 @@ def read_image(path) -> np.ndarray:
 # PLY point clouds
 
 
+# The vertex properties write_ply writes and the only binary vertex
+# record read_ply decodes: the first three entries or all six.
+_PLY_BINARY_LAYOUT = (("float", "x"), ("float", "y"), ("float", "z"),
+                      ("uchar", "red"), ("uchar", "green"), ("uchar", "blue"))
+
+
 def write_ply(path, cloud: PointCloud, mode: str = "binary") -> None:
     """Write a point cloud; ``mode`` is ``"ascii"`` or ``"binary"``.
 
@@ -299,24 +305,12 @@ def write_ply(path, cloud: PointCloud, mode: str = "binary") -> None:
     if mode not in ("ascii", "binary"):
         raise ValueError(f"unknown mode {mode!r}")
     fmt = "ascii 1.0" if mode == "ascii" else "binary_little_endian 1.0"
-    header = [
-        "ply",
-        f"format {fmt}",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
-    if cloud.rgb is not None:
-        header += [
-            "property uchar red",
-            "property uchar green",
-            "property uchar blue",
-        ]
-    header.append("end_header")
+    props = _PLY_BINARY_LAYOUT if cloud.rgb is not None else _PLY_BINARY_LAYOUT[:3]
+    header = ["ply", f"format {fmt}", f"element vertex {len(cloud)}",
+              *(f"property {kind} {name}" for kind, name in props), "end_header"]
     head = ("\n".join(header) + "\n").encode("ascii")
-    xyz = cloud.xyz.astype("<f4")
     if mode == "ascii":
+        xyz = cloud.xyz.astype("<f4")
         lines = []
         for i in range(len(cloud)):
             parts = [f"{v:.9g}" for v in xyz[i]]
@@ -326,20 +320,15 @@ def write_ply(path, cloud: PointCloud, mode: str = "binary") -> None:
         body = ("\n".join(lines) + "\n").encode("ascii") if lines else b""
         Path(path).write_bytes(head + body)
         return
+    # The record array is the only copy of the cloud.
+    fields = [("xyz", "<f4", 3)] + ([("rgb", "u1", 3)] if cloud.rgb is not None else [])
+    record = np.empty(len(cloud), dtype=fields)
+    record["xyz"] = cloud.xyz
     if cloud.rgb is not None:
-        record = np.zeros(len(cloud), dtype=[("xyz", "<f4", 3), ("rgb", "u1", 3)])
-        record["xyz"] = xyz
         record["rgb"] = cloud.rgb
-    else:
-        record = np.zeros(len(cloud), dtype=[("xyz", "<f4", 3)])
-        record["xyz"] = xyz
-    Path(path).write_bytes(head + record.tobytes())
-
-
-# The only binary vertex record read_ply decodes: the whole property
-# list is the first three entries or all six.
-_PLY_BINARY_LAYOUT = (("float", "x"), ("float", "y"), ("float", "z"),
-                      ("uchar", "red"), ("uchar", "green"), ("uchar", "blue"))
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(record.data)
 
 
 def _check_binary_layout(props: list[tuple[str, str, int]], path: Path) -> None:

@@ -1,5 +1,8 @@
 """Cross-view filtering of depth maps and fusion into a point cloud.
 
+First the gate φ, :func:`probability_filter`, drops the pixels of low
+estimator confidence.
+
 A depth estimate survives only if other views agree with it.  Agreement
 between a reference pixel and one source view is scored by the round
 trip reproject -> source depth lookup -> reproject back: the spatial
@@ -54,26 +57,24 @@ __all__ = [
 MATCH_SCORE_FLOOR = float(np.exp(-3.0))
 
 
+def _check_size(name: str, array: np.ndarray | None, depth: DepthMap) -> None:
+    """Reject an ``array`` whose ``(height, width)`` is not the depth map's."""
+    if array is not None and array.shape[:2] != depth.data.shape:
+        raise SizeMismatchError(
+            f"{name} is {array.shape[:2]} but the depth map is {depth.data.shape}")
+
+
 @dataclass(eq=False)
 class ViewEstimate:
-    """One view's camera, estimated depth, confidence, and image.
-
-    The confidence and the image must share the depth map's
-    ``(height, width)``; otherwise :class:`SizeMismatchError` is raised.
-    """
+    """One view's camera, estimated depth, and image; an image whose
+    ``(height, width)`` is not the depth map's raises :class:`SizeMismatchError`."""
 
     camera: Camera
     depth: DepthMap
-    confidence: np.ndarray
     image: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.confidence = np.asarray(self.confidence, dtype=np.float64)
-        shape = self.depth.data.shape
-        for name, array in (("confidence", self.confidence), ("image", self.image)):
-            if array is not None and array.shape[:2] != shape:
-                raise SizeMismatchError(
-                    f"{name} is {array.shape[:2]} but the depth map is {shape}")
+        _check_size("image", self.image, self.depth)
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,9 @@ class FusionParams:
 
     ``lam`` weighs relative depth error against pixel error inside the
     matching score; ``tau`` is the dynamic consistency floor; ``phi``
-    the minimum estimator confidence; ``tau1``/``tau2``/``min_views``
-    parameterize the fixed-threshold baseline.
+    the minimum estimator confidence that :func:`probability_filter`
+    keeps; ``tau1``/``tau2``/``min_views`` parameterize the
+    fixed-threshold baseline.
     """
 
     lam: float = 200.0
@@ -158,10 +160,14 @@ class PointCloud:
         return cls(np.zeros((0, 3)), rgb)
 
 
-def probability_filter(view: ViewEstimate, phi: float = FusionParams.phi) -> ViewEstimate:
-    """Drop pixels whose estimator confidence is below ``phi``."""
-    kept = view.confidence >= phi
-    return replace(view, depth=DepthMap(np.where(kept, view.depth.data, np.nan)))
+def probability_filter(depth: DepthMap, confidence: np.ndarray,
+                       phi: float = FusionParams.phi) -> DepthMap:
+    """``depth`` with NaN where the estimator ``confidence``, which must
+    share the depth map's ``(height, width)``, is below ``phi``."""
+    # numpy would compare a float32 array with ``phi`` in float32.
+    confidence = np.asarray(confidence, dtype=np.float64)
+    _check_size("confidence", confidence, depth)
+    return DepthMap(np.where(confidence >= phi, depth.data, np.nan))
 
 
 def _reference_pixels(ref: ViewEstimate, active: np.ndarray):
@@ -198,6 +204,24 @@ def _scores(xi_p: np.ndarray, xi_d: np.ndarray, lam: float) -> np.ndarray:
     return c
 
 
+def _source_totals(ref: ViewEstimate, srcs: Sequence[ViewEstimate], score) -> np.ndarray:
+    """``score(xi_p, xi_d)`` of each non-NaN reference pixel's round trips,
+    summed over ``srcs`` into an image that is 0 at the NaN pixels."""
+    ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
+    total = np.zeros(len(xs), dtype=np.float64)
+    for src in srcs:
+        _, _, xi_p, xi_d = _round_trips(ref, src, pixels)
+        total += score(xi_p, xi_d)
+    out = np.zeros(ref.depth.data.shape, dtype=np.float64)
+    out[ys, xs] = total
+    return out
+
+
+def _keep_only(view: ViewEstimate, kept: np.ndarray) -> ViewEstimate:
+    """``view`` with NaN written to the depth of every pixel not ``kept``."""
+    return replace(view, depth=DepthMap(np.where(kept, view.depth.data, np.nan)))
+
+
 def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
                             lam: float = FusionParams.lam) -> np.ndarray:
     """Total matching score of each reference pixel over all sources.
@@ -205,30 +229,16 @@ def dynamic_consistency_map(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     The reference itself never appears in the sum; NaN pixels and
     failed round trips contribute 0.
     """
-    ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
-    total = np.zeros(len(xs), dtype=np.float64)
-    for src in srcs:
-        _, _, xi_p, xi_d = _round_trips(ref, src, pixels)
-        total += _scores(xi_p, xi_d, lam)
-    out = np.zeros(ref.depth.data.shape, dtype=np.float64)
-    out[ys, xs] = total
-    return out
+    return _source_totals(ref, srcs, lambda xi_p, xi_d: _scores(xi_p, xi_d, lam))
 
 
 def dynamic_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
                    params: FusionParams = FusionParams()) -> ViewEstimate:
-    """Keep pixels that pass both the confidence and consistency floors.
-
-    A pixel survives when its confidence is at least ``params.phi`` and
-    its summed matching score over the (unmodified) source views is at
-    least ``params.tau``.  Sources are used as given; apply
-    :func:`probability_filter` to them first if their low-confidence
-    pixels should not vouch for anyone.
-    """
-    filtered = probability_filter(ref, params.phi)
-    kept = dynamic_consistency_map(filtered, srcs, params.lam) >= params.tau
+    """Keep pixels whose summed matching score over ``srcs`` is at least
+    ``params.tau``.  Gate the views with :func:`probability_filter` first
+    if their low-confidence pixels should neither survive nor vouch."""
     # A NaN pixel totals 0, so it is kept at tau = 0, and stays NaN.
-    return replace(filtered, depth=DepthMap(np.where(kept, filtered.depth.data, np.nan)))
+    return _keep_only(ref, dynamic_consistency_map(ref, srcs, params.lam) >= params.tau)
 
 
 def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
@@ -239,15 +249,10 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     ``xi_p < tau1`` and ``xi_d < tau2`` (strict); a pixel is kept when
     at least ``min_views`` sources support it.
     """
-    ys, xs, pixels = _reference_pixels(ref, ref.depth.mask)
-    support = np.zeros(len(xs), dtype=np.int64)
-    for src in srcs:
-        _, _, xi_p, xi_d = _round_trips(ref, src, pixels)
-        # A failed trip's errors are NaN, which no threshold accepts.
-        support += (xi_p < params.tau1) & (xi_d < params.tau2)
-    kept = np.zeros(ref.depth.data.shape, dtype=bool)
-    kept[ys, xs] = support >= params.min_views
-    return replace(ref, depth=DepthMap(np.where(kept, ref.depth.data, np.nan)))
+    # A failed trip's errors are NaN, which no threshold accepts.
+    support = _source_totals(
+        ref, srcs, lambda xi_p, xi_d: (xi_p < params.tau1) & (xi_d < params.tau2))
+    return _keep_only(ref, support >= params.min_views)
 
 
 def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.lam,

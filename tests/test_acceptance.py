@@ -119,7 +119,6 @@ def _constant_view(center_x: float, width=64, height=48,
     return fusion.ViewEstimate(
         camera=_fronto_camera(center_x),
         depth=DepthMap(data),
-        confidence=np.ones((height, width)),
     )
 
 
@@ -351,17 +350,15 @@ def plane_pipeline():
         stream = costvol.cost_volume_stream(
             feats[i], [feats[j] for j in others],
             cams[i], [cams[j] for j in others], space)
-        depth, conf = estimator.online_softmax_wta(
+        depth, _ = estimator.online_softmax_wta(
             regularizer.passthrough_regularizer(stream), space)
-        views.append(fusion.ViewEstimate(camera=cams[i], depth=depth,
-                                         confidence=conf))
+        views.append(fusion.ViewEstimate(camera=cams[i], depth=depth))
 
     # Corrupt one view with 10% uniform outliers across the swept range.
     noisy = synth.perturb_depths(
         views[3].depth, outlier_frac=0.10,
         outlier_range=(space.d_min, space.d_max), seed=13)
-    views[3] = fusion.ViewEstimate(camera=views[3].camera, depth=noisy,
-                                   confidence=views[3].confidence)
+    views[3] = fusion.ViewEstimate(camera=views[3].camera, depth=noisy)
     elapsed = time.perf_counter() - start
     return {
         "cams": cams, "gt": gt_maps, "space": space, "views": views,
@@ -390,8 +387,8 @@ def test_criterion_7_weight_free_reconstruction(plane_pipeline):
     spacing = _bin_spacing(space)
 
     # The passthrough confidence is nearly uniform (~1/D per tap), so
-    # the probability gate is disabled and consistency does the work.
-    params = fusion.FusionParams(phi=0.0)
+    # the views are not gated at φ and consistency does the work.
+    params = fusion.FusionParams()
     filtered = []
     survivors = correct = 0
     for i, view in enumerate(views):
@@ -431,7 +428,7 @@ def test_criterion_8_dynamic_beats_fixed(plane_pipeline):
     views = plane_pipeline["views"]
     gt_maps = plane_pipeline["gt"]
     spacing = _bin_spacing(plane_pipeline["space"])
-    params = fusion.FusionParams(phi=0.0)  # lam=200, tau=1.8, tau1=1, tau2=0.01
+    params = fusion.FusionParams()  # lam=200, tau=1.8, tau1=1, tau2=0.01
 
     dyn_correct = dyn_wrong = fix_correct = fix_wrong = 0
     for i, view in enumerate(views):

@@ -540,6 +540,20 @@ class TestFuse:
         assert code == 0
         assert len(formats.read_ply(out)) > 0
 
+    @pytest.mark.parametrize("kind", ["dynamic", "fixed"])
+    def test_gates_each_view_once(self, synth_proj, tmp_path, monkeypatch, kind):
+        gate = fusion.probability_filter
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "probability_filter", counted)
+        assert cli.main(["fuse", "--in", str(synth_proj), "--out",
+                         str(tmp_path / "cloud.ply"), "--filter", kind]) == 0
+        assert len(calls) == 5
+
     def test_default_output_path(self, synth_proj):
         code = cli.main(["fuse", "--in", str(synth_proj)])
         assert code == 0

@@ -8,6 +8,7 @@ offending path rather than leak numpy/IO errors.
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,24 @@ class TestPly:
         formats.write_ply(first, cloud, mode=mode)
         formats.write_ply(second, formats.read_ply(first), mode=mode)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_binary_write_holds_one_record_copy(self, tmp_path, colored):
+        # The file's records are the only copy of the cloud that the
+        # writer makes: no float32 coordinate array, bytes object or
+        # header-plus-payload concatenation besides them.
+        rng = np.random.default_rng(2)
+        n = 50_000
+        rgb = rng.integers(0, 256, size=(n, 3), dtype=np.uint8) if colored else None
+        cloud = PointCloud(rng.normal(scale=300.0, size=(n, 3)), rgb)
+        record_bytes = n * (15 if colored else 12)
+        tracemalloc.start()
+        try:
+            formats.write_ply(tmp_path / "c.ply", cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * record_bytes
 
     def test_binary_round_trip_exact(self, tmp_path):
         cloud = _rgb_cloud(seed=5)

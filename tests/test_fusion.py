@@ -7,6 +7,7 @@ right at focal 64 shifts a depth-512 pixel by exactly 64*8/512 = 1 px.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -41,7 +42,7 @@ def _pairwise_score(ref, src, pixel, lam):
     return 0.0 if errors is None else math.exp(-(errors[0] + lam * errors[1]))
 
 
-def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
+def _view(center_x: float, depth_value: float = D0,
           mask=None, image=None) -> fusion.ViewEstimate:
     """A constant-depth view, NaN where ``mask`` is given and False."""
     data = np.full((H, W), depth_value)
@@ -50,9 +51,13 @@ def _view(center_x: float, depth_value: float = D0, conf: float = 1.0,
     return fusion.ViewEstimate(
         camera=_cam(center_x),
         depth=DepthMap(data),
-        confidence=np.full((H, W), conf),
         image=image,
     )
+
+
+def _gated(view, confidence, phi):
+    """``view`` with its depth map through the φ gate."""
+    return replace(view, depth=fusion.probability_filter(view.depth, confidence, phi))
 
 
 def _assert_drops(out, view, kept):
@@ -92,16 +97,12 @@ class TestParamsAndContainers:
 
     def test_confidence_shape_checked(self):
         with pytest.raises(SizeMismatchError):
-            fusion.ViewEstimate(
-                camera=_cam(0.0),
-                depth=DepthMap(np.ones((4, 4))),
-                confidence=np.ones((3, 4)),
-            )
+            fusion.probability_filter(DepthMap(np.ones((4, 4))), np.ones((3, 4)))
         # So is the image's (height, width); its channels are free.
         with pytest.raises(SizeMismatchError):
-            fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))), np.ones((4, 4)),
+            fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))),
                                 image=np.ones((4, 3, 3)))
-        fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))), np.ones((4, 4)),
+        fusion.ViewEstimate(_cam(0.0), DepthMap(np.ones((4, 4))),
                             image=np.ones((4, 4, 3)))
 
     def test_fusion_params_validation(self):
@@ -134,27 +135,28 @@ class TestProbabilityFilter:
 
     def test_threshold_is_inclusive(self):
         view = _view(0.0)
-        view.confidence[10, 10] = 0.4
-        view.confidence[10, 11] = 0.39999
-        out = fusion.probability_filter(view, phi=0.4)
-        assert out.depth.mask[10, 10]
-        assert not out.depth.mask[10, 11]
+        confidence = np.ones((H, W))
+        confidence[10, 10] = 0.4
+        confidence[10, 11] = 0.39999
+        out = fusion.probability_filter(view.depth, confidence, phi=0.4)
+        assert out.mask[10, 10]
+        assert not out.mask[10, 11]
 
     def test_respects_existing_mask(self):
         mask = np.ones((H, W), dtype=bool)
         mask[0, 0] = False
         view = _view(0.0, mask=mask)
-        out = fusion.probability_filter(view, phi=0.0)
-        assert not out.depth.mask[0, 0]
+        out = fusion.probability_filter(view.depth, np.ones((H, W)), phi=0.0)
+        assert not out.mask[0, 0]
 
     def test_dropped_pixels_are_nan(self):
         rng = np.random.default_rng(4)
         mask = rng.random((H, W)) < 0.9
         view = _view(0.0, mask=mask)
         view.depth.data[mask] = rng.uniform(100.0, 900.0, mask.sum())
-        view.confidence[:] = rng.random((H, W))
-        out = fusion.probability_filter(view, phi=0.4)
-        _assert_drops(out, view, mask & (view.confidence >= 0.4))
+        confidence = rng.random((H, W))
+        out = _gated(view, confidence, phi=0.4)
+        _assert_drops(out, view, mask & (confidence >= 0.4))
 
 
 class TestPairwiseConsistency:
@@ -203,7 +205,7 @@ class TestPairwiseConsistencyBounds:
         cams = synth.make_camera_ring(rig)[:2]
         rendered = synth.render_scene(synth.SceneSpec(surface=synth.Plane()),
                                       cams, 32, 24)
-        return [fusion.ViewEstimate(cam, depth, np.ones((24, 32)))
+        return [fusion.ViewEstimate(cam, depth)
                 for cam, (_, depth) in zip(cams, rendered)]
 
     def test_masked_pixel_is_zero(self, pair):
@@ -211,7 +213,7 @@ class TestPairwiseConsistencyBounds:
         assert ref.depth.mask.all()
         data = ref.depth.data.copy()
         data[11, 15] = np.nan
-        ref = fusion.ViewEstimate(ref.camera, DepthMap(data), ref.confidence)
+        ref = fusion.ViewEstimate(ref.camera, DepthMap(data))
         total = fusion.dynamic_consistency_map(ref, [src])
         assert total[11, 15] == 0.0
         # Its neighbours still score.
@@ -222,7 +224,7 @@ class TestPairwiseConsistencyBounds:
         ref, src = pair
         data = ref.depth.data.copy()
         data[11, 15] = depth
-        ref = fusion.ViewEstimate(ref.camera, DepthMap(data), ref.confidence)
+        ref = fusion.ViewEstimate(ref.camera, DepthMap(data))
         assert fusion.dynamic_consistency_map(ref, [src])[11, 15] == 0.0
 
 
@@ -256,10 +258,12 @@ class TestDynamicConsistency:
         assert not out.depth.mask[24, 63]
 
     def test_dynamic_filter_applies_confidence_gate(self):
-        ref = _view(0.0)
-        ref.confidence[24, 32] = 0.1
+        # A pixel the φ gate dropped stays dropped through the filter.
+        confidence = np.ones((H, W))
+        confidence[24, 32] = 0.1
+        ref = _gated(_view(0.0), confidence, phi=0.4)
         srcs = [_view(8.0), _view(-8.0)]
-        out = fusion.dynamic_filter(ref, srcs, fusion.FusionParams(tau=1.8, phi=0.4))
+        out = fusion.dynamic_filter(ref, srcs, fusion.FusionParams(tau=1.8))
         assert not out.depth.mask[24, 32]
         assert out.depth.mask[24, 33]
 
@@ -268,8 +272,10 @@ class TestDynamicConsistency:
         # confidence gate; both are dropped to NaN, and every other pixel
         # keeps its depth bit for bit.
         ref = _view(0.0)
-        ref.confidence[24, 32] = 0.1
-        out = fusion.dynamic_filter(ref, [_view(8.0)], fusion.FusionParams(tau=0.5))
+        confidence = np.ones((H, W))
+        confidence[24, 32] = 0.1
+        out = fusion.dynamic_filter(_gated(ref, confidence, phi=0.4), [_view(8.0)],
+                                    fusion.FusionParams(tau=0.5))
         kept = np.ones((H, W), dtype=bool)
         kept[:, 0] = kept[24, 32] = False
         _assert_drops(out, ref, kept)
@@ -298,10 +304,10 @@ class TestFixedThresholdFilter:
         assert fusion.fixed_threshold_filter(ref, src, above).depth.mask[24, 32]
 
     def test_no_confidence_gate(self):
-        # The baseline counts views only; low confidence passes through.
-        ref = _view(0.0, conf=0.0)
+        # The baseline counts views only; it reads no phi.
+        ref = _view(0.0)
         srcs = [_view(8.0), _view(-8.0), _view(16.0)]
-        out = fusion.fixed_threshold_filter(ref, srcs)
+        out = fusion.fixed_threshold_filter(ref, srcs, fusion.FusionParams(phi=1.0))
         assert out.depth.mask[24, 32]
 
 
@@ -387,11 +393,11 @@ class TestSparsePathOracle:
         views = []
         for i, (cam, (_, depth)) in enumerate(zip(cams, rendered)):
             noisy = synth.perturb_depths(depth, sigma=0.3, outlier_frac=0.15, seed=i)
-            views.append(fusion.ViewEstimate(cam, noisy, np.ones(noisy.data.shape)))
+            views.append(fusion.ViewEstimate(cam, noisy))
         keep = np.random.default_rng(5).random((30, 40)) < 0.7
         ref = views[0]
         ref = fusion.ViewEstimate(
-            ref.camera, DepthMap(np.where(keep, ref.depth.data, np.nan)), ref.confidence)
+            ref.camera, DepthMap(np.where(keep, ref.depth.data, np.nan)))
         return ref, views[1:]
 
     def test_dynamic_map_is_sum_of_pairwise_scores(self, scene):
@@ -551,7 +557,7 @@ class TestRoundTripBitIdentity:
                                          outlier_range=(5.0, 20000.0), seed=i)
             keep = rng.random(noisy.data.shape) < 0.8
             views.append(fusion.ViewEstimate(cam, DepthMap(np.where(keep, noisy.data, np.nan)),
-                                             np.ones(noisy.data.shape), image))
+                                             image))
         return views
 
     def test_scene_reaches_every_branch(self, views):
