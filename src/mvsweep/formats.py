@@ -243,12 +243,16 @@ def read_pfm(path) -> np.ndarray:
 
 def write_pfm(path, data: np.ndarray) -> None:
     """Write a float map as little-endian float32; NaN pixels stay NaN."""
-    arr = np.asarray(data, dtype="<f4")
+    arr = np.asarray(data)
     if arr.ndim != 2:
         raise ValueError(f"PFM data must be 2-d, got shape {arr.shape}")
     height, width = arr.shape
-    header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
-    Path(path).write_bytes(header + arr[::-1].tobytes())
+    # The payload, rows bottom-to-top, is the only copy of the map.
+    payload = np.empty((height, width), dtype="<f4")
+    payload[...] = arr[::-1]
+    with open(path, "wb") as f:
+        f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
+        f.write(payload.data)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +261,7 @@ def write_pfm(path, data: np.ndarray) -> None:
 
 def write_image(path, image: np.ndarray) -> None:
     """Write [0, 1] floats as binary P5 (2-d input) or P6 (3-channel)."""
-    arr = np.asarray(image, dtype=np.float64)
-    quantized = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    arr = np.asarray(image)
     if arr.ndim == 2:
         magic = b"P5"
     elif arr.ndim == 3 and arr.shape[2] == 3:
@@ -266,8 +269,15 @@ def write_image(path, image: np.ndarray) -> None:
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3), got {arr.shape}")
     height, width = arr.shape[:2]
-    header = magic + f"\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes())
+    # One float64 temporary, quantized in place, then the uint8 payload.
+    scaled = np.multiply(arr, 255.0, dtype=np.float64)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    payload = scaled.astype(np.uint8)
+    del scaled
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))
+        f.write(payload.data)
 
 
 def read_image(path) -> np.ndarray:

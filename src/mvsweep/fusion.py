@@ -16,7 +16,10 @@ is provided for comparison.  Every score is computed over a whole list
 of reference pixels at once; the score of one pixel against one source
 is that pixel's entry of :func:`dynamic_consistency_map` with that
 source alone.  A filter drops a pixel by writing NaN to its depth, the
-same marker as a pixel that never had one.
+same marker as a pixel that never had one.  The round trips and scores
+compute in the stored maps' precision (float32 for the maps the CLI
+reads); the per-pixel totals, the fusion weights and the depth sums are
+float64 accumulators, so float64 callers are unchanged.
 
 Fusion walks the views in order, back-projecting surviving pixels at a
 consistency-weighted average depth, and marks matched source pixels as
@@ -172,10 +175,11 @@ def probability_filter(depth: DepthMap, confidence: np.ndarray,
 
 def _reference_pixels(ref: ViewEstimate, active: np.ndarray):
     """Indices ``(ys, xs)`` of the ``active`` reference pixels and their
-    float coordinates and depths ``(px, py, depths)``, which every round
-    trip from this reference shares."""
+    coordinates and depths ``(px, py, depths)`` in the depth map's
+    dtype, which every round trip from this reference shares."""
     ys, xs = np.nonzero(active)
-    return ys, xs, (xs.astype(np.float64), ys.astype(np.float64), ref.depth.data[ys, xs])
+    data = ref.depth.data
+    return ys, xs, (xs.astype(data.dtype), ys.astype(data.dtype), data[ys, xs])
 
 
 def _round_trips(ref: ViewEstimate, src: ViewEstimate, pixels):
@@ -195,7 +199,8 @@ def _round_trips(ref: ViewEstimate, src: ViewEstimate, pixels):
 
 def _scores(xi_p: np.ndarray, xi_d: np.ndarray, lam: float) -> np.ndarray:
     """Matching scores ``exp(-(xi_p + lam * xi_d))`` of the trips, 0 where
-    an error is NaN (a failed trip); the scores overwrite ``xi_d``."""
+    an error is NaN (a failed trip), in the errors' dtype; the scores
+    overwrite ``xi_d``."""
     c = np.multiply(lam, xi_d, out=xi_d)
     c += xi_p
     np.negative(c, out=c)
@@ -279,7 +284,7 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.la
             continue
         ys, xs, pixels = _reference_pixels(ref, active)
         weight = np.ones(len(xs), dtype=np.float64)
-        depth_acc = pixels[2].copy()  # the trips below still read the depths
+        depth_acc = pixels[2].astype(np.float64)  # a copy: the trips still read the depths
         for j, src in enumerate(views):
             if j == i:
                 continue
@@ -288,11 +293,13 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.la
             # Failed trips score 0, below the floor.
             hit = np.flatnonzero(c > MATCH_SCORE_FLOOR)
             if hit.size:
-                score = c[hit]
+                # A product of two float32 values is exact in float64.
+                score = c[hit].astype(np.float64, copy=False)
                 weight[hit] += score
                 depth_acc[hit] += score * d2[hit]
                 # The matched source pixel is the same nearest pixel the
-                # depth lookup used; mark it so view j never re-emits it.
+                # depth lookup used, rounded in the same dtype; mark it
+                # so view j never re-emits it.
                 landing = q[hit]
                 landing += 0.5
                 qx, qy = np.floor(landing, out=landing).astype(np.intp).T

@@ -19,6 +19,11 @@ Conventions used throughout the package:
 * NaN is the one marker of a missing value: coordinates behind a
   camera, a lookup without a stored depth and a failed round trip all
   read NaN.
+* The consistency round trip (:func:`reproject_chain_map`,
+  :func:`reprojection_errors_map`) computes in the precision of the
+  arrays it is given, at least float32: fusion passes the stored
+  float32 depth maps, so it runs in float32, and float64 callers are
+  unchanged.  Everything else computes in float64.
 
 Every function takes whole arrays of pixels, depths or points; a single
 query is a one-element array.  :func:`reproject_chain_map` looks up
@@ -141,18 +146,20 @@ def _pair_map(ref: Camera, src: Camera, xs, ys, depths):
     pixels are NaN where the depth in ``src`` is not positive.  Each
     component ``(x * a0 + y * a1 + a2) * d + b`` is built in place in
     its own buffer and the two quotients are divided straight into the
-    pixel array.
+    pixel array.  It computes in the result type of the three arrays,
+    at least float32, to which ``(A, b)`` is cast.
     """
-    a, b = _pair_transform(ref, src)
+    dtype = np.result_type(xs, ys, depths, np.float32)
+    a, b = (m.astype(dtype) for m in _pair_transform(ref, src))
     shape = np.broadcast_shapes(xs.shape, ys.shape, depths.shape)
-    wx, wy, wz, term = (np.empty(shape) for _ in range(4))
+    wx, wy, wz, term = (np.empty(shape, dtype) for _ in range(4))
     for i, w in enumerate((wx, wy, wz)):
         np.multiply(xs, a[i, 0], out=w)
         w += np.multiply(ys, a[i, 1], out=term)
         w += a[i, 2]
         w *= depths
         w += b[i]
-    pixels = np.empty(shape + (2,))
+    pixels = np.empty(shape + (2,), dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(wx, wz, out=pixels[..., 0])
         np.divide(wy, wz, out=pixels[..., 1])
@@ -178,8 +185,15 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
     positive finite lookup, in front of the reference again); the
     lookup of a failed trip is replaced by 1 before the trip back, and
     its outputs are filled with NaN in place.
+
+    The outward leg computes in the result type of ``xs``, ``ys`` and
+    ``depths`` after :func:`numpy.asarray`, at least float32, so Python
+    scalars and integers give float64; the leg back follows the
+    landing pixels and the looked-up depths.
     """
-    xs, ys, depths = (np.asarray(v, dtype=np.float64) for v in (xs, ys, depths))
+    xs, ys, depths = (np.asarray(v) for v in (xs, ys, depths))
+    dtype = np.result_type(xs, ys, depths, np.float32)
+    xs, ys, depths = (v.astype(dtype, copy=False) for v in (xs, ys, depths))
     q, d_fwd = _pair_map(ref, src, xs, ys, depths)
     valid = d_fwd > 0
     qx = np.where(valid, q[..., 0], -1.0)
@@ -200,7 +214,8 @@ def reproject_chain_map(ref: Camera, src: Camera, xs, ys, depths, src_depth):
 def reprojection_errors_map(px, py, p2, depths, depths2):
     """Spatial and relative depth error of reprojection round trips.
 
-    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``; NaN inputs yield NaN.
+    ``xi_p = ||p - p'||_2`` and ``xi_d = |d - d'| / d``, in the precision
+    of the inputs; NaN inputs yield NaN.
     """
     xi_p = np.hypot(p2[..., 0] - px, p2[..., 1] - py)
     xi_d = np.abs(depths2 - depths) / depths

@@ -689,6 +689,9 @@ MUTATIONS = [
     ("streaming_softmax", estimator, "online_softmax_wta",
      _after(lambda r: (r[0], r[1] * 1.001)), ()),
     ("consistency_values", fusion, "_scores", _after(lambda c: c * 1.001), ()),
+    # A landing pixel that drifts by 2e4 ulps: 2.4e-3 px in float32.
+    ("float32_round_trip", fusion, "_round_trips",
+     _after(lambda r: (r[0] + 2e4 * np.finfo(r[0].dtype).eps, *r[1:])), ()),
     ("nearest_distance", metrics, "nearest_distance", _after(lambda d: d + 1e-9), ()),
     ("formats_round_trip", formats, "read_ply", _after(lambda c: PointCloud(c.xyz)), ()),
 ]

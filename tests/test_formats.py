@@ -300,6 +300,23 @@ class TestPfm:
         with pytest.raises(ValueError):
             formats.write_pfm(tmp_path / "d.pfm", np.zeros((2, 2, 3)))
 
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        # A float64 map is cast into the bottom-to-top float32 payload,
+        # the only copy the writer makes, and the file is the header
+        # followed by the same bytes a cast, a flip and a join give.
+        data = np.random.default_rng(3).uniform(500.0, 700.0, size=(264, 480))
+        data[::7, ::5] = np.nan
+        path = tmp_path / "d.pfm"
+        tracemalloc.start()
+        try:
+            formats.write_pfm(path, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data.size * 4
+        want = b"Pf\n480 264\n-1.0\n" + data.astype("<f4")[::-1].tobytes()
+        assert path.read_bytes() == want
+
 
 class TestPpm:
     """Binary P5/P6 images with maxval 255."""
@@ -371,8 +388,32 @@ class TestPpm:
             formats.read_image(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
-        with pytest.raises(ValueError):
-            formats.write_image(tmp_path / "i.ppm", np.zeros((2, 2, 4)))
+        # The shape is checked before anything is quantized.
+        image = np.zeros((264, 480, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                formats.write_image(tmp_path / "i.ppm", image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < image.size
+
+    @pytest.mark.parametrize("shape, magic", [((264, 480, 3), b"P6"), ((264, 480), b"P5")])
+    def test_write_holds_one_temporary(self, tmp_path, shape, magic):
+        # One float64 temporary (8 bytes per written byte) and the uint8
+        # payload, and the same bytes as the plain quantize-and-join.
+        image = np.random.default_rng(4).uniform(-0.1, 1.1, size=shape)
+        path = tmp_path / "i.ppm"
+        tracemalloc.start()
+        try:
+            formats.write_image(path, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * image.size
+        quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+        assert path.read_bytes() == magic + b"\n480 264\n255\n" + quantized.tobytes()
 
 
 def _rgb_cloud(n=20, seed=3) -> PointCloud:

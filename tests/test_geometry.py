@@ -315,6 +315,34 @@ class TestReproject:
         assert np.isfinite(d2[0, 0])
         np.testing.assert_allclose(q[0, 0], [31.0, 24.0], atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_follow_the_input_dtype(self, dtype):
+        ref, src = self._pair()
+        src_depth = DepthMap(np.full((48, 64), 512.0, dtype=dtype))
+        xs = np.array([32.0, 0.0], dtype=dtype)
+        ys = np.full(2, 24.0, dtype=dtype)
+        q, p2, d2 = geometry.reproject_chain_map(ref, src, xs, ys, np.full(2, 512.0, dtype),
+                                                 src_depth)
+        assert q.dtype == p2.dtype == d2.dtype == dtype
+        # The first trip closes, the second leaves the source image.
+        np.testing.assert_allclose(q[0], [31.0, 24.0], atol=1e-4)
+        np.testing.assert_allclose(p2[0], [32.0, 24.0], atol=1e-4)
+        assert np.isnan(p2[1]).all() and np.isnan(d2[1])
+        xi_p, xi_d = geometry.reprojection_errors_map(xs, ys, p2, np.full(2, 512.0, dtype), d2)
+        assert xi_p.dtype == xi_d.dtype == dtype
+
+    def test_python_scalars_give_float64(self):
+        # Even against a float32 map: a scalar becomes a float64 array.
+        ref, src = self._pair()
+        src_depth = DepthMap(np.full((48, 64), 512.0, dtype=np.float32))
+        q, p2, d2 = geometry.reproject_chain_map(ref, src, 32.0, 24.0, 512.0, src_depth)
+        assert q.dtype == p2.dtype == d2.dtype == np.float64
+        np.testing.assert_allclose(p2, [32.0, 24.0], atol=1e-9)
+        # Integer pixels too.
+        q, _, _ = geometry.reproject_chain_map(ref, src, np.array([32]), np.array([24]),
+                                               np.float32(512.0), src_depth)
+        assert q.dtype == np.float64
+
 
 class TestReprojectionErrors:
     """xi_p is the Euclidean pixel gap, xi_d the relative depth gap."""
@@ -482,6 +510,37 @@ class TestDepthMap:
     def test_requires_2d_float(self):
         with pytest.raises(ValueError):
             DepthMap(np.zeros(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_float_precision(self, dtype):
+        dm = DepthMap(np.array([[1.5, np.inf], [np.nan, 2.25]], dtype=dtype))
+        assert dm.data.dtype == dtype
+        np.testing.assert_array_equal(dm.data, [[1.5, np.nan], [np.nan, 2.25]])
+        got = dm.depth_grid(np.array([0.0, 1.0], dtype), np.array([0.0, 1.0], dtype))
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, [1.5, 2.25])
+
+    @pytest.mark.parametrize("data", [[[1, 2], [3, 4]], [[1.0, 2.0], [3.0, 4.0]],
+                                      np.array([[1, 2], [3, 4]], dtype=np.int32),
+                                      np.array([[1, 2], [3, 4]], dtype=np.int64)])
+    def test_lists_and_integers_become_float64(self, data):
+        dm = DepthMap(data)
+        assert dm.data.dtype == np.float64
+        np.testing.assert_array_equal(dm.data, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_float32_lookup_beyond_2_24_pixels(self):
+        # 4097 x 4098 = 16,789,506 pixels (67 MB in float32).  The last
+        # pixel's flat index, 16,789,505, is odd and above 2**24, so a
+        # float32 ``iy * width + ix`` would name a neighbour or run past
+        # the end; the index is formed in intp instead.
+        h, w = 4097, 4098
+        data = np.ones((h, w), dtype=np.float32)
+        data[-1, -2:] = 3.0, 7.0
+        dm = DepthMap(data)
+        del data
+        xs = np.array([w - 1, w - 2, w - 1.4], dtype=np.float32)
+        ys = np.full(3, h - 1, dtype=np.float32)
+        np.testing.assert_array_equal(dm.depth_grid(xs, ys), [7.0, 3.0, 7.0])
 
     def test_default_mask_from_finiteness(self):
         # NaN, +inf and -inf are all stored as NaN, the one hole marker.

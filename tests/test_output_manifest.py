@@ -6,7 +6,9 @@ each written file whose sum differs from the manifest.  The manifest
 records the numpy, scipy and BLAS builds it was written with, since
 float32 products and libm's ``exp`` may round differently on another.
 A change that alters outputs by design regenerates the sums, and says so
-in CHANGES.md: ``PYTHONPATH=src python tests/test_output_manifest.py --write``.
+in CHANGES.md: ``PYTHONPATH=src python tests/test_output_manifest.py --write``
+prints each entry it adds, removes or changes against the manifest on
+disk before it overwrites the file.
 """
 
 import contextlib
@@ -84,12 +86,31 @@ def run_chains(base: Path) -> dict[str, str]:
             for path in sorted(base.rglob("*")) if path.is_file()}
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per entry that ``new`` adds, removes or changes against ``old``."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            lines.append(f"added   {name} {new[name]}")
+        elif name not in new:
+            lines.append(f"removed {name} {old[name]}")
+        elif old[name] != new[name]:
+            lines.append(f"changed {name} {old[name]} -> {new[name]}")
+    return lines
+
+
+def test_changes_names_each_kind_of_entry():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "4", "d": "5"}
+    assert changes(old, new) == ["changed b 2 -> 4", "removed c 3", "added   d 5"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "3"])
 def test_outputs_match_manifest(jobs, tmp_path, monkeypatch):
     monkeypatch.setenv("MVSWEEP_JOBS", jobs)
     manifest = json.loads(MANIFEST.read_text())
     got, want = run_chains(tmp_path), manifest["sha256"]
-    wrong = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    wrong = changes(want, got)
     assert not wrong, (f"{len(wrong)} output(s) differ from {MANIFEST.name}: {wrong}; "
                        f"written with {manifest['versions']}, running {versions()}")
 
@@ -99,6 +120,9 @@ if __name__ == "__main__":
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
     with tempfile.TemporaryDirectory() as tmp:
         sums = run_chains(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["sha256"] if MANIFEST.exists() else {}
+    for line in changes(old, sums):
+        print(line)
     MANIFEST.write_text(json.dumps({"versions": versions(), "sha256": sums},
                                    indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(sums)} sums to {MANIFEST}")
