@@ -72,9 +72,12 @@ def main() -> None:
     params = fusion.FusionParams()
     print()
     print("view   dynamic kept (correct/wrong)   fixed kept (correct/wrong)")
+    # Each view's sources are all the others; the filters and fusion
+    # read the same lists.
+    sources = [[j for j in range(len(views)) if j != i] for i in range(len(views))]
     dyn_views = []
     for i, view in enumerate(views):
-        others = [views[j] for j in range(len(views)) if j != i]
+        others = [views[j] for j in sources[i]]
         dyn = fusion.dynamic_filter(view, others, params)
         fix = fusion.fixed_threshold_filter(view, others, params)
         dyn_views.append(dyn)
@@ -84,7 +87,7 @@ def main() -> None:
             row.append(f"{int((kept & within).sum()):5d}/{int((kept & ~within).sum()):3d}")
         print(f"  {i}        {row[0]:>12s}              {row[1]:>12s}")
 
-    cloud = fusion.fuse_point_cloud(dyn_views, lam=params.lam)
+    cloud = fusion.fuse_point_cloud(dyn_views, sources, lam=params.lam)
     ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH].astype(np.float64)
     gt_points = np.concatenate([
         geometry.back_project_grid(cam, xs, ys, d.data)[d.mask]

@@ -222,17 +222,19 @@ def cmd_synth(args) -> int:
 # depth
 
 
-def _load_project(layout: formats.ProjectLayout, n_views: int | None):
+def _view_count(layout: formats.ProjectLayout, limit: int | None = None) -> int:
+    """The project's view count, at most ``limit``; a project with no
+    images raises :class:`MvsweepError`."""
     count = layout.view_count()
     if count == 0:
         raise MvsweepError(f"no images under {layout.root}")
-    if n_views is not None:
-        count = min(count, n_views)
-    views = []
-    for i in range(count):
-        cam, depth_range = formats.read_cam(layout.cam(i))
-        image = formats.read_image(layout.image(i))
-        views.append((cam, depth_range, image))
+    return count if limit is None else min(count, limit)
+
+
+def _load_project(layout: formats.ProjectLayout, n_views: int | None):
+    count = _view_count(layout, n_views)
+    views = [(*formats.read_cam(layout.cam(i)), formats.read_image(layout.image(i)))
+             for i in range(count)]
     return views, _source_views(layout, count)
 
 
@@ -252,7 +254,7 @@ def _feature_extractor(args, tensors):
     if tensors is not None:
         weights = features.DrenetWeights.from_tensors(tensors)
     else:
-        log.warning("no --weights given; using seeded untrained weights")
+        log.warning("no --weights given; using seeded untrained DRENet weights")
         weights = features.random_drenet_weights(args.seed)
     return lambda img: features.drenet_forward(img, weights)
 
@@ -264,6 +266,7 @@ def _regularizer(args, tensors):
     if tensors is not None:
         weights = regularizer.HuLstmWeights.from_tensors(tensors)
     else:
+        log.warning("no --weights given; using seeded untrained HU-LSTM weights")
         weights = regularizer.random_hulstm_weights(args.seed)
     return lambda stream: regularizer.regularize_stream(stream, weights)
 
@@ -366,11 +369,8 @@ def cmd_depth(args) -> int:
 
 def _load_estimates(layout: formats.ProjectLayout, phi: float) -> list[fusion.ViewEstimate]:
     """The project's views, each gated at ``phi`` as it is read."""
-    count = layout.view_count()
-    if count == 0:
-        raise MvsweepError(f"no images under {layout.root}")
     estimates = []
-    for i in range(count):
+    for i in range(_view_count(layout)):
         cam, _ = formats.read_cam(layout.cam(i))
         try:
             depth = fusion.probability_filter(
@@ -392,13 +392,14 @@ def cmd_fuse(args) -> int:
     # neither survives nor vouches for another view's.
     gated = _load_estimates(layout, params.phi)
     confident = sum(v.depth.valid_count for v in gated)
+    # One source list per view: the filters and fusion both read it.
     pairs = _source_views(layout, len(gated))
     keep = fusion.dynamic_filter if args.filter == "dynamic" else fusion.fixed_threshold_filter
     filtered = [keep(view, [gated[j] for j in pairs[i]], params)
                 for i, view in enumerate(gated)]
     # Fusion reads only the filtered depth maps.
     del gated
-    cloud = fusion.fuse_point_cloud(filtered, lam=params.lam)
+    cloud = fusion.fuse_point_cloud(filtered, pairs, lam=params.lam)
     out = Path(args.out) if args.out else layout.cloud
     formats.write_ply(out, cloud, mode="ascii" if args.ascii else "binary")
     kept = sum(v.depth.valid_count for v in filtered)

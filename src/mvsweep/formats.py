@@ -259,6 +259,11 @@ def write_pfm(path, data: np.ndarray) -> None:
 # PPM / PGM images
 
 
+# Values per row band that ``write_image`` quantizes at once, at least
+# one row: its float64 temporary spans one band (512 KiB), not the image.
+_QUANTIZE_BAND = 1 << 16
+
+
 def write_image(path, image: np.ndarray) -> None:
     """Write [0, 1] floats as binary P5 (2-d input) or P6 (3-channel)."""
     arr = np.asarray(image)
@@ -269,12 +274,17 @@ def write_image(path, image: np.ndarray) -> None:
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3), got {arr.shape}")
     height, width = arr.shape[:2]
-    # One float64 temporary, quantized in place, then the uint8 payload.
-    scaled = np.multiply(arr, 255.0, dtype=np.float64)
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, 0, 255, out=scaled)
-    payload = scaled.astype(np.uint8)
-    del scaled
+    # The uint8 payload, filled band by band through one float64
+    # temporary that each band quantizes in place.
+    payload = np.empty(arr.shape, dtype=np.uint8)
+    rows = max(1, _QUANTIZE_BAND // max(1, math.prod(arr.shape[1:])))
+    scaled = np.empty((min(rows, height),) + arr.shape[1:])
+    for first in range(0, height, rows):
+        band = scaled[:min(rows, height - first)]
+        np.multiply(arr[first:first + rows], 255.0, out=band, dtype=np.float64)
+        np.rint(band, out=band)
+        np.clip(band, 0, 255, out=band)
+        payload[first:first + rows] = band
     with open(path, "wb") as f:
         f.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))
         f.write(payload.data)

@@ -24,13 +24,17 @@ float64 accumulators, so float64 callers are unchanged.
 Fusion walks the views in order, back-projecting surviving pixels at a
 consistency-weighted average depth, and marks matched source pixels as
 consumed so overlapping views do not duplicate the same surface sample.
+Each reference reads the source list that filtered it (the CLI's comes
+from ``pair.txt``) in view order, and marks pixels consumed only in
+those sources: a view that a reference does not list may re-emit the
+surface samples that reference emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -260,18 +264,32 @@ def fixed_threshold_filter(ref: ViewEstimate, srcs: Sequence[ViewEstimate],
     return _keep_only(ref, support >= params.min_views)
 
 
-def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.lam,
-                     ) -> PointCloud:
+def fuse_point_cloud(views: Sequence[ViewEstimate],
+                     sources: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+                     lam: float = FusionParams.lam) -> PointCloud:
     """Merge filtered views into a single deduplicated point cloud.
+
+    ``sources[i]`` lists view ``i``'s source indices, the list its
+    filter read; each reference reads them in view order.  An index
+    outside ``views``, equal to ``i`` or repeated, or a count of lists
+    other than ``len(views)``, raises :class:`InvalidArgumentError`.
 
     Views are processed in order.  Each still-unconsumed non-NaN pixel
     of the current reference becomes one point at the consistency-weighted
     average of its own depth (weight 1) and the reprojected depths of
     matching sources (weight ``c``, counted only when ``c`` exceeds
     ``exp(-3)``); the matched source pixels are marked consumed so later
-    views do not emit them again.  Colors come from the reference image
+    views do not emit them again.  Only listed sources are read and
+    marked, so a view that lists none emits its pixels at their own
+    depth, and a view ``j`` that view ``i`` does not list may re-emit
+    samples that ``i`` emitted.  Colors come from the reference image
     when every view provides one.
     """
+    # A list is valid when each of its entries is a distinct other view.
+    n = len(views)
+    if len(sources) != n or any(
+            len(set(sources[i]) & (set(range(n)) - {i})) != len(sources[i]) for i in range(n)):
+        raise InvalidArgumentError("sources must list distinct other views, one list per view")
     if not views:
         return PointCloud.empty()
     consumed = [np.zeros(v.depth.data.shape, dtype=bool) for v in views]
@@ -285,10 +303,8 @@ def fuse_point_cloud(views: Sequence[ViewEstimate], lam: float = FusionParams.la
         ys, xs, pixels = _reference_pixels(ref, active)
         weight = np.ones(len(xs), dtype=np.float64)
         depth_acc = pixels[2].astype(np.float64)  # a copy: the trips still read the depths
-        for j, src in enumerate(views):
-            if j == i:
-                continue
-            q, d2, xi_p, xi_d = _round_trips(ref, src, pixels)
+        for j in sorted(sources[i]):
+            q, d2, xi_p, xi_d = _round_trips(ref, views[j], pixels)
             c = _scores(xi_p, xi_d, lam)
             # Failed trips score 0, below the floor.
             hit = np.flatnonzero(c > MATCH_SCORE_FLOOR)

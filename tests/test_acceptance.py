@@ -391,9 +391,9 @@ def test_criterion_7_weight_free_reconstruction(plane_pipeline):
     params = fusion.FusionParams()
     filtered = []
     survivors = correct = 0
+    sources = [[j for j in range(len(views)) if j != i] for i in range(len(views))]
     for i, view in enumerate(views):
-        others = [views[j] for j in range(len(views)) if j != i]
-        kept_view = fusion.dynamic_filter(view, others, params)
+        kept_view = fusion.dynamic_filter(view, [views[j] for j in sources[i]], params)
         filtered.append(kept_view)
         kept = kept_view.depth.mask
         good, bad = _kept_counts(kept, view, gt_maps[i], spacing)
@@ -406,7 +406,7 @@ def test_criterion_7_weight_free_reconstruction(plane_pipeline):
         if fraction < 0.90:
             failures.append(f"only {fraction:.3f} of survivors within 1 bin")
 
-    cloud = fusion.fuse_point_cloud(filtered, lam=params.lam)
+    cloud = fusion.fuse_point_cloud(filtered, sources, lam=params.lam)
     ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH].astype(np.float64)
     gt_points = np.concatenate([
         geometry.back_project_grid(cam, xs, ys, gt.data)[gt.mask]

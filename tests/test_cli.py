@@ -192,6 +192,23 @@ class TestDepth:
         within = np.abs(est - gt) <= step
         assert within.mean() > 0.5
 
+    def test_inverse_depth_mode_writes_inverse_samples(self, synth_proj, tmp_path):
+        runs = {}
+        for mode in ("uniform", "inverse"):
+            out = tmp_path / mode
+            assert cli.main(["depth", "--in", str(synth_proj), "--out", str(out),
+                             "--num-depths", "12", "--depth-mode", mode]) == 0
+            runs[mode] = formats.ProjectLayout(out)
+        for view in range(5):
+            _, depth_range = formats.read_cam(runs["inverse"].cam(view))
+            space = geometry.HypothesisSpace(depth_range.d_min, depth_range.d_max, 12, "inverse")
+            samples = geometry.sample_hypotheses(space).astype(np.float32)
+            depth = formats.read_pfm(runs["inverse"].depth(view))
+            written = depth[np.isfinite(depth)]
+            assert written.size > 0 and np.isin(written, samples).all()
+            # Both modes share only the endpoints, so the maps differ.
+            assert not np.array_equal(depth, formats.read_pfm(runs["uniform"].depth(view)))
+
     def test_view_limit(self, synth_proj, tmp_path):
         out = tmp_path / "limited"
         code = cli.main([
@@ -288,6 +305,27 @@ class TestDepth:
         ])
         assert code == 0
         assert formats.ProjectLayout(root).depth(1).exists()
+
+    @pytest.mark.parametrize("network", ["DRENet", "HU-LSTM"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["seeded", "weights"])
+    def test_untrained_network_is_named_in_a_warning(self, tmp_path, caplog, capsys,
+                                                     network, weighted):
+        root = tmp_path / "tiny"
+        assert cli.main(["synth", "--out", str(root), "--views", "2", "--size", "16x12"]) == 0
+        if network == "DRENet":
+            flags, tensors = ["--features", "drenet"], features.random_drenet_weights(3)
+        else:
+            flags, tensors = ["--regularizer", "hulstm"], regularizer.random_hulstm_weights(3)
+        if weighted:
+            formats.save_tensors(tmp_path / "net.bin", tensors.to_tensors())
+            flags += ["--weights", str(tmp_path / "net.bin")]
+        capsys.readouterr()
+        caplog.clear()
+        assert cli.main(["depth", "--in", str(root), "--num-depths", "4", *flags]) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        want = f"no --weights given; using seeded untrained {network} weights"
+        assert warned == ([] if weighted else [want])
+        assert capsys.readouterr().out == ""
 
     def test_weights_container_is_used(self, tmp_path):
         from mvsweep import features
@@ -553,6 +591,40 @@ class TestFuse:
         assert cli.main(["fuse", "--in", str(synth_proj), "--out",
                          str(tmp_path / "cloud.ply"), "--filter", kind]) == 0
         assert len(calls) == 5
+
+    def test_filters_and_fusion_read_the_pair_file(self, synth_proj, tmp_path,
+                                                   monkeypatch):
+        # An asymmetric hand-written list, out of view order on line 2 and
+        # empty for view 4; --tau 0 keeps every pixel, so each view fuses.
+        proj = tmp_path / "scene"
+        shutil.copytree(synth_proj, proj)
+        (proj / "pair.txt").write_text("5\n0 1\n1 2 0\n2 1\n3 0 4\n4\n")
+        pairs = {0: [1], 1: [2, 0], 2: [1], 3: [0, 4], 4: []}
+        cams, trips, stage = {}, [], ["filter"]
+        read_cam, chain, fuse = formats.read_cam, fusion.reproject_chain_map, fusion.fuse_point_cloud
+
+        def numbered(path):
+            cam, depth_range = read_cam(path)
+            cams[id(cam)] = len(cams)
+            return cam, depth_range
+
+        def recorded(ref_cam, src_cam, *args):
+            trips.append((stage[0], cams[id(ref_cam)], cams[id(src_cam)]))
+            return chain(ref_cam, src_cam, *args)
+
+        def fusing(*args, **kwargs):
+            stage[0] = "fuse"
+            return fuse(*args, **kwargs)
+
+        monkeypatch.setattr(formats, "read_cam", numbered)
+        monkeypatch.setattr(fusion, "reproject_chain_map", recorded)
+        monkeypatch.setattr(fusion, "fuse_point_cloud", fusing)
+        assert cli.main(["fuse", "--in", str(proj), "--out", str(tmp_path / "cloud.ply"),
+                         "--tau", "0"]) == 0
+        assert [t[1:] for t in trips if t[0] == "filter"] == [
+            (i, j) for i in range(5) for j in pairs[i]]
+        assert [t[1:] for t in trips if t[0] == "fuse"] == [
+            (i, j) for i in range(5) for j in sorted(pairs[i])]
 
     def test_default_output_path(self, synth_proj):
         code = cli.main(["fuse", "--in", str(synth_proj)])

@@ -401,8 +401,9 @@ class TestPpm:
 
     @pytest.mark.parametrize("shape, magic", [((264, 480, 3), b"P6"), ((264, 480), b"P5")])
     def test_write_holds_one_temporary(self, tmp_path, shape, magic):
-        # One float64 temporary (8 bytes per written byte) and the uint8
-        # payload, and the same bytes as the plain quantize-and-join.
+        # The uint8 payload and one band's float64 temporary (8 bytes per
+        # quantized value, a few bands per image here) plus the file
+        # object, and the same bytes as the plain quantize-and-join.
         image = np.random.default_rng(4).uniform(-0.1, 1.1, size=shape)
         path = tmp_path / "i.ppm"
         tracemalloc.start()
@@ -411,9 +412,18 @@ class TestPpm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9.5 * image.size
+        assert peak <= image.size + 8 * formats._QUANTIZE_BAND + 16 * 1024
+        assert image.size > formats._QUANTIZE_BAND  # more than one band
         quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
         assert path.read_bytes() == magic + b"\n480 264\n255\n" + quantized.tobytes()
+
+    def test_rows_wider_than_a_band_are_one_band_each(self, tmp_path):
+        width = formats._QUANTIZE_BAND + 3
+        image = np.random.default_rng(5).uniform(-0.1, 1.1, size=(3, width)).astype(np.float32)
+        path = tmp_path / "wide.pgm"
+        formats.write_image(path, image)
+        quantized = np.clip(np.rint(image * np.float64(255.0)), 0, 255).astype(np.uint8)
+        assert path.read_bytes() == f"P5\n{width} 3\n255\n".encode() + quantized.tobytes()
 
 
 def _rgb_cloud(n=20, seed=3) -> PointCloud:

@@ -15,7 +15,7 @@ import pytest
 
 from mvsweep import fusion, geometry, oracles, synth
 from mvsweep.depthmap import DepthMap
-from mvsweep.errors import SizeMismatchError
+from mvsweep.errors import InvalidArgumentError, SizeMismatchError
 
 F = 64.0
 D0 = 512.0
@@ -53,6 +53,11 @@ def _view(center_x: float, depth_value: float = D0,
         depth=DepthMap(data),
         image=image,
     )
+
+
+def _every_other(n):
+    """Source lists in which each of ``n`` views lists every other view."""
+    return [[j for j in range(n) if j != i] for i in range(n)]
 
 
 def _gated(view, confidence, phi):
@@ -315,11 +320,11 @@ class TestFusePointCloud:
     """Weighted averaging and the consumed-pixel deduplication."""
 
     def test_empty_input(self):
-        assert len(fusion.fuse_point_cloud([])) == 0
+        assert len(fusion.fuse_point_cloud([], [])) == 0
 
     def test_single_view_back_projects_all_pixels(self):
         view = _view(0.0)
-        cloud = fusion.fuse_point_cloud([view])
+        cloud = fusion.fuse_point_cloud([view], [[]])
         assert len(cloud) == H * W
         # Row-major order: pixel (x=32, y=24) is entry 24 * 64 + 32 and
         # back-projects onto the optical axis.
@@ -329,7 +334,7 @@ class TestFusePointCloud:
         # Every ref pixel x >= 1 consumes source pixel x - 1, so the
         # second view only emits its last column.
         views = [_view(0.0), _view(8.0)]
-        cloud = fusion.fuse_point_cloud(views)
+        cloud = fusion.fuse_point_cloud(views, [[1], [0]])
         assert len(cloud) == H * W + H
         # The extra points are the source's x = 63 column: world x of
         # (63 - 32) * 512 / 64 + 8 = 256.
@@ -342,7 +347,7 @@ class TestFusePointCloud:
         # trip gives xi_p = 2/514, xi_d = 2/512 and reprojected depth
         # 514, so the fused depth is (512 + c*514) / (1 + c).
         views = [_view(0.0), _view(8.0, depth_value=514.0)]
-        cloud = fusion.fuse_point_cloud(views, lam=200.0)
+        cloud = fusion.fuse_point_cloud(views, [[1], [0]], lam=200.0)
         c = np.exp(-(2.0 / 514.0 + 200.0 * 2.0 / 512.0))
         expected_depth = (512.0 + c * 514.0) / (1.0 + c)
         probe = cloud.xyz[24 * W + 32]
@@ -352,24 +357,71 @@ class TestFusePointCloud:
         # Source depth 600: xi_d = 88/512 makes c ~ e^-34, far below the
         # e^-3 floor, so no pixel is consumed and both views emit fully.
         views = [_view(0.0), _view(8.0, depth_value=600.0)]
-        cloud = fusion.fuse_point_cloud(views)
+        cloud = fusion.fuse_point_cloud(views, [[1], [0]])
         assert len(cloud) == 2 * H * W
         assert cloud.xyz[24 * W + 32][2] == pytest.approx(D0)
 
     def test_rgb_requires_all_images(self):
         img = np.full((H, W, 3), 0.5)
         with_images = [_view(0.0, image=img), _view(8.0, image=img)]
-        cloud = fusion.fuse_point_cloud(with_images)
+        cloud = fusion.fuse_point_cloud(with_images, [[1], [0]])
         assert cloud.rgb is not None and len(cloud.rgb) == len(cloud)
         # rint(0.5 * 255) = 128.
         np.testing.assert_array_equal(cloud.rgb[0], [128, 128, 128])
         partial = [_view(0.0, image=img), _view(8.0)]
-        assert fusion.fuse_point_cloud(partial).rgb is None
+        assert fusion.fuse_point_cloud(partial, [[1], [0]]).rgb is None
 
     def test_fully_masked_views_empty(self):
         mask = np.zeros((H, W), dtype=bool)
-        cloud = fusion.fuse_point_cloud([_view(0.0, mask=mask)])
+        cloud = fusion.fuse_point_cloud([_view(0.0, mask=mask)], [[]])
         assert len(cloud) == 0
+
+
+class TestSourceLists:
+    """Fusion reads each reference's own source list, in view order."""
+
+    def test_round_trips_follow_the_lists(self, monkeypatch):
+        # Depths 512, 600 and 700 match nowhere, so no pixel is consumed
+        # and every reference trips through each source it lists.
+        views = [_view(0.0), _view(8.0, depth_value=600.0), _view(16.0, depth_value=700.0)]
+        index = {id(v.camera): k for k, v in enumerate(views)}
+        chain = fusion.reproject_chain_map
+        trips = []
+
+        def recorded(ref_cam, src_cam, *args):
+            trips.append((index[id(ref_cam)], index[id(src_cam)]))
+            return chain(ref_cam, src_cam, *args)
+
+        monkeypatch.setattr(fusion, "reproject_chain_map", recorded)
+        sources = {0: [1], 1: [2, 0], 2: [1]}
+        cloud = fusion.fuse_point_cloud(views, sources)
+        assert trips == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        for i, listed in sources.items():
+            assert sum(ref == i for ref, _ in trips) == len(listed)
+        assert len(cloud) == 3 * H * W
+
+    def test_view_without_sources_keeps_its_own_depth(self):
+        # View 0 lists nothing: it emits every pixel at its own depth and
+        # consumes nothing, so view 1, which lists view 0 and averages
+        # with it, re-emits every pixel too.
+        views = [_view(0.0), _view(8.0, depth_value=514.0)]
+        cloud = fusion.fuse_point_cloud(views, [[], [0]])
+        assert len(cloud) == 2 * H * W
+        ys, xs = np.mgrid[0:H, 0:W]
+        own = geometry.back_project_grid(views[0].camera, xs.ravel(), ys.ravel(),
+                                         np.full(H * W, D0))
+        assert cloud.xyz[:H * W].tobytes() == own.tobytes()
+        # All but its last column, which lands past view 0's edge, average.
+        assert np.sum(cloud.xyz[H * W:, 2] < 514.0) == H * W - H
+        # Listed both ways, view 0 consumes all but view 1's last column.
+        assert len(fusion.fuse_point_cloud(views, [[1], [0]])) == H * W + H
+
+    @pytest.mark.parametrize("sources", [
+        [[0], [0]], [[2], [0]], [[-1], [0]], [[1, 1], [0]], [[1]], [[1], [0], []],
+    ], ids=["itself", "past-the-end", "negative", "repeated", "too-few", "too-many"])
+    def test_bad_list_is_rejected(self, sources):
+        with pytest.raises(InvalidArgumentError):
+            fusion.fuse_point_cloud([_view(0.0), _view(8.0)], sources)
 
 
 class TestFloat32RoundTrips:
@@ -403,7 +455,7 @@ class TestFloat32RoundTrips:
             return q, np.stack([xs, ys], axis=-1), depths.copy()
 
         monkeypatch.setattr(fusion, "reproject_chain_map", land_at_x)
-        cloud = fusion.fuse_point_cloud([ref, src])
+        cloud = fusion.fuse_point_cloud([ref, src], [[1], [0]])
         assert looked_up[0].tolist() == [520.0, 520.0]
         # Pixel 1 of the source is consumed, so it emits pixel 0 alone.
         assert len(cloud) == 3
@@ -626,7 +678,11 @@ class TestRoundTripBitIdentity:
 
     @pytest.mark.parametrize("lam", [0.0, 200.0])
     def test_fuse_point_cloud(self, views, lam):
-        cloud = fusion.fuse_point_cloud(views, lam)
+        sources = _every_other(len(views))
+        cloud = fusion.fuse_point_cloud(views, sources, lam)
         xyz, rgb = _frozen_fuse(views, lam)
         assert cloud.xyz.tobytes() == xyz.tobytes()
         assert cloud.rgb.tobytes() == rgb.tobytes()
+        # Fusion reads the sources in view order, however they are listed.
+        listed_backwards = fusion.fuse_point_cloud(views, [s[::-1] for s in sources], lam)
+        assert listed_backwards.xyz.tobytes() == xyz.tobytes()
