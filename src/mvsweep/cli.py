@@ -28,8 +28,8 @@ import numpy as np
 from . import costvol, estimator, features, formats, fusion, geometry, metrics
 from . import oracles, regularizer, synth
 from .depthmap import DepthMap
-from .errors import (InvalidArgumentError, MvsweepError, NoIntersectionError,
-                     SizeMismatchError)
+from .errors import (ChannelMismatchError, InvalidArgumentError, MvsweepError,
+                     NoIntersectionError, SizeMismatchError)
 
 log = logging.getLogger("mvsweep")
 
@@ -259,15 +259,21 @@ def _feature_extractor(args, tensors):
     return lambda img: features.drenet_forward(img, weights)
 
 
-def _regularizer(args, tensors):
+def _regularizer(args, tensors, channels: int):
+    """The regularizer of ``channels``-channel features."""
     if args.regularizer == "passthrough":
         return regularizer.passthrough_regularizer
     # One container may hold both networks: their tensor names differ.
     if tensors is not None:
         weights = regularizer.HuLstmWeights.from_tensors(tensors)
+        width = weights.cells[0].in_channels - regularizer.HIDDEN_CH
+        if width != channels:
+            raise ChannelMismatchError(
+                f"the HU-LSTM weights take {width}-channel features, but "
+                f"--features {args.features} gives {channels}")
     else:
         log.warning("no --weights given; using seeded untrained HU-LSTM weights")
-        weights = regularizer.random_hulstm_weights(args.seed)
+        weights = regularizer.random_hulstm_weights(args.seed, in_channels=channels)
     return lambda stream: regularizer.regularize_stream(stream, weights)
 
 
@@ -302,7 +308,6 @@ def cmd_depth(args) -> int:
     out_layout = formats.ProjectLayout(Path(args.out)) if args.out else layout
     tensors = formats.load_tensors(args.weights) if args.weights else None
     extract = _feature_extractor(args, tensors)
-    regularize = _regularizer(args, tensors)
     views, pairs = _load_project(layout, args.views)
     # Everything that can reject the views runs before anything is written.
     spaces = [_hypothesis_space(depth_range, args) for _, depth_range, _ in views]
@@ -317,6 +322,7 @@ def cmd_depth(args) -> int:
                 raise SizeMismatchError(
                     f"source view {j}'s features {feats[j].shape} do not match "
                     f"reference view {ref}'s {feats[ref].shape}")
+    regularize = _regularizer(args, tensors, feats[0].shape[2])
     out_layout.make_dirs()
     if out_layout.root.resolve() != layout.root.resolve():
         # The estimated views' inputs go along unchanged, so that the

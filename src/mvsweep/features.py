@@ -231,9 +231,10 @@ def _random_conv(rng: np.random.Generator, in_ch: int, out_ch: int,
 
 # Layer graph: (name, in_ch, out_ch, dilation).  Data flow:
 # the stem chains, then three branches read the shared 32-channel trunk
-# at dilations 1/3/4, and the head fuses their concatenation.
+# at dilations 1/3/4, and the head fuses their concatenation.  The
+# stem's input width is free (None): the image's channel count.
 _DRENET_LAYERS = (
-    ("stem0", 3, 16, 1),
+    ("stem0", None, 16, 1),
     ("stem1", 16, 16, 1),
     ("grow", 16, 32, 2),
     ("branch_a", 32, 32, 1),
@@ -268,10 +269,9 @@ class DrenetWeights:
         if self.stem0.kernel.ndim != 4:
             raise WeightGraphMismatchError(
                 f"stem0: kernel {self.stem0.kernel.shape}, expected 4-d")
-        in_ch = self.stem0.in_channels
-        for name, expect_in, out_ch, dilation in _DRENET_LAYERS:
-            expect = in_ch if name == "stem0" else expect_in
-            getattr(self, name).check(name, expect, out_ch, dilation)
+        for name, in_ch, out_ch, dilation in _DRENET_LAYERS:
+            layer = getattr(self, name)
+            layer.check(name, layer.in_channels if in_ch is None else in_ch, out_ch, dilation)
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         return {f"{name}.{part}": getattr(getattr(self, name), part)
@@ -291,12 +291,9 @@ class DrenetWeights:
 def random_drenet_weights(seed: int = 0, in_channels: int = 3) -> DrenetWeights:
     """Seeded untrained weights; useful for shape and plumbing tests."""
     rng = np.random.default_rng(seed)
-    layers = {}
-    for name, in_ch, out_ch, dilation in _DRENET_LAYERS:
-        if name == "stem0":
-            in_ch = in_channels
-        layers[name] = _random_conv(rng, in_ch, out_ch, dilation, gn=True)
-    return DrenetWeights(**layers)
+    return DrenetWeights(**{
+        name: _random_conv(rng, in_channels if in_ch is None else in_ch, out_ch, dilation, gn=True)
+        for name, in_ch, out_ch, dilation in _DRENET_LAYERS})
 
 
 def drenet_forward(image: np.ndarray, weights: DrenetWeights) -> np.ndarray:

@@ -32,6 +32,7 @@ surface samples that reference emitted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -270,9 +271,10 @@ def fuse_point_cloud(views: Sequence[ViewEstimate],
     """Merge filtered views into a single deduplicated point cloud.
 
     ``sources[i]`` lists view ``i``'s source indices, the list its
-    filter read; each reference reads them in view order.  An index
-    outside ``views``, equal to ``i`` or repeated, or a count of lists
-    other than ``len(views)``, raises :class:`InvalidArgumentError`.
+    filter read; each reference reads them in view order.  A missing
+    list, a count of lists other than ``len(views)``, or an index that
+    is not an integer, lies outside ``views``, equals ``i`` or repeats,
+    raises :class:`InvalidArgumentError`.
 
     Views are processed in order.  Each still-unconsumed non-NaN pixel
     of the current reference becomes one point at the consistency-weighted
@@ -287,8 +289,14 @@ def fuse_point_cloud(views: Sequence[ViewEstimate],
     """
     # A list is valid when each of its entries is a distinct other view.
     n = len(views)
-    if len(sources) != n or any(
-            len(set(sources[i]) & (set(range(n)) - {i})) != len(sources[i]) for i in range(n)):
+    try:
+        lists = [[operator.index(j) for j in sources[i]] for i in range(n)]
+        valid = len(sources) == n and all(
+            len(set(listed) & (set(range(n)) - {i})) == len(listed)
+            for i, listed in enumerate(lists))
+    except (KeyError, IndexError, TypeError):
+        valid = False
+    if not valid:
         raise InvalidArgumentError("sources must list distinct other views, one list per view")
     if not views:
         return PointCloud.empty()
@@ -303,7 +311,7 @@ def fuse_point_cloud(views: Sequence[ViewEstimate],
         ys, xs, pixels = _reference_pixels(ref, active)
         weight = np.ones(len(xs), dtype=np.float64)
         depth_acc = pixels[2].astype(np.float64)  # a copy: the trips still read the depths
-        for j in sorted(sources[i]):
+        for j in sorted(lists[i]):
             q, d2, xi_p, xi_d = _round_trips(ref, views[j], pixels)
             c = _scores(xi_p, xi_d, lam)
             # Failed trips score 0, below the floor.

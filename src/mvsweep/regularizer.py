@@ -7,11 +7,12 @@ the depth axis: each cell keeps hidden/cell state from the previous
 slice, so context accumulates across hypotheses while only one slice
 is ever materialized.  Each cell is one 3x3 convolution over the
 channel concatenation ``[x, h]`` whose outputs are its input, forget,
-output and candidate gates stacked in that order; weight containers
-store it per gate.  The U runs in float32: :func:`hu_lstm_step` casts
-each cost slice to float32 on entry, and every cell, pooling, upsampling
-and the score head keep that dtype, so the carried state is float32
-too (the cost volume and the depth selection stay float64).
+output and candidate gates stacked in that order, and weight containers
+store it as that one convolution.  The U runs in float32:
+:func:`hu_lstm_step` casts each cost slice to float32 on entry, and
+every cell, pooling, upsampling and the score head keep that dtype, so
+the carried state is float32 too (the cost volume and the depth
+selection stay float64).
 
 Downsampling between cells is 2x2 max pooling with ceil semantics (odd
 edges are replicated before pooling); upsampling is a stride-2 3x3
@@ -58,10 +59,6 @@ class ScoreSlice:
     its place in the stream is its depth index."""
 
     score: np.ndarray
-
-
-# Gate order of a cell's stacked convolution and of its container tensors.
-_GATES = ("input", "forget", "output", "candidate")
 
 
 def conv_lstm_cell(x: np.ndarray | Sequence[np.ndarray],
@@ -161,18 +158,18 @@ def _upsample_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out[:out_hw[0], :out_hw[1]] + bias.astype(dtype, copy=False)
 
 
-# (cell name, input channels); hidden channels are uniform.  Cells 3 and
-# 4 consume [upsampled deeper output, skip from the downward pass].
-_HU_CELLS = (
-    ("cell_full_down", 32),
-    ("cell_half_down", 32),
-    ("cell_quarter", 32),
-    ("cell_half_up", 64),
-    ("cell_full_up", 64),
-)
 HIDDEN_CH = 32
-# (conv name, in_ch, out_ch) of the two upsample convs and the score head.
-_HU_CONVS = (
+# Layer graph in container order: (name, in_ch, out_ch).  A cell is one
+# gate conv over [x, h], so it reads its input plus the hidden channels
+# and writes the four stacked gates; cells 3 and 4 read [upsampled
+# deeper output, skip from the downward pass].  The first cell's input
+# width is free (None): the features' width plus the hidden width.
+_HU_LAYERS = (
+    ("cell_full_down", None, 4 * HIDDEN_CH),
+    ("cell_half_down", 2 * HIDDEN_CH, 4 * HIDDEN_CH),
+    ("cell_quarter", 2 * HIDDEN_CH, 4 * HIDDEN_CH),
+    ("cell_half_up", 3 * HIDDEN_CH, 4 * HIDDEN_CH),
+    ("cell_full_up", 3 * HIDDEN_CH, 4 * HIDDEN_CH),
     ("up_mid", HIDDEN_CH, HIDDEN_CH),
     ("up_full", HIDDEN_CH, HIDDEN_CH),
     ("head", HIDDEN_CH, 1),
@@ -190,65 +187,42 @@ class HuLstmWeights:
 
     def __post_init__(self) -> None:
         """Reject weights whose shapes do not fit the fixed graph."""
-        if len(self.cells) != len(_HU_CELLS):
-            raise WeightGraphMismatchError(f"expected {len(_HU_CELLS)} cells, got {len(self.cells)}")
+        layers = (*self.cells, self.up_mid, self.up_full, self.head)
+        if len(layers) != len(_HU_LAYERS):
+            # The three rows after the cells are the named fields.
+            raise WeightGraphMismatchError(
+                f"expected {len(_HU_LAYERS) - 3} cells, got {len(self.cells)}")
         # The input width is free, so it is read from the first cell's
         # kernel, whose rank must be checked before that read.
         if self.cells[0].kernel.ndim != 4:
             raise WeightGraphMismatchError(
                 f"cell_full_down: kernel {self.cells[0].kernel.shape}, expected 4-d")
-        first_in = self.cells[0].in_channels
-        for cell, (name, expect_in) in zip(self.cells, _HU_CELLS):
-            expect = first_in if name == "cell_full_down" else expect_in + HIDDEN_CH
-            cell.check(name, expect, 4 * HIDDEN_CH)
-        for name, *channels in _HU_CONVS:
-            getattr(self, name).check(name, *channels)
+        for layer, (name, in_ch, out_ch) in zip(layers, _HU_LAYERS):
+            layer.check(name, layer.in_channels if in_ch is None else in_ch, out_ch)
 
     def to_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for cell, (name, _) in zip(self.cells, _HU_CELLS):
-            for gate, kernel, bias in zip(_GATES, np.split(cell.kernel, 4),
-                                          np.split(cell.bias, 4)):
-                out[f"{name}.w_{gate}"] = kernel
-                out[f"{name}.b_{gate}"] = bias
-        for name, *_ in _HU_CONVS:
-            out[f"{name}.kernel"] = getattr(self, name).kernel
-            out[f"{name}.bias"] = getattr(self, name).bias
-        return out
+        layers = (*self.cells, self.up_mid, self.up_full, self.head)
+        return {f"{name}.{part}": getattr(layer, part)
+                for layer, (name, *_) in zip(layers, _HU_LAYERS) for part in ("kernel", "bias")}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "HuLstmWeights":
         try:
-            cells = tuple(_stack_gates(tensors, name) for name, _ in _HU_CELLS)
-            convs = {name: ConvLayerWeights(tensors[f"{name}.kernel"],
-                                            tensors[f"{name}.bias"])
-                     for name, *_ in _HU_CONVS}
+            *cells, up_mid, up_full, head = (
+                ConvLayerWeights(tensors[f"{name}.kernel"], tensors[f"{name}.bias"])
+                for name, *_ in _HU_LAYERS)
         except KeyError as exc:
             raise WeightGraphMismatchError(f"missing tensor {exc.args[0]}") from exc
-        return cls(cells=cells, **convs)
-
-
-def _stack_gates(tensors: dict[str, np.ndarray], name: str) -> ConvLayerWeights:
-    """One cell's per-gate container tensors as its stacked gate conv."""
-    kernels = [tensors[f"{name}.w_{gate}"] for gate in _GATES]
-    biases = [tensors[f"{name}.b_{gate}"] for gate in _GATES]
-    shapes = {(kernel.shape, bias.shape) for kernel, bias in zip(kernels, biases)}
-    if len(shapes) != 1 or 0 in (kernels[0].ndim, biases[0].ndim):
-        raise WeightGraphMismatchError(
-            f"{name}: gate kernel and bias shapes {sorted(shapes)} do not stack")
-    return ConvLayerWeights(np.concatenate(kernels), np.concatenate(biases))
+        return cls(tuple(cells), up_mid, up_full, head)
 
 
 def random_hulstm_weights(seed: int = 0, in_channels: int = 32) -> HuLstmWeights:
     """Seeded untrained weights; useful for shape and plumbing tests."""
     rng = np.random.default_rng(seed)
-    cells = []
-    for name, in_ch in _HU_CELLS:
-        if name == "cell_full_down":
-            in_ch = in_channels
-        cells.append(_random_conv(rng, in_ch + HIDDEN_CH, 4 * HIDDEN_CH))
-    return HuLstmWeights(cells=tuple(cells), **{
-        name: _random_conv(rng, in_ch, out_ch) for name, in_ch, out_ch in _HU_CONVS})
+    *cells, up_mid, up_full, head = (
+        _random_conv(rng, in_channels + HIDDEN_CH if in_ch is None else in_ch, out_ch)
+        for _, in_ch, out_ch in _HU_LAYERS)
+    return HuLstmWeights(tuple(cells), up_mid, up_full, head)
 
 
 def hu_lstm_step(cost_slice: CostSlice, state: Sequence[tuple[np.ndarray, np.ndarray]] | None,
@@ -261,7 +235,7 @@ def hu_lstm_step(cost_slice: CostSlice, state: Sequence[tuple[np.ndarray, np.nda
     float32: the cost is cast to float32 here.
     """
     x = np.asarray(cost_slice.cost, dtype=np.float32)
-    prev = (None,) * len(_HU_CELLS) if state is None else state
+    prev = (None,) * len(weights.cells) if state is None else state
 
     h0, s0 = conv_lstm_cell(x, prev[0], weights.cells[0])
     h1, s1 = conv_lstm_cell(max_pool2(h0), prev[1], weights.cells[1])

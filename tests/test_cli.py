@@ -388,11 +388,28 @@ class TestDepth:
         assert capsys.readouterr().err.startswith("error: missing tensor ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("names", [
-        ["stem0.kernel"],
-        [f"cell_full_down.w_{gate}" for gate in ("input", "forget", "output", "candidate")],
-    ], ids=["drenet", "hulstm"])
-    def test_first_layer_kernel_of_wrong_rank(self, names, tmp_path, capsys):
+    def test_hulstm_weights_for_another_feature_width(self, tmp_path, capsys):
+        # The first cell reads 16 feature channels; the photometric
+        # features have 32.  The run fails before it writes anything.
+        root = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(root), "--views", "3", "--size", "16x12"]) == 0
+        weights_path = tmp_path / "w.bin"
+        formats.save_tensors(
+            weights_path, regularizer.random_hulstm_weights(0, in_channels=16).to_tensors())
+        out = tmp_path / "o"
+        code = cli.main([
+            "depth", "--in", str(root), "--out", str(out), "--num-depths", "4",
+            "--regularizer", "hulstm", "--weights", str(weights_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: the HU-LSTM weights take 16-channel features, "
+                       "but --features photometric gives 32\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["stem0.kernel", "cell_full_down.kernel"],
+                             ids=["drenet", "hulstm"])
+    def test_first_layer_kernel_of_wrong_rank(self, name, tmp_path, capsys):
         from mvsweep import features, regularizer
 
         root = tmp_path / "scene"
@@ -401,8 +418,7 @@ class TestDepth:
         ]) == 0
         tensors = {**features.random_drenet_weights(seed=7).to_tensors(),
                    **regularizer.random_hulstm_weights(seed=7).to_tensors()}
-        for name in names:
-            tensors[name] = np.zeros(16)
+        tensors[name] = np.zeros(16)
         weights_path = tmp_path / "bad.bin"
         formats.save_tensors(weights_path, tensors)
         out = tmp_path / "out"
@@ -413,7 +429,7 @@ class TestDepth:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {names[0].split('.')[0]}: ")
+        assert err.startswith(f"error: {name.split('.')[0]}: ")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -333,10 +333,10 @@ _SEEDED_CONTAINER_SHA256 = {
     ("drenet", 0, 32): "a178abd9b8286f302d80932e20637ad5871eb76ef8ce6ab4aa83a7635506b0b9",
     ("drenet", 1, 3): "d91a39e94a26b08ff5d1295b99d4253da9dbed26cb85ec53c6ff13b608051e17",
     ("drenet", 1, 32): "f5e21e86bac942f3e60bd532a24557064381c8c039a486e3ef6ea3655c747a65",
-    ("hulstm", 0, 3): "cad75757068846aa5790ee891a78209b59909c03945a19115e0ed16ed55dbf62",
-    ("hulstm", 0, 32): "e90699104e90ae83e5c193c4bd0adc21f351503a44325dbedab88c0b2569578d",
-    ("hulstm", 1, 3): "665b2c5472f78aec392a42fc91b0fbbb6b2f432326199833b9758926fae4f4e9",
-    ("hulstm", 1, 32): "007206a0b35a38188103c141b84c0bffbadbb69b4b1be00187375436fc6d8e79",
+    ("hulstm", 0, 3): "09807268cae2ac5222dd44000c3e6a129bad293f948371b830afe05ddee2368a",
+    ("hulstm", 0, 32): "bb19399988730308dfd9780799b4f6fd518595486d3d3f2c859821aeafda893b",
+    ("hulstm", 1, 3): "f9f6ccffbbf2d84a033c6ddbf00beababcd3093c672b093395b872d2f3fbb7eb",
+    ("hulstm", 1, 32): "e94504c65789ea2ff95b14498e7da41b76655cfd042564d0f2663c606f4253d6",
 }
 
 

@@ -418,7 +418,9 @@ class TestSourceLists:
 
     @pytest.mark.parametrize("sources", [
         [[0], [0]], [[2], [0]], [[-1], [0]], [[1, 1], [0]], [[1]], [[1], [0], []],
-    ], ids=["itself", "past-the-end", "negative", "repeated", "too-few", "too-many"])
+        {1: [0], 2: [0]}, [[1.0], [0]],
+    ], ids=["itself", "past-the-end", "negative", "repeated", "too-few", "too-many",
+            "missing-view", "non-integer"])
     def test_bad_list_is_rejected(self, sources):
         with pytest.raises(InvalidArgumentError):
             fusion.fuse_point_cloud([_view(0.0), _view(8.0)], sources)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from mvsweep import costvol, oracles, regularizer
+from mvsweep import costvol, features, oracles, regularizer
 from mvsweep.errors import SizeMismatchError, WeightGraphMismatchError
 from mvsweep.features import ConvLayerWeights, conv3x3
 
@@ -233,24 +233,41 @@ class TestHuLstmWeights:
             np.testing.assert_array_equal(tensors[name], back[name])
 
     def test_missing_tensor_raises(self):
-        tensors = regularizer.random_hulstm_weights(seed=5).to_tensors()
-        del tensors["head.kernel"]
-        with pytest.raises(WeightGraphMismatchError):
-            regularizer.HuLstmWeights.from_tensors(tensors)
+        for name in ("head.kernel", "cell_quarter.bias"):
+            tensors = regularizer.random_hulstm_weights(seed=5).to_tensors()
+            del tensors[name]
+            with pytest.raises(WeightGraphMismatchError, match=f"missing tensor {name}"):
+                regularizer.HuLstmWeights.from_tensors(tensors)
+
+    def test_container_holds_each_cell_as_its_gate_conv(self):
+        weights = regularizer.random_hulstm_weights(seed=5, in_channels=3)
+        tensors = weights.to_tensors()
+        layers = ["cell_full_down", "cell_half_down", "cell_quarter", "cell_half_up",
+                  "cell_full_up", "up_mid", "up_full", "head"]
+        assert list(tensors) == [f"{name}.{part}" for name in layers
+                                 for part in ("kernel", "bias")]
+        for name, cell, in_ch in zip(layers, weights.cells, [3, 32, 32, 64, 64]):
+            assert tensors[f"{name}.kernel"] is cell.kernel
+            assert tensors[f"{name}.bias"] is cell.bias
+            assert cell.kernel.shape == (128, in_ch + 32, 3, 3)
+        back = regularizer.HuLstmWeights.from_tensors(tensors)
+        for cell, cell_back in zip(weights.cells, back.cells):
+            assert cell_back.kernel is cell.kernel and cell_back.bias is cell.bias
+        # One container holds both networks, so no name may be shared.
+        assert not tensors.keys() & features.random_drenet_weights(seed=5).to_tensors().keys()
 
     def test_wrong_gate_shape_raises(self):
         tensors = regularizer.random_hulstm_weights(seed=5).to_tensors()
-        key = "cell_half_up.w_input"
-        tensors[key] = np.zeros((32, 32, 3, 3))  # needs 64 + 32 input channels
-        with pytest.raises(WeightGraphMismatchError):
+        # The gate conv of cell_half_up needs 64 + 32 input channels.
+        tensors["cell_half_up.kernel"] = np.zeros((128, 64, 3, 3))
+        with pytest.raises(WeightGraphMismatchError, match="cell_half_up: kernel"):
             regularizer.HuLstmWeights.from_tensors(tensors)
 
     def test_first_cell_kernel_of_wrong_rank_raises(self):
-        # The input width is read from the first cell's gate kernels, so
-        # their rank is checked before that read.
+        # The input width is read from the first cell's kernel, so its
+        # rank is checked before that read.
         tensors = regularizer.random_hulstm_weights(seed=5).to_tensors()
-        for gate in ("input", "forget", "output", "candidate"):
-            tensors[f"cell_full_down.w_{gate}"] = np.zeros(16)
+        tensors["cell_full_down.kernel"] = np.zeros(16)
         with pytest.raises(WeightGraphMismatchError, match="cell_full_down"):
             regularizer.HuLstmWeights.from_tensors(tensors)
 
